@@ -7,10 +7,11 @@ with no other site in between:
 
 * the three sides of every kept triangle (two axis legs and a diagonal
   hypotenuse), which are inside the region by construction, and
-* consecutive sites along each diagonal lattice line, where the open
-  segment between them either starts at an interior site (then it cannot
-  ​leave the region) or is vetted by an exact sector test at a boundary
-  endpoint.
+* consecutive sites along each diagonal lattice line, when the cell that
+  the first unit step of the open segment between them cuts is a region
+  cell.  Every boundary vertex is a site and a diagonal line meets the
+  boundary only at lattice vertices, so the open segment lies wholly on
+  one side of the boundary, and that cell tells which.
 
 The maximal height difference ``alpha`` between the endpoints is what the
 solver relaxes over; it comes from the closed form, so edges store no
@@ -49,18 +50,6 @@ def collect_sites(b: RegionBoundary, sub: Subdivision) -> List[Point]:
     return sorted(sites)
 
 
-def _gap_is_inside(b: RegionBoundary, w1: Point, w2: Point, d: Point) -> bool:
-    """Whether the open segment from w1 towards w2 (direction d, no sites
-    in between) runs inside the region.  The segment cannot cross the
-    boundary away from lattice points, so its side is decided at w1."""
-    if w1 not in b.vertex_set:
-        return True
-    if w2 not in b.vertex_set:
-        # Decide from the interior endpoint instead.
-        return True
-    return b.interior_direction(w1, d)
-
-
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
     sites = collect_sites(b, sub)
     neighbors: Dict[Point, Set[Point]] = {s: set() for s in sites}
@@ -80,11 +69,14 @@ def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
     for s in sites:
         lines_v.setdefault(s[0] - s[1], []).append(s)
         lines_u.setdefault(s[0] + s[1], []).append(s)
-    for line, d in ((lines_v, (1, 1)), (lines_u, (1, -1))):
+    # Sorted by x, sites run along (1, 1) on lines_v and along (1, -1) on
+    # lines_u; the first step from (x, y) cuts cell (x, y) or (x, y - 1).
+    contains = b.contains_cell
+    for line, dy in ((lines_v, 0), (lines_u, -1)):
         for pts in line.values():
             pts.sort()
             for w1, w2 in zip(pts, pts[1:]):
-                if _gap_is_inside(b, w1, w2, d):
+                if contains((w1[0], w1[1] + dy)):
                     connect(w1, w2)
 
     edge_count = 0

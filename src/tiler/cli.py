@@ -52,8 +52,23 @@ def _read_word(args: argparse.Namespace) -> str:
         raise ValueError("no boundary word: pass it as an argument or via --in")
     if src == "-":
         return sys.stdin.read().strip()
-    with open(src, "r", encoding="ascii") as fh:
-        return fh.read().strip()
+    try:
+        with open(src, "r", encoding="ascii") as fh:
+            return fh.read().strip()
+    except OSError as exc:
+        raise ValueError(f"cannot read {src}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{src} is not ASCII (byte {exc.start})") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -293,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                 for e in range(8, 17)),
                     help="target perimeters, comma-separated")
     sp.add_argument("--algos", default="fast,thurston")
-    sp.add_argument("--repeat", type=int, default=5)
+    sp.add_argument("--repeat", type=_positive_int, default=5)
     sp.add_argument("--cap", type=int, default=400_000,
                     help="cell cap for the reference algorithms")
     sp.add_argument("--out", metavar="FILE")
@@ -304,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lattice", choices=("square", "tri"), default="square")
     sp.add_argument("--layers", default="boundary",
                     help="comma list of boundary,subdivision,heights,tiling")
-    sp.add_argument("--scale", type=int, default=24)
+    sp.add_argument("--scale", type=_positive_int, default=24)
     sp.add_argument("--out", metavar="FILE")
     sp.set_defaults(fn=cmd_render)
 

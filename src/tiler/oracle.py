@@ -189,7 +189,7 @@ class TilingOracle:
             kvs = [offv // s] + ([offv // s - 1] if offv % s == 0 else [])
             for a in kus:
                 for c in kvs:
-                    if sub.classes[level].get((a, c)):
+                    if (a, c) in sub.inside[level]:
                         out.append((sub.U0 + a * s, sub.V0 + c * s, s))
         return out
 

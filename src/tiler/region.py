@@ -20,30 +20,6 @@ MOVES: Dict[str, Point] = {"R": (1, 0), "U": (0, 1), "L": (-1, 0), "D": (0, -1)}
 INVERSE = {"R": "L", "L": "R", "U": "D", "D": "U"}
 
 
-def _cross(a: Point, b: Point) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def direction_enters_interior(din: Point, dout: Point, d: Point) -> bool:
-    """Whether direction ``d`` points into the region at a boundary vertex.
-
-    ``din``/``dout`` are the directions of the boundary edges arriving at and
-    leaving the vertex, with the interior on the left of travel.  The interior
-    occupies the sector swept counterclockwise from ``dout`` to ``-din``; the
-    test is exact for any ``d`` not parallel to the boundary edges, which is
-    the only way it is used (diagonal ``d`` against axis edges).
-    """
-    p = dout
-    q = (-din[0], -din[1])
-    c = _cross(p, q)
-    if c > 0:
-        return _cross(p, d) > 0 and _cross(d, q) > 0
-    if c < 0:
-        return _cross(p, d) > 0 or _cross(d, q) > 0
-    # Straight passage: interior is the open half-plane left of dout.
-    return _cross(p, d) > 0
-
-
 class RegionBoundary:
     """A validated, counterclockwise boundary walk anchored at the origin.
 
@@ -60,12 +36,6 @@ class RegionBoundary:
         self.area = area
         self.name = name
         self.vertex_set = set(vertices)
-        self.vertex_dirs: Dict[Point, Tuple[Point, Point]] = {}
-        prev_dir = MOVES[moves[-1]]
-        for i, v in enumerate(vertices):
-            out_dir = MOVES[moves[i]]
-            self.vertex_dirs[v] = (prev_dir, out_dir)
-            prev_dir = out_dir
         xs = [v[0] for v in vertices]
         ys = [v[1] for v in vertices]
         self.bbox = (min(xs), min(ys), max(xs), max(ys))
@@ -84,7 +54,7 @@ class RegionBoundary:
     def _row_index(self) -> Dict[int, List[int]]:
         """Per-row sorted x positions of vertical boundary edges.
 
-        Crossing them left to right alternates outside/inside, so a cell is
+        Passing them left to right alternates outside/inside, so a cell is
         inside iff an odd number of vertical edges sit at or left of it.
         """
         if self._rows is None:
@@ -118,11 +88,6 @@ class RegionBoundary:
                 for x in range(xs[k], xs[k + 1]):
                     yield (x, row)
 
-    def interior_direction(self, v: Point, d: Point) -> bool:
-        """Whether ``d`` points locally into the region at boundary vertex ``v``."""
-        din, dout = self.vertex_dirs[v]
-        return direction_enters_interior(din, dout, d)
-
     def to_json(self) -> str:
         payload = {"moves": self.moves}
         if self.name is not None:
@@ -154,13 +119,15 @@ def parse_boundary(text: str) -> RegionBoundary:
 
     Whitespace is ignored and case does not matter.  Unknown characters
     raise ``ValueError`` whose ``args[1]`` is the offending index in the
-    cleaned-up word.
+    cleaned-up word; so does a JSON wrapper without a ``"moves"`` string.
     """
     name = None
     stripped = text.strip()
     if stripped.startswith("{"):
         payload = json.loads(stripped)
-        word = payload["moves"]
+        word = payload.get("moves")
+        if not isinstance(word, str):
+            raise ValueError('JSON input needs a "moves" string')
         name = payload.get("name")
     else:
         word = stripped

@@ -4,59 +4,35 @@ Everything happens in the rotated coordinates ``u = x + y``, ``v = x - y``,
 where the natural diagonal squares of the lattice become axis-aligned.  A
 quadtree is grown from a root square comfortably containing the region;
 at each level only the squares actually met by the boundary walk (the
-*crossed* squares) are subdivided further.  Squares never met by the
-boundary are classified as wholly inside or wholly outside, using only
-information local to their neighbours, so the whole structure costs
-O(p log p) for a boundary of length p.
+*crossed* squares) are subdivided further.  An uncrossed child of a
+crossed square is inside the region exactly when the cell north-east of
+its centre is a region cell, which costs one bisect, so the whole
+structure costs O(p log p) for a boundary of length p.
+
+One cell decides the whole square because an open boundary edge has both
+rotated coordinates strictly between consecutive integers, so it lies in
+the closed square of its midpoint at every level.  An uncrossed square
+therefore holds no boundary edge, its interior lies wholly on one side,
+and the cell north-east of its centre meets that interior.
 
 At the last level the crossed squares have unit half-diagonal.  Each one is
 cut into at most four lattice triangles, of which the ones lying in cells
 of the region are kept; these triangles tile a thin sleeve along the
 boundary and their vertices become the sites of the sparse tileability
 graph.
-
-Key facts the code leans on (all forced by parity):
-
-* An open boundary edge has both rotated coordinates strictly between
-  consecutive integers, so at every level it lies strictly inside exactly
-  one square of the grid.
-* The boundary meets grid lines only at lattice vertices.  Where the walk
-  changes squares, the vertex sits on both squares' perimeters and is
-  recorded as a crossing there; where it merely touches a line and stays,
-  nothing needs recording.
-* Between crossings, the in/out status along a square's perimeter is
-  constant, and just before a crossing it is read off the crossing's two
-  boundary directions with an exact integer sector test.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Set, Tuple
 
 import numpy as np
 
 from tiler.errors import InternalInconsistency
 from tiler.lattice import Point
-from tiler.region import MOVES, RegionBoundary, direction_enters_interior
+from tiler.region import RegionBoundary
 
 Key = Tuple[int, int]
-
-# Perimeter parameterisation of a square in (u, v): clockwise, which matches
-# counterclockwise travel in (x, y) because the rotation flips orientation.
-# Side 0 runs down the east edge (u = umax), side 1 leftward along the south
-# edge (v = vmin), side 2 up the west edge, side 3 rightward along the north
-# edge.  Each side owns its starting corner.  Tangents are unit (x, y)
-# directions of increasing position.
-_SIDE_TANGENT_XY = ((-1, 1), (-1, -1), (1, -1), (1, 1))
-
-
-class Crossing(NamedTuple):
-    """Boundary walk leaving one square for another at a lattice vertex."""
-
-    pos: int        # position of the vertex on this square's perimeter
-    din: Point      # direction of the arriving boundary edge, in (x, y)
-    dout: Point     # direction of the departing edge
 
 
 class Triangle(NamedTuple):
@@ -68,12 +44,12 @@ class Triangle(NamedTuple):
 
 
 class Subdivision:
-    """Quadtree of crossed squares plus in/out classes for the rest.
+    """Quadtree of crossed squares plus the inside squares among the rest.
 
-    ``crossed[i]`` maps level-i keys to their sorted crossing lists;
-    ``classes[i]`` maps uncrossed level-i keys (children of crossed
-    parents) to True for inside, False for outside.  ``triangles`` are the
-    kept half-cells of the last level.
+    ``crossed[i]`` is the set of level-i keys of squares holding a
+    boundary edge; ``inside[i]`` is the set of uncrossed level-i keys
+    (children of crossed parents) whose squares lie inside the region.
+    ``triangles`` are the kept half-cells of the last level.
     """
 
     def __init__(self, b: RegionBoundary):
@@ -88,8 +64,8 @@ class Subdivision:
         cx, cy = (x0 + x1) // 2, (y0 + y1) // 2
         self.U0 = (cx + cy) - n0
         self.V0 = (cx - cy) - n0
-        self.crossed: List[Dict[Key, List[Crossing]]] = []
-        self.classes: List[Dict[Key, bool]] = []
+        self.crossed: List[Set[Key]] = []
+        self.inside: List[Set[Key]] = []
         self.si_census: List[int] = []
         self.triangles: List[Triangle] = []
         self._build()
@@ -109,11 +85,6 @@ class Subdivision:
         uc, vc = umin + s // 2, vmin + s // 2
         return ((uc + vc) // 2, (uc - vc) // 2)
 
-    def key_of_uv2(self, level: int, u2: int, v2: int) -> Key:
-        """Key of the level square containing the point (u2/2, v2/2)."""
-        s2 = 2 * self.side(level)
-        return ((u2 - 2 * self.U0) // s2, (v2 - 2 * self.V0) // s2)
-
     def corners_xy(self, level: int, key: Key) -> Tuple[Point, Point, Point, Point]:
         """Lattice corners of a square, in (x, y)."""
         umin, vmin = self.uv_min(level, key)
@@ -125,34 +96,13 @@ class Subdivision:
     def inside_squares(self) -> List[Tuple[int, Key]]:
         """The maximal squares wholly inside the region, as (level, key).
         Together with the kept triangles they cover the region exactly."""
-        out = []
-        for level in range(1, self.t + 1):
-            for key, cls in self.classes[level].items():
-                if cls:
-                    out.append((level, key))
-        out.sort()
-        return out
-
-    def _perimeter_pos(self, level: int, key: Key, w_uv: Tuple[int, int]) -> int:
-        u, v = w_uv
-        s = self.side(level)
-        umin, vmin = self.uv_min(level, key)
-        umax, vmax = umin + s, vmin + s
-        if u == umax and v > vmin:
-            return vmax - v                     # side 0, down the east edge
-        if v == vmin and u > umin:
-            return s + (umax - u)               # side 1, along the south edge
-        if u == umin and v < vmax:
-            return 2 * s + (v - vmin)           # side 2, up the west edge
-        if v == vmax and u < umax:
-            return 3 * s + (u - umin)           # side 3, along the north edge
-        raise InternalInconsistency(f"vertex {w_uv} not on perimeter of {key} at level {level}")
+        return sorted((level, key) for level in range(1, self.t + 1)
+                      for key in self.inside[level])
 
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
         b = self.b
-        p = b.p
         xs = np.array([v[0] for v in b.vertices], dtype=np.int64)
         ys = np.array([v[1] for v in b.vertices], dtype=np.int64)
         us, vs = xs + ys, xs - ys
@@ -160,129 +110,31 @@ class Subdivision:
         # vertex j to vertex j+1, cyclically).
         mu2 = us + np.roll(us, -1)
         mv2 = vs + np.roll(vs, -1)
-        dirs = [MOVES[m] for m in b.moves]
 
         for level in range(self.t + 1):
             s = self.side(level)
             iu = (mu2 - 2 * self.U0) // (2 * s)
             iv = (mv2 - 2 * self.V0) // (2 * s)
-            squares: Dict[Key, List[Crossing]] = {}
-            changed = np.nonzero((iu != np.roll(iu, 1)) | (iv != np.roll(iv, 1)))[0]
-            for j in changed.tolist():
-                # The walk moves from edge j-1's square into edge j's
-                # square at vertex j.
-                w_uv = (int(us[j]), int(vs[j]))
-                din, dout = dirs[j - 1], dirs[j]
-                for key in ((int(iu[j - 1]), int(iv[j - 1])), (int(iu[j]), int(iv[j]))):
-                    pos = self._perimeter_pos(level, key, w_uv)
-                    squares.setdefault(key, [])
-                    insort(squares[key], Crossing(pos, din, dout))
-            # Squares holding at least one edge, crossings or not.
-            for a, c in zip(iu.tolist(), iv.tolist()):
-                squares.setdefault((a, c), [])
+            squares = set(zip(iu.tolist(), iv.tolist()))
             self.crossed.append(squares)
-            self.classes.append({})
             self.si_census.append(len(squares))
             if level >= 1 and len(squares) >= 9 * 2 ** (level - 1):
                 raise InternalInconsistency(
                     f"{len(squares)} crossed squares at level {level}, bound is {9 * 2 ** (level - 1)}"
                 )
 
+        contains = b.contains_cell
+        self.inside.append(set())
         for level in range(1, self.t + 1):
-            self._classify_level(level)
+            crossed = self.crossed[level]
+            inside = set()
+            for piu, piv in self.crossed[level - 1]:
+                for key in ((2 * piu, 2 * piv), (2 * piu + 1, 2 * piv),
+                            (2 * piu, 2 * piv + 1), (2 * piu + 1, 2 * piv + 1)):
+                    if key not in crossed and contains(self.center_xy(level, key)):
+                        inside.add(key)
+            self.inside.append(inside)
         self._build_triangles()
-
-    # -- classification of uncrossed squares --------------------------------
-
-    def _classify_level(self, level: int) -> None:
-        todo = []
-        for piu, piv in self.crossed[level - 1]:
-            for key in ((2 * piu, 2 * piv), (2 * piu + 1, 2 * piv),
-                        (2 * piu, 2 * piv + 1), (2 * piu + 1, 2 * piv + 1)):
-                if key not in self.crossed[level]:
-                    todo.append(key)
-        todo.sort()
-        waiting: Dict[Key, List[Key]] = {}
-        for key in todo:
-            if key in self.classes[level]:
-                continue
-            cls = self._classify_one(level, key)
-            if cls is None:
-                west = (key[0] - 1, key[1])
-                waiting.setdefault(west, []).append(key)
-                continue
-            stack = [(key, cls)]
-            while stack:
-                k, c = stack.pop()
-                self.classes[level][k] = c
-                for dependant in waiting.pop(k, ()):  # same class propagates
-                    if dependant not in self.classes[level]:
-                        stack.append((dependant, c))
-        if waiting:
-            raise InternalInconsistency(f"unresolved squares at level {level}: {sorted(waiting.values())}")
-
-    def _classify_one(self, level: int, key: Key) -> Optional[bool]:
-        iu, iv = key
-        for nb in ((iu - 1, iv), (iu + 1, iv), (iu, iv - 1), (iu, iv + 1)):
-            if not (0 <= nb[0] < (1 << level) and 0 <= nb[1] < (1 << level)):
-                return False            # beyond the root: outside
-            crossings = self.crossed[level].get(nb)
-            if crossings is not None:
-                got = self._walk_neighbor(level, key, nb, crossings)
-                if got is not None:
-                    return got
-                continue
-            cls = self.classes[level].get(nb)
-            if cls is not None:
-                return cls
-            cls = self._ancestor_class(level, nb)
-            if cls is not None:
-                return cls
-        return None
-
-    def _ancestor_class(self, level: int, key: Key) -> Optional[bool]:
-        iu, iv = key
-        for j in range(level - 1, -1, -1):
-            anc = (iu >> (level - j), iv >> (level - j))
-            if anc in self.crossed[j]:
-                return None             # key's square is pending at `level`
-            cls = self.classes[j].get(anc)
-            if cls is not None:
-                return cls
-        raise InternalInconsistency(f"square {key} at level {level} has no classified ancestor")
-
-    def _walk_neighbor(self, level: int, key: Key, nb: Key, crossings: List[Crossing]) -> Optional[bool]:
-        """Read the in/out status of `key` off the crossing list of its
-        crossed neighbour `nb` through the midpoint of the shared side."""
-        if not crossings:
-            return None
-        s = self.side(level)
-        numin, nvmin = self.uv_min(level, nb)
-        # Midpoint of the shared side, on nb's perimeter: the side facing
-        # towards `key`.
-        du = key[0] - nb[0]
-        dv = key[1] - nb[1]
-        if du != 0:
-            mu = numin + (s if du > 0 else 0)
-            mv = nvmin + s // 2
-        else:
-            mu = numin + s // 2
-            mv = nvmin + (s if dv > 0 else 0)
-        probe = self._perimeter_pos(level, nb, (mu, mv))
-        # First crossing clockwise after the probe point.  The probe is the
-        # midpoint of a side shared with an uncrossed square, so no crossing
-        # can sit exactly there and the search needs no tie-breaking.
-        lo, hi = 0, len(crossings)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if crossings[mid].pos > probe:
-                hi = mid
-            else:
-                lo = mid + 1
-        c = crossings[lo % len(crossings)]
-        side_before = (c.pos // s) if c.pos % s else ((c.pos // s) - 1) % 4
-        tangent = _SIDE_TANGENT_XY[side_before]
-        return direction_enters_interior(c.din, c.dout, (-tangent[0], -tangent[1]))
 
     # -- last level: triangles ----------------------------------------------
 
@@ -303,21 +155,6 @@ class Subdivision:
                     kept += 1
             if not 1 <= kept <= 3:
                 raise InternalInconsistency(f"square {key} keeps {kept} triangles")
-
-    # -- debug / rendering --------------------------------------------------
-
-    def dump_lines(self) -> List[str]:
-        """Stable text form: one line per crossed square and per triangle."""
-        out = []
-        for level, squares in enumerate(self.crossed):
-            half = self.side(level) // 2
-            for key in sorted(squares):
-                cx, cy = self.center_xy(level, key)
-                out.append(f"SQ {level} {cx} {cy} {half}")
-        for tri in self.triangles:
-            (ax, ay), (bx, by), (cx, cy) = tri.verts
-            out.append(f"TR {ax} {ay} {bx} {by} {cx} {cy}")
-        return out
 
 
 def build_subdivision(b: RegionBoundary) -> Subdivision:

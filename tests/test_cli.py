@@ -145,6 +145,39 @@ def test_render_rejects_bad_layer(capsys):
     assert code == 2 and "unknown layer" in err
 
 
+def test_json_wrapper_without_moves_string_exits_2(capsys):
+    for text in ('{"name": "x"}', '{"moves": 5}'):
+        code, out, err = run(capsys, "check", text)
+        assert (code, out) == (2, "")
+        assert err == 'error: JSON input needs a "moves" string\n'
+
+
+def test_unreadable_input_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, _, err = run(capsys, "check", "--in", str(missing))
+    assert code == 2
+    assert err.startswith(f"error: cannot read {missing}: ") and err.count("\n") == 1
+    accented = tmp_path / "accented.txt"
+    accented.write_bytes("RR\u00c9UULLDD".encode("utf-8"))
+    code, _, err = run(capsys, "check", "--in", str(accented))
+    assert code == 2
+    assert err == f"error: {accented} is not ASCII (byte 2)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--sizes", "64", "--repeat", "0"],
+    ["render", "RRUULLDD", "--scale", "0"],
+    ["render", "RRUULLDD", "--scale", "-3"],
+])
+def test_non_positive_repeat_and_scale_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected a positive integer, got '{argv[-1]}'" in captured.err
+
+
 def scan_scripts_table(text):
     """``[project.scripts]`` of a pyproject text, read line by line.
 

@@ -8,11 +8,7 @@ import pytest
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.lattice import edge_step
 from tiler.reference import random_region
-from tiler.region import (
-    boundary_height,
-    direction_enters_interior,
-    parse_boundary,
-)
+from tiler.region import boundary_height, parse_boundary
 
 
 def test_square_2x2():
@@ -59,6 +55,9 @@ def test_parse_errors():
     with pytest.raises(ValueError) as e:
         parse_boundary("RRXUULLDD")
     assert e.value.args[1] == 2
+    for text in ('{"name": "x"}', '{"moves": 5}'):
+        with pytest.raises(ValueError, match='"moves" string'):
+            parse_boundary(text)
 
 
 def test_l_shape_cells():
@@ -77,40 +76,6 @@ def test_vertex_in_closure():
     assert b.vertex_in_closure((2, 1))
     assert not b.vertex_in_closure((2, 2))
     assert not b.vertex_in_closure((3, 0))
-
-
-def test_interior_direction_convex_and_reflex():
-    b = parse_boundary("RRULULDD")
-    # Convex corner at the origin: only the inward diagonal enters.
-    assert b.interior_direction((0, 0), (1, 1))
-    assert not b.interior_direction((0, 0), (-1, -1))
-    assert not b.interior_direction((0, 0), (1, -1))
-    # Reflex corner at (1, 1): every diagonal except the outward one enters.
-    assert b.interior_direction((1, 1), (-1, -1))
-    assert b.interior_direction((1, 1), (1, -1))
-    assert b.interior_direction((1, 1), (-1, 1))
-    assert not b.interior_direction((1, 1), (1, 1))
-    # Straight boundary point (1, 0): interior is above.
-    assert b.interior_direction((1, 0), (1, 1))
-    assert b.interior_direction((1, 0), (-1, 1))
-    assert not b.interior_direction((1, 0), (1, -1))
-
-
-def test_direction_enters_interior_sector_cases():
-    # Straight east travel: interior strictly north.
-    east = (1, 0)
-    assert direction_enters_interior(east, east, (1, 1))
-    assert direction_enters_interior(east, east, (-1, 1))
-    assert not direction_enters_interior(east, east, (1, -1))
-    # Convex turn east->north: interior in the north-west quadrant sector.
-    assert direction_enters_interior(east, (0, 1), (-1, 1))
-    assert not direction_enters_interior(east, (0, 1), (1, 1))
-    assert not direction_enters_interior(east, (0, 1), (-1, -1))
-    # Reflex turn north->east: only the south-east diagonal leaves.
-    assert direction_enters_interior((0, 1), east, (1, 1))
-    assert direction_enters_interior((0, 1), east, (-1, 1))
-    assert direction_enters_interior((0, 1), east, (-1, -1))
-    assert not direction_enters_interior((0, 1), east, (1, -1))
 
 
 def test_boundary_height_square():

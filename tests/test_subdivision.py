@@ -20,6 +20,8 @@ def test_square_2x2_structure():
     sub = build_subdivision(b)
     assert sub.n0 == 16 and sub.t == 4
     assert sub.si_census[0] == 1
+    (root,) = sub.crossed[0]
+    assert sub.center_xy(0, root) == (1, 1) and sub.side(0) // 2 == 16
     # Last level: one diamond per side of the square, two kept triangles
     # in each.
     centers = sorted(sub.center_xy(sub.t, k) for k in sub.crossed[sub.t])
@@ -70,7 +72,9 @@ def test_boundary_edges_live_in_crossed_squares_at_every_level():
         for tail, head in b.edges():
             u2 = (tail[0] + tail[1]) + (head[0] + head[1])
             v2 = (tail[0] - tail[1]) + (head[0] - head[1])
-            assert sub.key_of_uv2(level, u2, v2) in sub.crossed[level]
+            s2 = 2 * sub.side(level)
+            key = ((u2 - 2 * sub.U0) // s2, (v2 - 2 * sub.V0) // s2)
+            assert key in sub.crossed[level]
 
 
 def _intersecting_cells(sub, level, key, bbox):
@@ -85,6 +89,14 @@ def _intersecting_cells(sub, level, key, bbox):
                 yield (a, bb)
 
 
+def _uncrossed_children(sub, level):
+    for piu, piv in sub.crossed[level - 1]:
+        for key in ((2 * piu, 2 * piv), (2 * piu + 1, 2 * piv),
+                    (2 * piu, 2 * piv + 1), (2 * piu + 1, 2 * piv + 1)):
+            if key not in sub.crossed[level]:
+                yield key
+
+
 def test_classification_agrees_with_cell_membership():
     rng = random.Random(31)
     regions = [parse_boundary("RRUULLDD")] + [random_region(rng, a) for a in (9, 25, 70)]
@@ -92,7 +104,8 @@ def test_classification_agrees_with_cell_membership():
         sub = build_subdivision(b)
         checked = 0
         for level in range(1, sub.t + 1):
-            for key, inside in sub.classes[level].items():
+            for key in _uncrossed_children(sub, level):
+                inside = key in sub.inside[level]
                 for cell in _intersecting_cells(sub, level, key, b.bbox):
                     assert b.contains_cell(cell) == inside, (level, key, cell)
                     checked += 1
@@ -104,8 +117,10 @@ def test_inside_squares_exist_for_fat_regions():
     # the boundary sleeve.
     word = "R" * 12 + "U" * 12 + "L" * 12 + "D" * 12
     sub = build_subdivision(parse_boundary(word))
-    assert any(inside for level in range(sub.t + 1) for inside in sub.classes[level].values())
-    assert any(not inside for level in range(sub.t + 1) for inside in sub.classes[level].values())
+    assert any(sub.inside[level] for level in range(sub.t + 1))
+    assert any(key not in sub.inside[level]
+               for level in range(1, sub.t + 1)
+               for key in _uncrossed_children(sub, level))
 
 
 def test_census_bound_over_enumerated_regions():
@@ -120,12 +135,3 @@ def test_census_bound_on_larger_random_regions():
     for target in (50, 200, 500):
         b = random_region(rng, target)
         build_subdivision(b)
-
-
-def test_dump_lines_deterministic():
-    b = parse_boundary("RRUULLDD")
-    lines1 = build_subdivision(b).dump_lines()
-    lines2 = build_subdivision(b).dump_lines()
-    assert lines1 == lines2
-    assert lines1[0] == "SQ 0 1 1 16"
-    assert sum(1 for ln in lines1 if ln.startswith("TR ")) == 8
