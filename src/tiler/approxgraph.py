@@ -13,78 +13,120 @@ with no other site in between:
   boundary only at lattice vertices, so the open segment lies wholly on
   one side of the boundary, and that cell tells which.
 
-The maximal height difference ``alpha`` between the endpoints is what the
-solver relaxes over; it comes from the closed form, so edges store no
-weights.  Degrees are bounded by construction: at most two neighbours per
-diagonal line plus at most four axis legs, and one diagonal is always
-missing at a boundary vertex.
+The graph is held in arrays: site ids are the rows of the sorted
+coordinate array, and each edge is one (src, dst) pair of ids with
+src < dst.  Sites come from one ``np.unique`` over packed coordinate
+keys, each diagonal family from one sort of packed (line, x) keys, and
+every gap test from one vector lookup in the region's edge index.  The maximal
+height difference ``alpha`` between the endpoints is what the solver
+relaxes over; it comes from the closed form, so edges store no weights.
+Degrees are bounded by construction: at most two neighbours per diagonal
+line plus at most four axis legs, and one diagonal is always missing at a
+boundary vertex.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from tiler.errors import InternalInconsistency
-from tiler.lattice import Point
-from tiler.region import RegionBoundary
+from tiler.region import RegionBoundary, pack, sorted_unique, unpack
 from tiler.subdivision import Subdivision
+
+Site = Tuple[int, ...]
 
 
 class ApproxGraph:
-    __slots__ = ("sites", "adj", "edge_count", "boundary")
+    """Site graph over integer ids, shared by both lattices.
 
-    def __init__(self, sites: List[Point], adj: Dict[Point, Tuple[Point, ...]],
-                 edge_count: int, boundary: Set[Point]):
-        self.sites = sites
-        self.adj = adj
-        self.edge_count = edge_count
-        self.boundary = boundary
+    ``coords`` is the (n, d) int64 array of site coordinates in sorted
+    order; ``src`` and ``dst`` list each edge once, sorted, with
+    ``src < dst``; ``boundary_ids`` are the ids of the boundary vertices
+    in walk order.  ``sites`` and ``adj`` are tuple-keyed views built on
+    first access.
+    """
+
+    def __init__(self, coords: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                 boundary_ids: np.ndarray):
+        self.coords = coords
+        self.src = src
+        self.dst = dst
+        self.boundary_ids = boundary_ids
+
+    @property
+    def site_count(self) -> int:
+        return len(self.coords)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.src)
+
+    def site(self, i: int) -> Site:
+        return tuple(self.coords[i].tolist())
+
+    def degrees(self) -> np.ndarray:
+        n = len(self.coords)
+        return np.bincount(self.src, minlength=n) + np.bincount(self.dst, minlength=n)
+
+    @cached_property
+    def sites(self) -> List[Site]:
+        return list(zip(*self.coords.T.tolist()))
+
+    @cached_property
+    def adj(self) -> Dict[Site, Tuple[Site, ...]]:
+        """Each site's neighbours, in sorted order."""
+        nbrs: List[List[int]] = [[] for _ in range(len(self.coords))]
+        for i, j in zip(self.src.tolist(), self.dst.tolist()):
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        sites = self.sites
+        return {sites[i]: tuple(sites[j] for j in sorted(nb))
+                for i, nb in enumerate(nbrs)}
 
 
-def collect_sites(b: RegionBoundary, sub: Subdivision) -> List[Point]:
-    sites = set(b.vertex_set)
-    for tri in sub.triangles:
-        sites.update(tri.verts)
-    for level, key in sub.inside_squares():
-        sites.update(sub.corners_xy(level, key))
-    return sorted(sites)
+def make_graph(coords: np.ndarray, i: np.ndarray, j: np.ndarray,
+               boundary_ids: np.ndarray) -> ApproxGraph:
+    """The graph over sorted ``coords`` with edges i--j, each kept once."""
+    n = len(coords)
+    keys = sorted_unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return ApproxGraph(coords, keys // n, keys % n, boundary_ids)
 
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
-    sites = collect_sites(b, sub)
-    neighbors: Dict[Point, Set[Point]] = {s: set() for s in sites}
+    bx, by = b.xy
+    cx, cy = sub.inside_corners()
+    keys = pack(np.concatenate([bx, sub.tri_x.ravel(), cx.ravel()]),
+                np.concatenate([by, sub.tri_y.ravel(), cy.ravel()]))
+    site_keys, ids = np.unique(keys, return_inverse=True)
+    xs, ys = unpack(site_keys)
+    p = len(bx)
+    tri = ids[p:p + sub.tri_x.size].reshape(-1, 3)
 
-    def connect(x: Point, y: Point) -> None:
-        neighbors[x].add(y)
-        neighbors[y].add(x)
+    i = [tri[:, 0], tri[:, 0], tri[:, 1]]
+    j = [tri[:, 1], tri[:, 2], tri[:, 2]]
+    # Sorted by (line, x), sites run along (1, 1) on x - y lines and
+    # along (1, -1) on x + y lines.  The first step from (x, y) cuts cell
+    # (x, y) or (x, y - 1).
+    for line, dy in ((xs - ys, 0), (xs + ys, -1)):
+        order = np.argsort(pack(line, xs))
+        a, c = order[:-1], order[1:]
+        same = line[a] == line[c]
+        a, c = a[same], c[same]
+        joined = b.contains_cells(xs[a], ys[a] + dy)
+        i.append(a[joined])
+        j.append(c[joined])
 
-    for tri in sub.triangles:
-        apex, c1, c2 = tri.verts
-        connect(apex, c1)
-        connect(apex, c2)
-        connect(c1, c2)
-
-    lines_v: Dict[int, List[Point]] = {}
-    lines_u: Dict[int, List[Point]] = {}
-    for s in sites:
-        lines_v.setdefault(s[0] - s[1], []).append(s)
-        lines_u.setdefault(s[0] + s[1], []).append(s)
-    # Sorted by x, sites run along (1, 1) on lines_v and along (1, -1) on
-    # lines_u; the first step from (x, y) cuts cell (x, y) or (x, y - 1).
-    contains = b.contains_cell
-    for line, dy in ((lines_v, 0), (lines_u, -1)):
-        for pts in line.values():
-            pts.sort()
-            for w1, w2 in zip(pts, pts[1:]):
-                if contains((w1[0], w1[1] + dy)):
-                    connect(w1, w2)
-
-    edge_count = 0
-    adj: Dict[Point, Tuple[Point, ...]] = {}
-    for s in sites:
-        nbrs = neighbors[s]
-        if len(nbrs) > 8 or (s in b.vertex_set and len(nbrs) > 7):
-            raise InternalInconsistency(f"site {s} has degree {len(nbrs)}")
-        adj[s] = tuple(sorted(nbrs))
-        edge_count += len(nbrs)
-    return ApproxGraph(sites, adj, edge_count // 2, set(b.vertex_set))
+    boundary_ids = ids[:p]
+    graph = make_graph(np.stack([xs, ys], axis=1), np.concatenate(i),
+                       np.concatenate(j), boundary_ids)
+    deg = graph.degrees()
+    limit = np.full(len(deg), 8)
+    limit[boundary_ids] = 7
+    over = np.flatnonzero(deg > limit)
+    if len(over):
+        s = over[0]
+        raise InternalInconsistency(f"site {graph.site(s)} has degree {deg[s]}")
+    return graph

@@ -18,6 +18,8 @@ from __future__ import annotations
 import enum
 from typing import Iterator, NamedTuple, Tuple
 
+import numpy as np
+
 from tiler.errors import NotAdjacent
 
 Point = Tuple[int, int]
@@ -66,7 +68,6 @@ def edge_deltas(tail: Point, head: Point) -> EdgeDeltas:
 def edge_step(tail: Point, head: Point) -> int:
     """``edge_deltas(tail, head).step`` without the tuple allocation."""
     dx = head[0] - tail[0]
-    dy = head[1] - tail[1]
     # Parity of the left cell's coordinate sum: tx + ty + dx - 1.
     return 1 if (tail[0] + tail[1] + dx) % 2 == 0 else -1
 
@@ -101,6 +102,16 @@ def alpha(x: Point, y: Point) -> int:
     if (x[0] - x[1]) % 2 == 0:
         return 2 * r + (1 if ai > aj else -1)
     return 2 * r + (-1 if ai > aj else 1)
+
+
+def alpha_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``alpha`` row by row over (m, 2) int64 arrays of points."""
+    i = y[:, 0] - x[:, 0]
+    j = y[:, 1] - x[:, 1]
+    ai, aj = np.abs(i), np.abs(j)
+    sign = np.where(ai > aj, 1, -1)
+    sign = np.where((x[:, 0] - x[:, 1]) % 2 == 0, sign, -sign)
+    return 2 * np.maximum(ai, aj) + ((i - j) & 1) * sign
 
 
 def in_geodesic_region(x: Point, y: Point, z: Point) -> bool:

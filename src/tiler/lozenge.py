@@ -36,9 +36,11 @@ from bisect import bisect_right
 from enum import IntEnum
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from tiler.errors import (CapExceeded, EmptyInterior, InternalInconsistency,
                           NotClosed, RadiusExceeded, SelfIntersecting)
-from tiler.approxgraph import ApproxGraph
+from tiler.approxgraph import ApproxGraph, make_graph
 from tiler.solver import TileabilityVerdict, compute_gmax
 
 TriPoint = Tuple[int, int, int]
@@ -75,6 +77,12 @@ def tri_alpha(x: TriPoint, y: TriPoint) -> int:
     y over plane height functions vanishing at x."""
     da, db, dc = y[0] - x[0], y[1] - x[1], y[2] - x[2]
     return da + db + dc - 3 * min(da, db, dc)
+
+
+def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``tri_alpha`` row by row over (m, 3) int64 arrays of vertices."""
+    d = y - x
+    return d.sum(axis=1) - 3 * d.min(axis=1)
 
 
 def _step_sign(u: TriPoint, w: TriPoint) -> int:
@@ -359,9 +367,12 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
         lines_b.setdefault(q, []).append(w)
         lines_c.setdefault(q - r, []).append(w)
 
-    bvs = set(b._averts)
+    # Site ids follow the sorted normalised vertices.
     norm = {w: tri_point(*w) for w in sites}
-    adj: Dict[Axial, Set[Axial]] = {w: set() for w in sites}
+    ordered = sorted(sites, key=norm.__getitem__)
+    ids = {w: i for i, w in enumerate(ordered)}
+    bvs = set(b._averts)
+    ends: List[int] = []
     for lines, coord, step in ((lines_a, lambda w: w[0], (1, 0)),
                                (lines_b, lambda w: w[1], (0, 1)),
                                (lines_c, lambda w: w[0], (1, 1))):
@@ -372,18 +383,19 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
                     first = tri_point(w1[0] + step[0], w1[1] + step[1])
                     if not b.edge_in_region(norm[w1], first):
                         continue
-                adj[w1].add(w2)
-                adj[w2].add(w1)
+                ends.append(ids[w1])
+                ends.append(ids[w2])
 
-    for w, nb in adj.items():
-        if len(nb) > 6:
-            raise InternalInconsistency(
-                f"site {w} has {len(nb)} neighbours, bound is 6")
-    edge_count = sum(len(nb) for nb in adj.values()) // 2
-    return ApproxGraph(sorted(norm.values()),
-                       {norm[w]: tuple(sorted(norm[v] for v in nb))
-                        for w, nb in adj.items()},
-                       edge_count, set(b.vertex_set))
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    coords = np.array([norm[w] for w in ordered], dtype=np.int64).reshape(-1, 3)
+    graph = make_graph(coords, pairs[:, 0], pairs[:, 1],
+                       np.array([ids[w] for w in b._averts], dtype=np.int64))
+    deg = graph.degrees()
+    if deg.max() > 6:
+        i = int(deg.argmax())
+        raise InternalInconsistency(
+            f"site {graph.site(i)} has {deg[i]} neighbours, bound is 6")
+    return graph
 
 
 def decide_lozenge(source) -> TileabilityVerdict:
@@ -394,13 +406,13 @@ def decide_lozenge(source) -> TileabilityVerdict:
                                   b.p, b.n, 0, 0)
     sub = build_tri_subdivision(b)
     graph = build_tri_graph(b, sub)
-    g, bad = compute_gmax(graph, lh, metric=tri_alpha)
+    g, bad = compute_gmax(graph, lh, metric=tri_alpha_array)
     if bad is not None:
         return TileabilityVerdict(False, "bad-pair", bad,
-                                  b.p, b.n, len(graph.sites), graph.edge_count)
+                                  b.p, b.n, graph.site_count, graph.edge_count)
     return TileabilityVerdict(True, "ok", None,
-                              b.p, b.n, len(graph.sites), graph.edge_count,
-                              heights=g)
+                              b.p, b.n, graph.site_count, graph.edge_count,
+                              heights=dict(zip(graph.sites, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,11 @@ class TilingOracle:
                 f"bounds are -{bad.alpha_yx}..{bad.alpha_xy}")
         self.b = b
         self.sub = sub
-        self._base: Dict[Point, int] = g
+        self._inside = sub.inside
+        self._base: Dict[Point, int] = dict(zip(graph.sites, g))
         self._base_v: Dict[int, List[int]] = {}
         self._base_u: Dict[int, List[int]] = {}
-        for x, y in g:
+        for x, y in self._base:
             self._base_v.setdefault(x - y, []).append(x)
             self._base_u.setdefault(x + y, []).append(x)
         for arr in self._base_v.values():
@@ -189,7 +190,7 @@ class TilingOracle:
             kvs = [offv // s] + ([offv // s - 1] if offv % s == 0 else [])
             for a in kus:
                 for c in kvs:
-                    if (a, c) in sub.inside[level]:
+                    if (a, c) in self._inside[level]:
                         out.append((sub.U0 + a * s, sub.V0 + c * s, s))
         return out
 

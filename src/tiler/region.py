@@ -10,14 +10,53 @@ origin.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right, insort
+from bisect import bisect_right
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.lattice import Point, edge_step
 
 MOVES: Dict[str, Point] = {"R": (1, 0), "U": (0, 1), "L": (-1, 0), "D": (0, -1)}
 INVERSE = {"R": "L", "L": "R", "U": "D", "D": "U"}
+
+# Unit steps indexed by the ASCII code of a move.
+_STEP_X = np.zeros(128, dtype=np.int64)
+_STEP_Y = np.zeros(128, dtype=np.int64)
+for _m, (_dx, _dy) in MOVES.items():
+    _STEP_X[ord(_m)], _STEP_Y[ord(_m)] = _dx, _dy
+
+# Packed int64 key of a lattice pair (a, b): sorting keys sorts the pairs
+# lexicographically.  Coordinates must lie in [-2**31, 2**31).
+_HALF = 1 << 31
+_LOW = (1 << 32) - 1
+
+
+def pack(a, b):
+    """Key of the pair (a, b); ints or int64 arrays."""
+    return (a << 32) + (b + _HALF)
+
+
+def unpack(key):
+    """Inverse of ``pack``: the arrays (a, b)."""
+    return key >> 32, (key & _LOW) - _HALF
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, in increasing order.
+
+    ``np.unique`` without ``return_inverse`` imports ``numpy.ma`` on its
+    first call (1.7 MB of resident memory), and its hash table is slower
+    than a sort on these mostly ordered keys.  Every sort on the decision
+    path is the same ``np.argsort``, because each further numpy kernel
+    adds its code pages to the resident memory of the process."""
+    keys = keys.ravel()
+    keys = keys[np.argsort(keys)]
+    first = np.ones(len(keys), dtype=bool)
+    np.greater(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 class RegionBoundary:
@@ -39,7 +78,6 @@ class RegionBoundary:
         xs = [v[0] for v in vertices]
         ys = [v[1] for v in vertices]
         self.bbox = (min(xs), min(ys), max(xs), max(ys))
-        self._rows: Optional[Dict[int, List[int]]] = None
 
     @property
     def p(self) -> int:
@@ -51,26 +89,51 @@ class RegionBoundary:
             yield verts[i], verts[i + 1]
         yield verts[-1], verts[0]
 
-    def _row_index(self) -> Dict[int, List[int]]:
-        """Per-row sorted x positions of vertical boundary edges.
+    @cached_property
+    def xy(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The vertices as two int64 arrays, x and y, in walk order."""
+        codes = np.frombuffer(self.moves.encode("ascii"), dtype=np.uint8)
+        dx, dy = _STEP_X[codes], _STEP_Y[codes]
+        xs = np.cumsum(dx) - dx
+        ys = np.cumsum(dy) - dy
+        return xs, ys
 
-        Passing them left to right alternates outside/inside, so a cell is
-        inside iff an odd number of vertical edges sit at or left of it.
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        """Sorted ``pack(row, x)`` keys of the vertical boundary edges.
+
+        Passing them left to right along a row alternates outside/inside,
+        so a cell is inside iff an odd number of them sit at or left of it.
         """
-        if self._rows is None:
-            rows: Dict[int, List[int]] = {}
-            for (x0, y0), (x1, y1) in self.edges():
-                if x0 == x1:
-                    row = min(y0, y1)
-                    insort(rows.setdefault(row, []), x0)
-            self._rows = rows
-        return self._rows
+        codes = np.frombuffer(self.moves.encode("ascii"), dtype=np.uint8)
+        xs, ys = self.xy
+        down = codes == ord("D")
+        vertical = down | (codes == ord("U"))
+        rows = ys[vertical] - down[vertical]
+        keys = pack(rows, xs[vertical])
+        return keys[np.argsort(keys)]
+
+    @cached_property
+    def _rows(self) -> Dict[int, List[int]]:
+        """The same edges as sorted per-row lists, for scalar lookups."""
+        rows: Dict[int, List[int]] = {}
+        row_of, x_of = unpack(self._edge_keys)
+        for row, x in zip(row_of.tolist(), x_of.tolist()):
+            rows.setdefault(row, []).append(x)
+        return rows
 
     def contains_cell(self, cell: Point) -> bool:
-        xs = self._row_index().get(cell[1])
+        xs = self._rows.get(cell[1])
         if not xs:
             return False
         return bisect_right(xs, cell[0]) % 2 == 1
+
+    def contains_cells(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``contains_cell`` over int64 coordinate arrays, as a bool array."""
+        keys = self._edge_keys
+        right = np.searchsorted(keys, pack(ys, xs), "right")
+        left = np.searchsorted(keys, pack(ys, -_HALF), "left")
+        return (right - left) & 1 == 1
 
     def vertex_in_closure(self, v: Point) -> bool:
         x, y = v
@@ -83,7 +146,7 @@ class RegionBoundary:
 
     def cells(self) -> Iterator[Point]:
         """All cells of the region, row by row.  Costs O(area)."""
-        for row, xs in sorted(self._row_index().items()):
+        for row, xs in sorted(self._rows.items()):
             for k in range(0, len(xs), 2):
                 for x in range(xs[k], xs[k + 1]):
                     yield (x, row)

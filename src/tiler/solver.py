@@ -8,14 +8,16 @@ function.  Its restriction to the sites of the sleeve graph satisfies
 
 with g fixed to the boundary height on boundary sites, because along any
 edge of the graph the height can increase by at most alpha.  We compute g
-by a single-source-per-boundary-vertex shortest-path relaxation (one heap,
-all boundary sites seeded at once) and report the region untileable
-exactly when some edge constraint
+by a multi-source shortest-path relaxation over integer site ids (one
+heap, all boundary sites seeded at once, arcs into boundary sites
+dropped), then check every edge constraint
 
     -alpha(y, x) <= g(y) - g(x) <= alpha(x, y)
 
+in one vector pass, and report the region untileable exactly when one
 fails.  An unbalanced boundary word (closure defect in the height walk)
-is rejected before any graph is built.
+is rejected before any graph is built.  Both lattices use this solver;
+each passes the array form of its metric.
 """
 
 from __future__ import annotations
@@ -23,13 +25,21 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+
+import numpy as np
 
 from tiler.approxgraph import ApproxGraph, build_graph
 from tiler.errors import InternalInconsistency
-from tiler.lattice import Point, alpha
-from tiler.region import BoundaryHeight, RegionBoundary, boundary_height, parse_boundary
+from tiler.lattice import Point, alpha_array
+from tiler.region import RegionBoundary, boundary_height, parse_boundary
 from tiler.subdivision import build_subdivision
+
+# A heap entry packs (height, site id) into one int: height above the
+# low 32 bits, so entries order by height first.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+_UNREACHED = 1 << 62
 
 
 class ViolatedPair(NamedTuple):
@@ -78,54 +88,70 @@ class TileabilityVerdict:
         })
 
 
-def compute_gmax(graph: ApproxGraph, bh, metric=alpha,
-                 ) -> Tuple[Dict[Point, int], Optional[ViolatedPair]]:
+def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
+                 ) -> Tuple[List[int], Optional[ViolatedPair]]:
     """Relax the maximal height over the site graph.
 
-    Returns the per-site heights and the first violated edge constraint,
-    if any.  Boundary sites are fixed, never popped, and their mutual
-    edges are checked up front.  ``metric`` is the directed per-pair
-    height bound; the default is the square-lattice one, the lozenge
-    pipeline passes its own.
+    Returns the heights indexed by site id and the violated edge
+    constraint whose endpoints come first in sorted site order, if any.
+    ``bh.heights`` lists the boundary vertices in walk order, as
+    ``graph.boundary_ids`` does.  ``metric(x, y)`` is the array form of
+    the directed per-pair height bound over (m, d) coordinate arrays; the
+    default is the square-lattice one, the lozenge pipeline passes its
+    own.
     """
-    g: Dict[Point, int] = {}
-    for s in graph.sites:
-        if s in graph.boundary:
-            g[s] = bh[s]
+    coords, src, dst = graph.coords, graph.src, graph.dst
+    n = len(coords)
+    rise = metric(coords[src], coords[dst])  # bound on g(dst) - g(src)
+    fall = metric(coords[dst], coords[src])  # bound on g(src) - g(dst)
 
-    for x in graph.sites:
-        if x not in g:
-            continue
-        for y in graph.adj[x]:
-            if y in g and x < y:
-                axy, ayx = metric(x, y), metric(y, x)
-                if g[y] - g[x] > axy or g[x] - g[y] > ayx:
-                    return g, ViolatedPair(x, y, g[x], g[y], axy, ayx)
+    fixed = np.zeros(n, dtype=bool)
+    fixed[graph.boundary_ids] = True
+    tail = np.concatenate([src, dst])
+    head = np.concatenate([dst, src])
+    weight = np.concatenate([rise, fall])
+    keep = ~fixed[head]
+    tail, head, weight = tail[keep], head[keep], weight[keep]
+    order = np.argsort(tail)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=start[1:])
+    heads = head[order].tolist()
+    weights = weight[order].tolist()
+    start = start.tolist()
 
+    g = [_UNREACHED] * n
     heap = []
-    for x in graph.sites:
-        if x in g:
-            for y in graph.adj[x]:
-                if y not in g:
-                    heapq.heappush(heap, (g[x] + metric(x, y), y))
-
+    for i, h in zip(graph.boundary_ids.tolist(), bh.heights.values()):
+        g[i] = h
+        heap.append((h << _ID_BITS) | i)
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        k, y = heapq.heappop(heap)
-        if y in g:
+        entry = pop(heap)
+        h = entry >> _ID_BITS
+        u = entry & _ID_MASK
+        if h > g[u]:
             continue
-        g[y] = k
-        for z in graph.adj[y]:
-            if z in g:
-                ayz, azy = metric(y, z), metric(z, y)
-                if g[z] - k > ayz or k - g[z] > azy:
-                    return g, ViolatedPair(y, z, k, g[z], ayz, azy)
-            else:
-                heapq.heappush(heap, (k + metric(y, z), z))
+        for k in range(start[u], start[u + 1]):
+            v = heads[k]
+            hv = h + weights[k]
+            if hv < g[v]:
+                g[v] = hv
+                push(heap, (hv << _ID_BITS) | v)
 
-    if len(g) != len(graph.sites):
-        raise InternalInconsistency("site graph left %d sites unreached"
-                                    % (len(graph.sites) - len(g)))
-    return g, None
+    unreached = g.count(_UNREACHED)
+    if unreached:
+        raise InternalInconsistency("site graph left %d sites unreached" % unreached)
+
+    ga = np.array(g, dtype=np.int64)
+    gap = ga[dst] - ga[src]
+    bad = np.flatnonzero((gap > rise) | (-gap > fall))
+    if not len(bad):
+        return g, None
+    e = bad[0]
+    x, y = int(src[e]), int(dst[e])
+    return g, ViolatedPair(graph.site(x), graph.site(y), g[x], g[y],
+                           int(rise[e]), int(fall[e]))
 
 
 def decide_tileable(source: Union[str, RegionBoundary]) -> TileabilityVerdict:
@@ -139,7 +165,7 @@ def decide_tileable(source: Union[str, RegionBoundary]) -> TileabilityVerdict:
     g, bad = compute_gmax(graph, bh)
     if bad is not None:
         return TileabilityVerdict(False, "bad-pair", bad,
-                                  b.p, b.area, len(graph.sites), graph.edge_count)
+                                  b.p, b.area, graph.site_count, graph.edge_count)
     return TileabilityVerdict(True, "ok", None,
-                              b.p, b.area, len(graph.sites), graph.edge_count,
-                              heights=g)
+                              b.p, b.area, graph.site_count, graph.edge_count,
+                              heights=dict(zip(graph.sites, g)))

@@ -1,6 +1,6 @@
 import random
 
-from tiler.approxgraph import build_graph, collect_sites
+from tiler.approxgraph import build_graph
 from tiler.lattice import cheb
 from tiler.reference import (
     enumerate_simply_connected,
@@ -19,11 +19,8 @@ def _graph(word):
 
 
 def _unordered_edges(g):
-    out = set()
-    for s, nbrs in g.adj.items():
-        for t in nbrs:
-            out.add((min(s, t), max(s, t)))
-    return out
+    sites = g.sites
+    return {(sites[i], sites[j]) for i, j in zip(g.src.tolist(), g.dst.tolist())}
 
 
 def test_two_by_two_frozen():
@@ -106,7 +103,22 @@ def test_degree_bounds():
         b = random_region(rng, target)
         sub = build_subdivision(b)
         g = build_graph(b, sub)
-        for s, nbrs in g.adj.items():
-            assert len(nbrs) <= 8
-            if s in b.vertex_set:
-                assert len(nbrs) <= 7
+        deg = g.degrees()
+        assert deg.max() <= 8
+        assert deg[g.boundary_ids].max() <= 7
+
+
+def test_array_form_agrees_with_views():
+    rng = random.Random(7)
+    for b in [parse_boundary("RRULULDD")] + [random_region(rng, a) for a in (15, 80)]:
+        g = build_graph(b, build_subdivision(b))
+        sites = g.sites
+        # Ids follow sorted, distinct coordinates; edges are sorted
+        # (src, dst) pairs with src < dst, each listed once.
+        assert sites == sorted(set(sites)) == [tuple(c) for c in g.coords.tolist()]
+        pairs = list(zip(g.src.tolist(), g.dst.tolist()))
+        assert all(i < j for i, j in pairs) and pairs == sorted(set(pairs))
+        assert [sites[i] for i in g.boundary_ids.tolist()] == b.vertices
+        assert g.degrees().tolist() == [len(g.adj[s]) for s in sites]
+        assert _unordered_edges(g) == {(min(s, t), max(s, t))
+                                       for s, nbrs in g.adj.items() for t in nbrs}

@@ -6,13 +6,16 @@ radius well past every case split in the formula.
 """
 
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from tiler.errors import NotAdjacent, RadiusExceeded
 from tiler.lattice import (
     Color,
     alpha,
+    alpha_array,
     cell_color,
     cheb,
     edge_deltas,
@@ -164,3 +167,14 @@ def test_geodesic_membership_is_cheb_additivity():
         z = (rng.randrange(-6, 7), rng.randrange(-6, 7))
         assert (z in g) == (cheb(x, z) + cheb(z, y) == cheb(x, y))
         assert (z in g) == in_geodesic_region(x, y, z)
+
+
+def test_alpha_array_matches_alpha_radius_6():
+    # Origins of both colour classes and both parities of x - y, one of
+    # them far in the negative quadrant.
+    pairs = [(x, (x[0] + dx, x[1] + dy))
+             for x in ((0, 0), (1, 0), (0, 1), (1, 1), (-7, -4))
+             for dx, dy in product(range(-6, 7), repeat=2)]
+    xs = np.array([x for x, _ in pairs], dtype=np.int64)
+    ys = np.array([y for _, y in pairs], dtype=np.int64)
+    assert alpha_array(xs, ys).tolist() == [alpha(x, y) for x, y in pairs]

@@ -8,6 +8,7 @@ matching decider in this file's own helpers, then pinned.
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from tiler.errors import (EmptyInterior, NotClosed, RadiusExceeded,
@@ -17,9 +18,9 @@ from tiler.lozenge import (LozengeBoundary, TriColor, build_tri_graph,
                            enumerate_lozenge_regions, faces_to_lozenge_word,
                            lozenge_boundary_height, lozenge_matching_decide,
                            parse_lozenge, random_lozenge_region, tri_alpha,
-                           tri_alpha_oracle, tri_axial, tri_color,
-                           tri_geodesic_points_brute, tri_geodesic_region,
-                           tri_point)
+                           tri_alpha_array, tri_alpha_oracle, tri_axial,
+                           tri_color, tri_geodesic_points_brute,
+                           tri_geodesic_region, tri_point)
 
 HEXAGON = "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2"  # H(2,2,2), 24 triangles
 
@@ -64,6 +65,15 @@ def test_tri_alpha_matches_oracle_radius_6():
         for dq, dr in product(range(-6, 7), repeat=2):
             y = tri_point(x0[0] + dq, x0[1] + dr)
             assert tri_alpha(x, y) == tri_alpha_oracle(x, y), (x, y)
+
+
+def test_tri_alpha_array_matches_tri_alpha_radius_6():
+    pairs = [(tri_point(*x0), tri_point(x0[0] + dq, x0[1] + dr))
+             for x0 in ((0, 0), (1, 0), (1, 1), (-5, -3))
+             for dq, dr in product(range(-6, 7), repeat=2)]
+    xs = np.array([x for x, _ in pairs], dtype=np.int64)
+    ys = np.array([y for _, y in pairs], dtype=np.int64)
+    assert tri_alpha_array(xs, ys).tolist() == [tri_alpha(x, y) for x, y in pairs]
 
 
 def test_tri_alpha_oracle_radius_guard():

@@ -1,15 +1,27 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import tiler
 from tiler import decide_tileable
-from tiler.lattice import alpha
+from tiler.approxgraph import ApproxGraph
+from tiler.errors import InternalInconsistency
+from tiler.lattice import alpha, alpha_array
 from tiler.reference import (
     enumerate_simply_connected,
     matching_decide,
     random_region,
     thurston_full,
 )
-from tiler.region import boundary_height, parse_boundary
+from tiler.region import BoundaryHeight, boundary_height, parse_boundary
+from tiler.solver import compute_gmax
 
 
 def test_two_by_two():
@@ -83,6 +95,37 @@ def test_heights_satisfy_every_edge():
     v = decide_tileable(b)
     assert v.tileable
     g = build_graph(b, build_subdivision(b))
-    for x in g.sites:
-        for y in g.adj[x]:
-            assert v.heights[y] - v.heights[x] <= alpha(x, y)
+    h = np.array([v.heights[s] for s in g.sites])
+    x, y = g.coords[g.src], g.coords[g.dst]
+    gap = h[g.dst] - h[g.src]
+    assert (gap <= alpha_array(x, y)).all()
+    assert (-gap <= alpha_array(y, x)).all()
+
+
+def test_unreached_site_is_an_internal_inconsistency():
+    # Two boundary sites joined by an edge and a third site with none.
+    coords = np.array([(0, 0), (0, 1), (5, 5)], dtype=np.int64)
+    graph = ApproxGraph(coords, np.array([0]), np.array([1]), np.array([0, 1]))
+    bh = BoundaryHeight({(0, 0): 0, (0, 1): 1}, True)
+    with pytest.raises(InternalInconsistency, match="1 sites unreached"):
+        compute_gmax(graph, bh)
+
+
+def test_decide_path_loads_no_scipy():
+    # Importing scipy.sparse.csgraph costs a fresh process about as much
+    # time and memory again as importing tiler; only the references use it.
+    code = textwrap.dedent("""
+        import sys
+        import tiler
+        tiler.decide_tileable("RRUULLDD")
+        tiler.decide_tileable("RDRURRULULDLLD")
+        tiler.decide_lozenge("1,1,-3,-3,2,2,-1,-1,3,3,-2,-2")
+        tiler.TilingOracle("RRRRUUUULLLLDDDD").domino_at((1, 2))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ)
+    src = Path(tiler.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -65,16 +65,36 @@ def test_every_boundary_edge_is_a_leg_of_one_kept_triangle():
 
 
 def test_boundary_edges_live_in_crossed_squares_at_every_level():
+    # The crossed squares of each level are exactly those holding the
+    # midpoint of a boundary edge, and the census counts them.
     rng = random.Random(4)
     b = random_region(rng, 60)
     sub = build_subdivision(b)
     for level in range(sub.t + 1):
+        keys = set()
         for tail, head in b.edges():
             u2 = (tail[0] + tail[1]) + (head[0] + head[1])
             v2 = (tail[0] - tail[1]) + (head[0] - head[1])
             s2 = 2 * sub.side(level)
-            key = ((u2 - 2 * sub.U0) // s2, (v2 - 2 * sub.V0) // s2)
-            assert key in sub.crossed[level]
+            keys.add(((u2 - 2 * sub.U0) // s2, (v2 - 2 * sub.V0) // s2))
+        assert sub.crossed[level] == keys
+        assert sub.si_census[level] == len(keys)
+
+
+def test_array_form_agrees_with_views():
+    rng = random.Random(8)
+    for b in [parse_boundary("RRUULLDD")] + [random_region(rng, a) for a in (20, 90)]:
+        sub = build_subdivision(b)
+        assert len(sub.keys) == sum(sub.si_census) == sum(map(len, sub.crossed))
+        assert list(sub.keys) == sorted(set(sub.keys.tolist()))
+        assert len(sub.inside_keys) == len(sub.inside_squares())
+        cx, cy = sub.inside_corners()
+        corners = [list(zip(xr, yr)) for xr, yr in zip(cx.tolist(), cy.tolist())]
+        assert sorted(map(tuple, corners)) == sorted(
+            sub.corners_xy(level, key) for level, key in sub.inside_squares())
+        assert len(sub.triangles) == len(sub.tri_x)
+        for tri, xs, ys in zip(sub.triangles, sub.tri_x.tolist(), sub.tri_y.tolist()):
+            assert tri.verts == tuple(zip(xs, ys))
 
 
 def _intersecting_cells(sub, level, key, bbox):

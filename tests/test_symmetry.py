@@ -1,0 +1,105 @@
+"""Property tests: the verdict is a property of the region, not of how its
+boundary word is written.
+
+Each random region is rewritten under the eight symmetries of the square
+lattice, a cyclic shift of the word's start and reversed orientation;
+``decide_tileable`` must give the same ``tileable`` and ``reason`` for
+every form.  Starting the word at the region's top-right bounding-box
+corner puts every normalised vertex in the quadrant x, y <= 0, which
+exercises the packed keys on negative coordinates.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from tiler import decide_tileable
+from tiler.lattice import alpha
+from tiler.reference import random_region
+from tiler.region import INVERSE, MOVES, parse_boundary
+
+# The eight linear maps of the lattice onto itself, as (dx, dy) -> (dx', dy').
+SYMMETRIES = (
+    lambda x, y: (x, y), lambda x, y: (-y, x), lambda x, y: (-x, -y),
+    lambda x, y: (y, -x), lambda x, y: (-x, y), lambda x, y: (x, -y),
+    lambda x, y: (y, x), lambda x, y: (-y, -x),
+)
+LETTER = {step: m for m, step in MOVES.items()}
+
+SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+def transform(word, sym):
+    return "".join(LETTER[sym(*MOVES[m])] for m in word)
+
+
+def shift(word, k):
+    return word[k:] + word[:k]
+
+
+def reverse(word):
+    return "".join(INVERSE[m] for m in reversed(word))
+
+
+def start_at_top_right(word):
+    """The word started at its bounding box's top-right corner, or None
+    when that corner is not a boundary vertex."""
+    x = y = 0
+    verts = []
+    for m in word:
+        verts.append((x, y))
+        x, y = x + MOVES[m][0], y + MOVES[m][1]
+    corner = (max(v[0] for v in verts), max(v[1] for v in verts))
+    return shift(word, verts.index(corner)) if corner in verts else None
+
+
+def check_witness(v):
+    if v.reason != "bad-pair":
+        return
+    w = v.witness
+    assert w.alpha_xy == alpha(w.x, w.y) and w.alpha_yx == alpha(w.y, w.x)
+    assert w.gy - w.gx > w.alpha_xy or w.gx - w.gy > w.alpha_yx
+
+
+regions = st.builds(lambda seed, area: random_region(random.Random(seed), area).moves,
+                    st.integers(0, 2 ** 32 - 1), st.integers(2, 400))
+
+
+@SETTINGS
+@given(regions, st.data())
+def test_verdict_is_invariant_under_rewriting(word, data):
+    v = decide_tileable(word)
+    check_witness(v)
+    assert decide_tileable(word).witness == v.witness
+    forms = [transform(word, sym) for sym in SYMMETRIES[1:]]
+    forms.append(shift(word, data.draw(st.integers(1, len(word) - 1))))
+    forms.append(reverse(word))
+    corner = start_at_top_right(word)
+    if corner is not None:
+        forms.append(corner)
+    for form in forms:
+        other = decide_tileable(form)
+        assert (other.tileable, other.reason) == (v.tileable, v.reason), form
+        check_witness(other)
+
+
+def test_regions_in_the_negative_quadrant():
+    # A rectangle, an odd square, the smallest bad-pair shape, a dumbbell
+    # of two 3 x 3 squares, then random regions.
+    words = ["RRRRUUULLLLDDD", "RRRUUULLLDDD", "RDRURRULULDLLD",
+             "RRRURRDRRRUUULLLDLLULLLDDD"]
+    rng = random.Random(2718)
+    words += [random_region(rng, rng.randrange(6, 200)).moves for _ in range(40)]
+    kinds = set()
+    for word in words:
+        corner = start_at_top_right(word)
+        if corner is None:
+            continue
+        b = parse_boundary(corner)
+        assert max(x for x, _ in b.vertices) == 0 == max(y for _, y in b.vertices)
+        v = decide_tileable(word)
+        w = decide_tileable(b)
+        assert (w.tileable, w.reason) == (v.tileable, v.reason), corner
+        check_witness(w)
+        kinds.add(w.reason)
+    assert kinds == {"ok", "bad-pair", "unbalanced-boundary"}
