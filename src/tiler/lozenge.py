@@ -20,8 +20,21 @@ heights, cover the region by a quadtree of upward and downward
 lattice-aligned triangles whose side halves until it clears the
 boundary, take the piece corners plus the boundary as sites, join
 consecutive sites along the three line families, and relax the maximal
-height over that graph, reporting the first violated pair.  Degrees are
-at most six (two per family).
+height over that graph.  An untileable verdict's witness is the violated
+edge whose endpoints come first in sorted site order.  Degrees are at
+most six (two per family).
+
+Region membership comes from one index, the strip cuts: the boundary
+edges that cross a horizontal strip of faces, held as one sorted array
+of packed (row, position) keys.  A face is inside when an odd number of
+its row's cuts sit at or left of it, so a batch of faces costs two
+``np.searchsorted`` calls.  The quadtree is built in one batch over all
+levels: the triangles around every boundary vertex at every level are
+one sort-unique of packed (level, orientation, i, j) keys, their
+uncrossed children one ``np.searchsorted`` against those keys, and the
+kept pieces one membership test.  The site graph takes its ids from one
+``np.unique`` and each line family from one sort, as on the square
+lattice.
 
 The second half of the file holds the brute-force counterparts used by
 the tests: a shortest-path alpha oracle, geodesic enumeration, a
@@ -34,13 +47,16 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from enum import IntEnum
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from tiler.errors import (CapExceeded, EmptyInterior, InternalInconsistency,
                           NotClosed, RadiusExceeded, SelfIntersecting)
 from tiler.approxgraph import ApproxGraph, make_graph
+from tiler.region import (first_repeat, odd_at_or_left, pack, row_lists,
+                          sorted_unique)
 from tiler.solver import TileabilityVerdict, compute_gmax
 
 TriPoint = Tuple[int, int, int]
@@ -50,6 +66,19 @@ Face = Tuple[int, int, bool]  # axial anchor q, anchor r, points-up
 STEPS: Dict[int, Axial] = {1: (1, 0), 2: (0, 1), 3: (-1, -1),
                            -1: (-1, 0), -2: (0, -1), -3: (1, 1)}
 TOKENS = {v: k for k, v in STEPS.items()}
+# The only accepted spelling of each move.
+_MOVE_OF = {str(k): k for k in STEPS}
+
+# Packed key of a normalised vertex (a, b, c), which orders the site
+# graph: sorting keys sorts the triples lexicographically.  On a closed
+# walk of p moves, and inside it, no coordinate exceeds p, so words of up
+# to _SITE_MASK moves fit.
+_SITE_BITS = 21
+_SITE_MASK = (1 << _SITE_BITS) - 1
+
+# Axial steps indexed by move + 3.
+_STEP_Q, _STEP_R = np.array([STEPS.get(m, (0, 0)) for m in range(-3, 4)],
+                            dtype=np.int64).T
 
 
 class TriColor(IntEnum):
@@ -105,38 +134,36 @@ def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
     return ((q, r, True), (q - 1, r, True), (q, r + 1, True))
 
 
+# The two faces flanking the unit edge from (q, r) along each of the
+# steps v1, v2 and -v3: the offsets of the upward and of the downward one.
+_FLANKS: Dict[Axial, Tuple[Axial, Axial]] = {
+    (1, 0): ((0, 0), (0, -1)),
+    (0, 1): ((-1, 0), (0, 0)),
+    (1, 1): ((0, 0), (0, 0)),
+}
+
+
 class LozengeBoundary:
-    """Simple closed walk on the triangular grid, region on the left."""
+    """Simple closed walk on the triangular grid, region on the left.
 
-    __slots__ = ("moves", "vertices", "vertex_set", "n", "_averts", "_seps")
+    ``vertices`` are the normalised boundary vertices in walk order,
+    ``vertex_set`` the same as a set, and ``qr`` their axial coordinates
+    as two int64 arrays.
 
-    def __init__(self, moves: Tuple[int, ...], averts: List[Axial], n: int):
+    Boundary edges cut the horizontal strips of faces; within strip r the
+    faces in scan order are ..., D(q,r), U(q,r), D(q+1,r), ... at
+    positions 2q and 2q+1, and a cut between positions pos-1 and pos is
+    recorded as pos.  The parity of the cuts at or left of a face's
+    position gives region membership.
+    """
+
+    def __init__(self, moves: Tuple[int, ...], averts: List[Axial],
+                 vertices: List[TriPoint], vertex_set: Set[TriPoint], n: int):
         self.moves = moves
         self._averts = averts
-        self.vertices = [tri_point(q, r) for q, r in averts]
-        self.vertex_set = set(self.vertices)
+        self.vertices = vertices
+        self.vertex_set = vertex_set
         self.n = n
-        # Boundary edges cut the horizontal strips of faces; within strip r
-        # the faces in scan order are ..., D(q,r), U(q,r), D(q+1,r), ...
-        # at positions 2q and 2q+1, and a cut between positions pos-1 and
-        # pos is recorded as pos.  Parity of the cuts left of a face gives
-        # region membership.
-        seps: Dict[int, List[int]] = {}
-        for u, w in zip(averts, averts[1:] + averts[:1]):
-            d = (w[0] - u[0], w[1] - u[1])
-            if d == (0, 1):
-                seps.setdefault(u[1], []).append(2 * u[0])
-            elif d == (0, -1):
-                seps.setdefault(w[1], []).append(2 * w[0])
-            elif d == (1, 1):
-                seps.setdefault(u[1], []).append(2 * u[0] + 1)
-            elif d == (-1, -1):
-                seps.setdefault(w[1], []).append(2 * w[0] + 1)
-        for arr in seps.values():
-            arr.sort()
-            if len(arr) % 2:
-                raise InternalInconsistency("odd number of strip cuts")
-        self._seps = seps
 
     @property
     def p(self) -> int:
@@ -146,14 +173,42 @@ class LozengeBoundary:
     def word(self) -> str:
         return ",".join(str(t) for t in self.moves)
 
+    @cached_property
+    def qr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The vertices' axial coordinates q and r, in walk order."""
+        codes = np.array(self.moves, dtype=np.int64) + 3
+        dq, dr = _STEP_Q[codes], _STEP_R[codes]
+        return np.cumsum(dq) - dq, np.cumsum(dr) - dr
+
+    @cached_property
+    def _cut_keys(self) -> np.ndarray:
+        """Sorted ``pack(row, pos)`` keys of the strip cuts.  The edge from
+        (q, r) along (dq, dr) with dr != 0 cuts row r, or r - 1 when it
+        runs down, at position 2q + dq."""
+        q, r = self.qr
+        dq, dr = np.roll(q, -1) - q, np.roll(r, -1) - r
+        cut = dr != 0
+        keys = pack(r[cut] - (dr[cut] < 0), 2 * q[cut] + dq[cut])
+        return keys[np.argsort(keys)]
+
+    @cached_property
+    def _rows(self) -> Dict[int, List[int]]:
+        """The same cuts as sorted per-row lists, for scalar lookups."""
+        return row_lists(self._cut_keys)
+
     def face_inside(self, f: Face) -> bool:
-        arr = self._seps.get(f[1])
+        arr = self._rows.get(f[1])
         if not arr:
             return False
         return bisect_right(arr, 2 * f[0] + (1 if f[2] else 0)) % 2 == 1
 
+    def faces_inside(self, q: np.ndarray, r: np.ndarray, up) -> np.ndarray:
+        """``face_inside`` over int64 arrays q, r and a bool array (or
+        bool) up, as a bool array."""
+        return odd_at_or_left(self._cut_keys, r, 2 * q + up)
+
     def faces(self) -> Iterator[Face]:
-        for r, arr in sorted(self._seps.items()):
+        for r, arr in self._rows.items():
             for k in range(0, len(arr), 2):
                 for pos in range(arr[k], arr[k + 1]):
                     yield (pos // 2, r, pos % 2 == 1)
@@ -170,37 +225,28 @@ class LozengeBoundary:
         """Whether the unit edge borders at least one region face."""
         ua, wa = tri_axial(u), tri_axial(w)
         d = (wa[0] - ua[0], wa[1] - ua[1])
-        if d not in ((1, 0), (0, 1), (1, 1)):
+        if d not in _FLANKS:
             ua, d = wa, (-d[0], -d[1])
-        q, r = ua
-        if d == (1, 0):
-            flanks = ((q, r, True), (q, r - 1, False))
-        elif d == (0, 1):
-            flanks = ((q - 1, r, True), (q, r, False))
-        else:
-            flanks = ((q, r, True), (q, r, False))
-        return any(self.face_inside(f) for f in flanks)
+        return any(self.face_inside((ua[0] + dq, ua[1] + dr, up))
+                   for (dq, dr), up in zip(_FLANKS[d], (True, False)))
 
 
 def parse_lozenge(text: str) -> LozengeBoundary:
     """Parse a comma-separated walk over the six unit directions
-    1, 2, 3, -1, -2, -3 (for +-v1, +-v2, +-v3).  A clockwise walk is
-    reversed; bad tokens raise ``ValueError`` with the token index as
-    ``args[1]``."""
-    raw = [t.strip() for t in text.split(",")]
-    moves: List[int] = []
-    for i, tok in enumerate(raw):
-        try:
-            step = int(tok)
-        except ValueError:
-            raise ValueError(f"invalid move {tok!r} at index {i}", i) from None
-        if step not in STEPS:
-            raise ValueError(f"invalid move {tok!r} at index {i}", i)
-        moves.append(step)
-    if not moves:
-        raise NotClosed("empty boundary word")
+    1, 2, 3, -1, -2, -3 (for +-v1, +-v2, +-v3), with whitespace allowed
+    around each token.  A clockwise walk is reversed; any other token
+    raises ``ValueError`` with the token index as ``args[1]``, and so
+    does a word of more than 2**21 - 1 moves, without an index."""
+    if text.count(",") >= _SITE_MASK:
+        raise ValueError(f"boundary word has more than {_SITE_MASK} moves")
+    raw = text.split(",")
+    try:
+        moves = [_MOVE_OF[tok.strip()] for tok in raw]
+    except KeyError:
+        i = next(i for i, tok in enumerate(raw) if tok.strip() not in _MOVE_OF)
+        raise ValueError(f"invalid move {raw[i].strip()!r} at index {i}", i) from None
 
-    def walk(seq: Sequence[int]) -> List[Axial]:
+    def walk(seq: List[int]) -> List[Axial]:
         verts: List[Axial] = [(0, 0)]
         for t in seq:
             dq, dr = STEPS[t]
@@ -221,12 +267,12 @@ def parse_lozenge(text: str) -> LozengeBoundary:
         verts = walk(moves)
         verts.pop()
         count = -count
-    seen: Set[Axial] = set()
-    for v in verts:
-        if v in seen:
-            raise SelfIntersecting(f"vertex {v} visited twice")
-        seen.add(v)
-    return LozengeBoundary(tuple(moves), verts, count)
+    vertices = [tri_point(q, r) for q, r in verts]
+    vertex_set = set(vertices)
+    if len(vertex_set) < len(vertices):
+        raise SelfIntersecting(
+            f"vertex {tri_axial(first_repeat(vertices))} visited twice")
+    return LozengeBoundary(tuple(moves), verts, vertices, vertex_set, count)
 
 
 class LozengeHeight:
@@ -257,16 +303,39 @@ def lozenge_boundary_height(b: LozengeBoundary) -> LozengeHeight:
 
 Piece = Tuple[int, int, int, bool]  # axial anchor q, anchor r, side, points-up
 
+# Children of a quadtree triangle (i, j) as (points-up, di, dj): the child
+# one level down is (2i + di, 2j + dj).  Row 0 is for a downward parent,
+# row 1 for an upward one.
+_KIDS = np.array([[(0, 0, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1)],
+                  [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0)]], dtype=np.int64)
+
 
 class TriSubdivision:
-    __slots__ = ("Q0", "R0", "N", "t", "pieces")
+    """Kept pieces of the triangle quadtree rooted at (Q0, R0) with side
+    N = 2**t.
 
-    def __init__(self, Q0: int, R0: int, N: int, t: int, pieces: List[Piece]):
+    Array form, used by the site graph: ``piece_q``, ``piece_r``,
+    ``piece_side`` and the bool ``piece_up`` give each piece's axial
+    anchor, side and orientation.  ``pieces`` lists them as sorted
+    ``(q, r, side, up)`` tuples, built on first access for rendering and
+    the tests; the decision never builds it.
+    """
+
+    def __init__(self, Q0: int, R0: int, N: int, t: int, piece_q: np.ndarray,
+                 piece_r: np.ndarray, piece_side: np.ndarray, piece_up: np.ndarray):
         self.Q0 = Q0
         self.R0 = R0
         self.N = N
         self.t = t
-        self.pieces = pieces
+        self.piece_q = piece_q
+        self.piece_r = piece_r
+        self.piece_side = piece_side
+        self.piece_up = piece_up
+
+    @cached_property
+    def pieces(self) -> List[Piece]:
+        return sorted(zip(self.piece_q.tolist(), self.piece_r.tolist(),
+                          self.piece_side.tolist(), self.piece_up.tolist()))
 
 
 def _piece_corners(piece: Piece) -> Tuple[Axial, Axial, Axial]:
@@ -276,6 +345,19 @@ def _piece_corners(piece: Piece) -> Tuple[Axial, Axial, Axial]:
     return ((a, b), (a + s, b + s), (a, b + s))
 
 
+def _tri_key(level, up, i, j, bits: int):
+    """Packed key of the quadtree triangle (level, up, i, j): sorting keys
+    groups the triangles by level.  Ints or int64 arrays."""
+    return (level << (2 * bits + 1)) | (up << 2 * bits) | (i << bits) | j
+
+
+def _tri_unpack(keys: np.ndarray, bits: int):
+    """Inverse of ``_tri_key``: the arrays level, up, i and j."""
+    mask = (1 << bits) - 1
+    return (keys >> (2 * bits + 1), (keys >> 2 * bits) & 1,
+            (keys >> bits) & mask, keys & mask)
+
+
 def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     """Quadtree cover rooted at one big upward triangle.
 
@@ -283,113 +365,96 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     downward one, and vice versa.  A triangle is crossed when a boundary
     vertex lies in its closure (a unit edge cannot enter a lattice
     triangle without an endpoint in it); crossed triangles split, their
-    untouched children are kept when their anchor face is in the region,
+    uncrossed children are kept when their anchor face is in the region,
     and at unit side the crossed faces themselves are kept when inside.
+    A level-L triangle (i, j) has side s = N >> L and anchor
+    (Q0 + i*s, R0 + j*s).
     """
-    averts = b._averts
-    R0 = min(r for _, r in averts) - 1
-    Q0 = min(q - r for q, r in averts) - 1 + R0
-    need = max(q for q, _ in averts) + 1 - Q0
+    q, r = b.qr
+    R0 = int(r.min()) - 1
+    Q0 = int((q - r).min()) - 1 + R0
+    need = int(q.max()) + 1 - Q0
     N = 2
     while N < need:
         N *= 2
     t = N.bit_length() - 1
+    bits = t + 1
 
-    def containing(level: int, w: Axial) -> List[Tuple[bool, int, int]]:
-        s = N >> level
-        n = 1 << level
-        x, y = w[0] - Q0, w[1] - R0
-        out = []
-        for i in (x // s - 1, x // s):
-            if not 0 <= i < n:
-                continue
-            for j in (y // s - 1, y // s):
-                if not 0 <= j < n:
-                    continue
-                if (j <= i and y >= j * s and x <= (i + 1) * s
-                        and x - y >= (i - j) * s):
-                    out.append((True, Q0 + i * s, R0 + j * s))
-                if (j <= i - 1 and x >= i * s and y <= (j + 1) * s
-                        and x - y <= (i - j) * s):
-                    out.append((False, Q0 + i * s, R0 + j * s))
-        return out
-
-    crossed: List[Set[Tuple[bool, int, int]]] = [set() for _ in range(t + 1)]
-    for w in averts:
-        for level in range(t + 1):
-            crossed[level].update(containing(level, w))
-    if (True, Q0, R0) not in crossed[0]:
+    # Every boundary vertex at every level, one row per level: the
+    # triangles whose closure holds a vertex have its floor indices or one
+    # less, so the vertex is never left of nor below their anchors.
+    levels = np.arange(t + 1, dtype=np.int64)[:, None]
+    s = N >> levels
+    x, y = q - Q0, r - R0
+    found = []
+    for di in (0, -1):
+        for dj in (0, -1):
+            i, j = x // s + di, y // s + dj
+            ok = (i >= 0) & (j >= 0)
+            d = x - y - (i - j) * s
+            up = ok & (j <= i) & (x <= (i + 1) * s) & (d >= 0)
+            down = ok & (j < i) & (y <= (j + 1) * s) & (d <= 0)
+            found += [_tri_key(levels, 1, i, j, bits)[up],
+                      _tri_key(levels, 0, i, j, bits)[down]]
+    keys = sorted_unique(np.concatenate(found))
+    if keys[0] != _tri_key(0, 1, 0, 0, bits):
         raise InternalInconsistency("root triangle misses the boundary")
 
-    pieces: List[Piece] = []
-    for level in range(1, t + 1):
-        h = N >> level
-        for up, a, c in crossed[level - 1]:
-            if up:
-                kids = ((True, a, c), (True, a + h, c), (True, a + h, c + h),
-                        (False, a + h, c))
-            else:
-                kids = ((False, a, c), (False, a + h, c + h),
-                        (False, a, c + h), (True, a, c + h))
-            for kid in kids:
-                if kid in crossed[level]:
-                    continue
-                if b.face_inside((kid[1], kid[2], kid[0])):
-                    pieces.append((kid[1], kid[2], h, kid[0]))
-    for up, a, c in crossed[t]:
-        if b.face_inside((a, c, up)):
-            pieces.append((a, c, 1, up))
-    pieces.sort()
-    return TriSubdivision(Q0, R0, N, t, pieces)
+    # The uncrossed children of the crossed triangles above the last
+    # level, then the crossed unit faces of the last level.
+    last = int(np.searchsorted(keys, _tri_key(t, 0, 0, 0, bits)))
+    level, up, i, j = _tri_unpack(keys[:last, None], bits)
+    kid = _KIDS[up[:, 0]]
+    kids = _tri_key(level + 1, kid[..., 0], 2 * i + kid[..., 1],
+                    2 * j + kid[..., 2], bits)
+    pos = np.minimum(np.searchsorted(keys, kids), len(keys) - 1)
+    level, up, i, j = _tri_unpack(
+        np.concatenate([kids[keys[pos] != kids], keys[last:]]), bits)
+    side = N >> level
+    cq, cr = Q0 + i * side, R0 + j * side
+    kept = b.faces_inside(cq, cr, up)
+    return TriSubdivision(Q0, R0, N, t, cq[kept], cr[kept], side[kept], up[kept] == 1)
 
 
 def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     """Sites joined along the three line families.
 
-    Lattice lines only meet the boundary at vertices, and every boundary
-    vertex on a line is a site, so the open segment between consecutive
-    sites lies on one side throughout.  An endpoint that is not a
-    boundary vertex is strictly interior and settles the side; when both
-    endpoints sit on the boundary the first unit step decides it via the
-    flanking-face test.
+    Sites are the boundary vertices and the piece corners.  Lattice lines
+    only meet the boundary at vertices, and every boundary vertex on a
+    line is a site, so the open segment between consecutive sites lies
+    on one side throughout: the first unit step from the earlier site
+    borders a region face exactly when the segment is inside.
     """
-    site_set: Set[Axial] = set(b._averts)
-    for piece in sub.pieces:
-        site_set.update(_piece_corners(piece))
-    sites = sorted(site_set)
+    q, r = b.qr
+    pq, pr, ps, pup = sub.piece_q, sub.piece_r, sub.piece_side, sub.piece_up
+    # Piece corners: the anchor, the corner across from it along v1 + v2,
+    # and (q + s, r) for an upward piece or (q, r + s) for a downward one.
+    aq = np.concatenate([q, pq, pq + ps, pq + ps * pup])
+    ar = np.concatenate([r, pr, pr + ps, pr + ps * ~pup])
+    m = np.minimum(np.minimum(aq, ar), 0)
+    keys = ((aq - m) << 2 * _SITE_BITS) | ((ar - m) << _SITE_BITS) | -m
+    site_keys, ids = np.unique(keys, return_inverse=True)
+    coords = np.stack([site_keys >> 2 * _SITE_BITS,
+                       (site_keys >> _SITE_BITS) & _SITE_MASK,
+                       site_keys & _SITE_MASK], axis=1)
+    sq, sr = coords[:, 0] - coords[:, 2], coords[:, 1] - coords[:, 2]
 
-    lines_a: Dict[int, List[Axial]] = {}
-    lines_b: Dict[int, List[Axial]] = {}
-    lines_c: Dict[int, List[Axial]] = {}
-    for w in sites:
-        q, r = w
-        lines_a.setdefault(r, []).append(w)
-        lines_b.setdefault(q, []).append(w)
-        lines_c.setdefault(q - r, []).append(w)
+    # Sorted by (line, position), sites run along v1 on lines of fixed r,
+    # along v2 on lines of fixed q and along -v3 on lines of fixed q - r.
+    src, dst = [], []
+    for line, pos, d in ((sr, sq, (1, 0)), (sq, sr, (0, 1)), (sq - sr, sq, (1, 1))):
+        order = np.argsort(pack(line, pos))
+        a, c = order[:-1], order[1:]
+        same = line[a] == line[c]
+        a, c = a[same], c[same]
+        (uq, ur), (dq, dr) = _FLANKS[d]
+        joined = (b.faces_inside(sq[a] + uq, sr[a] + ur, True)
+                  | b.faces_inside(sq[a] + dq, sr[a] + dr, False))
+        src.append(a[joined])
+        dst.append(c[joined])
 
-    # Site ids follow the sorted normalised vertices.
-    norm = {w: tri_point(*w) for w in sites}
-    ordered = sorted(sites, key=norm.__getitem__)
-    ids = {w: i for i, w in enumerate(ordered)}
-    bvs = set(b._averts)
-    ends: List[int] = []
-    for lines, coord, step in ((lines_a, lambda w: w[0], (1, 0)),
-                               (lines_b, lambda w: w[1], (0, 1)),
-                               (lines_c, lambda w: w[0], (1, 1))):
-        for pts in lines.values():
-            pts.sort(key=coord)
-            for w1, w2 in zip(pts, pts[1:]):
-                if w1 in bvs and w2 in bvs:
-                    first = tri_point(w1[0] + step[0], w1[1] + step[1])
-                    if not b.edge_in_region(norm[w1], first):
-                        continue
-                ends.append(ids[w1])
-                ends.append(ids[w2])
-
-    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    coords = np.array([norm[w] for w in ordered], dtype=np.int64).reshape(-1, 3)
-    graph = make_graph(coords, pairs[:, 0], pairs[:, 1],
-                       np.array([ids[w] for w in b._averts], dtype=np.int64))
+    graph = make_graph(coords, np.concatenate(src), np.concatenate(dst),
+                       ids[:len(q)])
     deg = graph.degrees()
     if deg.max() > 6:
         i = int(deg.argmax())
@@ -413,6 +478,7 @@ def decide_lozenge(source) -> TileabilityVerdict:
     return TileabilityVerdict(True, "ok", None,
                               b.p, b.n, graph.site_count, graph.edge_count,
                               heights=dict(zip(graph.sites, g)))
+
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,34 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def first_repeat(items):
+    """The first item of a sequence that equals an earlier one, or None."""
+    seen = set()
+    for v in items:
+        if v in seen:
+            return v
+        seen.add(v)
+    return None
+
+
+def odd_at_or_left(keys: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Whether an odd number of the sorted ``pack(row, x)`` keys share the
+    row and sit at or left of the position, for int64 arrays of rows and
+    positions: two ``np.searchsorted`` calls and a parity test."""
+    right = np.searchsorted(keys, pack(rows, pos), "right")
+    left = np.searchsorted(keys, pack(rows, -_HALF), "left")
+    return (right - left) & 1 == 1
+
+
+def row_lists(keys: np.ndarray) -> Dict[int, List[int]]:
+    """Sorted ``pack(row, x)`` keys as sorted per-row lists of x."""
+    rows: Dict[int, List[int]] = {}
+    row_of, x_of = unpack(keys)
+    for row, x in zip(row_of.tolist(), x_of.tolist()):
+        rows.setdefault(row, []).append(x)
+    return rows
+
+
 class RegionBoundary:
     """A validated, counterclockwise boundary walk anchored at the origin.
 
@@ -74,10 +102,6 @@ class RegionBoundary:
         self.vertices = vertices
         self.area = area
         self.name = name
-        self.vertex_set = set(vertices)
-        xs = [v[0] for v in vertices]
-        ys = [v[1] for v in vertices]
-        self.bbox = (min(xs), min(ys), max(xs), max(ys))
 
     @property
     def p(self) -> int:
@@ -99,6 +123,12 @@ class RegionBoundary:
         return xs, ys
 
     @cached_property
+    def bbox(self) -> Tuple[int, int, int, int]:
+        """(min x, min y, max x, max y) over the vertices."""
+        xs, ys = self.xy
+        return int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
+
+    @cached_property
     def _edge_keys(self) -> np.ndarray:
         """Sorted ``pack(row, x)`` keys of the vertical boundary edges.
 
@@ -116,11 +146,7 @@ class RegionBoundary:
     @cached_property
     def _rows(self) -> Dict[int, List[int]]:
         """The same edges as sorted per-row lists, for scalar lookups."""
-        rows: Dict[int, List[int]] = {}
-        row_of, x_of = unpack(self._edge_keys)
-        for row, x in zip(row_of.tolist(), x_of.tolist()):
-            rows.setdefault(row, []).append(x)
-        return rows
+        return row_lists(self._edge_keys)
 
     def contains_cell(self, cell: Point) -> bool:
         xs = self._rows.get(cell[1])
@@ -130,10 +156,7 @@ class RegionBoundary:
 
     def contains_cells(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``contains_cell`` over int64 coordinate arrays, as a bool array."""
-        keys = self._edge_keys
-        right = np.searchsorted(keys, pack(ys, xs), "right")
-        left = np.searchsorted(keys, pack(ys, -_HALF), "left")
-        return (right - left) & 1 == 1
+        return odd_at_or_left(self._edge_keys, ys, xs)
 
     def vertex_in_closure(self, v: Point) -> bool:
         x, y = v
@@ -207,11 +230,8 @@ def parse_boundary(text: str) -> RegionBoundary:
     verts.pop()
     if area2 == 0:
         raise EmptyInterior("boundary encloses no area")
-    seen = set()
-    for v in verts:
-        if v in seen:
-            raise SelfIntersecting(f"vertex {v} visited twice")
-        seen.add(v)
+    if len(set(verts)) < len(verts):
+        raise SelfIntersecting(f"vertex {first_repeat(verts)} visited twice")
 
     if area2 < 0:
         cleaned = "".join(INVERSE[m] for m in reversed(cleaned))

@@ -8,7 +8,6 @@ a few minutes altogether.
 
 import math
 import random
-import statistics
 import time
 from itertools import product
 
@@ -172,6 +171,8 @@ def test_criterion_6_site_oracle_tiling_and_query_cost():
 
 
 def test_criterion_7_perimeter_scaling():
+    # Each size takes the least process time of three runs, which other
+    # processes sharing the machine inflate less than a wall-clock median.
     cap = 400_000
     lines = []
     for family in ("spiral", "snake"):
@@ -180,19 +181,19 @@ def test_criterion_7_perimeter_scaling():
             b = _bench_instance(family, 2 ** e)
             times = []
             for _ in range(3):
-                t0 = time.perf_counter()
+                t0 = time.process_time()
                 v = decide_tileable(b)
-                times.append(time.perf_counter() - t0)
+                times.append(time.process_time() - t0)
             assert v.tileable
-            fast_pts.append((b.p, statistics.median(times)))
+            fast_pts.append((b.p, min(times)))
             if b.area <= cap:
                 times = []
                 for _ in range(3):
-                    t0 = time.perf_counter()
+                    t0 = time.process_time()
                     res = thurston_full(b, cap=cap)
-                    times.append(time.perf_counter() - t0)
+                    times.append(time.process_time() - t0)
                 assert res.tileable == v.tileable
-                thurston_pts.append((b.p, statistics.median(times)))
+                thurston_pts.append((b.p, min(times)))
         fast_exp = fit_exponent(fast_pts)
         thurston_exp = fit_exponent(thurston_pts)
         assert fast_exp <= 1.25, (family, fast_exp)

@@ -48,7 +48,7 @@ def _check_region(b):
     g = build_graph(b, sub)
     sites = g.sites
     site_set = set(sites)
-    assert site_set >= b.vertex_set
+    assert site_set >= set(b.vertices)
 
     edges = _unordered_edges(g)
     assert len(edges) == g.edge_count

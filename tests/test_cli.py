@@ -54,6 +54,15 @@ def test_check_triangular_lattice(capsys):
     assert code == 2 and "index 1" in err
 
 
+@pytest.mark.parametrize("word, index", [
+    ("\u0661,2,3", 0), ("1,+2,-1,-2", 1), ("1,2,01,-2", 2),
+])
+def test_non_canonical_lozenge_token_exits_2(capsys, word, index):
+    code, out, err = run(capsys, "check", "--lattice", "tri", word)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and f"at index {index}" in err
+
+
 def test_query_frozen_and_outside(capsys):
     code, out, _ = run(capsys, "query", "RRULLD", "--cell", "0,0")
     assert code == 0

@@ -13,8 +13,8 @@ import pytest
 
 from tiler.errors import (EmptyInterior, NotClosed, RadiusExceeded,
                           SelfIntersecting)
-from tiler.lozenge import (LozengeBoundary, TriColor, build_tri_graph,
-                           build_tri_subdivision, decide_lozenge,
+from tiler.lozenge import (STEPS, LozengeBoundary, TriColor, _piece_corners,
+                           build_tri_graph, build_tri_subdivision, decide_lozenge,
                            enumerate_lozenge_regions, faces_to_lozenge_word,
                            lozenge_boundary_height, lozenge_matching_decide,
                            parse_lozenge, random_lozenge_region, tri_alpha,
@@ -144,6 +144,17 @@ def test_parse_reports_bad_token_index():
     with pytest.raises(ValueError) as err:
         parse_lozenge("1,4,-1,-2")
     assert err.value.args[1] == 1
+    # Only the six ASCII spellings are moves: no sign on a positive move,
+    # no leading zero, no non-ASCII digit, no empty token.
+    for word, index in (("\u0661,2,-1,-2", 0), ("1,+2,-1,-2", 1),
+                        ("1,2,01,-2", 2), ("1,2,-1,-02", 3),
+                        ("1,2,-1,-2,", 4), ("", 0)):
+        with pytest.raises(ValueError) as err:
+            parse_lozenge(word)
+        assert err.value.args[1] == index, word
+    assert parse_lozenge(" 1, 2 ,-1 , -2 ").moves == (1, 2, -1, -2)
+    with pytest.raises(ValueError, match="more than 2097151 moves"):
+        parse_lozenge("1," * (1 << 21))
 
 
 def test_parse_rejects_open_empty_and_crossing_walks():
@@ -280,6 +291,94 @@ def test_lines_reentering_across_a_notch():
                 nxt = (cur[0] + sq, cur[1] + sr)
                 assert b.edge_in_region(tri_point(*cur), tri_point(*nxt)), (u, w)
                 cur = nxt
+
+
+def start_at_top_right(word):
+    """The word restarted at the vertex with the largest q and r, or None
+    when no vertex has both."""
+    toks = word.split(",")
+    q = r = 0
+    verts = []
+    for t in toks:
+        verts.append((q, r))
+        q, r = q + STEPS[int(t)][0], r + STEPS[int(t)][1]
+    corner = (max(v[0] for v in verts), max(v[1] for v in verts))
+    if corner not in verts:
+        return None
+    k = verts.index(corner)
+    return ",".join(toks[k:] + toks[:k])
+
+
+def test_faces_inside_matches_face_inside():
+    rng = random.Random(6060)
+    regions = [parse_lozenge(HEXAGON), parse_lozenge(start_at_top_right(HEXAGON))]
+    while len(regions) < 50:
+        b = random_lozenge_region(rng, rng.randrange(4, 200))
+        regions.append(b)
+        corner = start_at_top_right(b.word)
+        if corner is not None:
+            regions.append(parse_lozenge(corner))
+    negative = 0
+    for b in regions:
+        qs, rs = b.qr
+        assert list(zip(qs.tolist(), rs.tolist())) == [tri_axial(v) for v in b.vertices]
+        negative += qs.max() == rs.max() == 0
+        box = [(q, r, up) for q in range(qs.min() - 2, qs.max() + 3)
+               for r in range(rs.min() - 2, rs.max() + 3) for up in (False, True)]
+        q, r, up = (np.array(a) for a in zip(*box))
+        assert b.faces_inside(q, r, up).tolist() == [b.face_inside(f) for f in box]
+        assert sum(b.faces_inside(q, r, up)) == b.n
+    assert negative >= 10
+
+
+def test_array_form_agrees_with_views():
+    rng = random.Random(9)
+    for b in [parse_lozenge(HEXAGON)] + [random_lozenge_region(rng, n) for n in (20, 150)]:
+        sub = build_tri_subdivision(b)
+        pieces = sub.pieces
+        assert pieces == sorted(set(pieces))
+        assert sorted(pieces) == sorted(zip(
+            sub.piece_q.tolist(), sub.piece_r.tolist(),
+            sub.piece_side.tolist(), sub.piece_up.tolist()))
+        # The pieces tile the region: a triangle of side s has s*s faces.
+        assert sum(s * s for _, _, s, _ in pieces) == b.n
+        g = build_tri_graph(b, sub)
+        sites = g.sites
+        assert sites == sorted(set(sites)) == [tuple(c) for c in g.coords.tolist()]
+        assert set(sites) == b.vertex_set | {tri_point(*c) for piece in pieces
+                                             for c in _piece_corners(piece)}
+        pairs = list(zip(g.src.tolist(), g.dst.tolist()))
+        assert all(i < j for i, j in pairs) and pairs == sorted(set(pairs))
+        assert [sites[i] for i in g.boundary_ids.tolist()] == b.vertices
+        assert g.degrees().tolist() == [len(g.adj[s]) for s in sites]
+        # Every boundary edge joins two consecutive sites on its line.
+        ids = g.boundary_ids.tolist()
+        assert {(min(i, j), max(i, j)) for i, j in zip(ids, ids[1:] + ids[:1])} <= set(pairs)
+
+
+def _in_closure(piece, v):
+    a, c, s, up = piece
+    q, r = v
+    if up:
+        return r >= c and q <= a + s and q - r >= a - c
+    return q >= a and r <= c + s and q - r <= a - c
+
+
+def test_pieces_are_the_maximal_uncrossed_triangles():
+    # A piece wider than one face holds no boundary vertex in its closure,
+    # and the quadtree triangle it was split from holds one.
+    rng = random.Random(77)
+    for b in [parse_lozenge(HEXAGON)] + [random_lozenge_region(rng, n) for n in (30, 200)]:
+        sub = build_tri_subdivision(b)
+        walk = [tri_axial(v) for v in b.vertices]
+        for piece in sub.pieces:
+            a, c, s, _ = piece
+            assert s == 1 or not any(_in_closure(piece, v) for v in walk)
+            pa = sub.Q0 + (a - sub.Q0) // (2 * s) * 2 * s
+            pc = sub.R0 + (c - sub.R0) // (2 * s) * 2 * s
+            parent, = (t for t in ((pa, pc, 2 * s, True), (pa, pc, 2 * s, False))
+                       if all(_in_closure(t, v) for v in _piece_corners(piece)))
+            assert any(_in_closure(parent, v) for v in walk)
 
 
 def test_word_round_trip_through_faces():

@@ -15,7 +15,7 @@ from tiler.region import boundary_height, parse_boundary
 
 
 def closure_vertices(b):
-    pts = set(b.vertex_set)
+    pts = set(b.vertices)
     for cx, cy in b.cells():
         pts.update(((cx, cy), (cx + 1, cy), (cx, cy + 1), (cx + 1, cy + 1)))
     return sorted(pts)

@@ -6,7 +6,9 @@ lattice, a cyclic shift of the word's start and reversed orientation;
 ``decide_tileable`` must give the same ``tileable`` and ``reason`` for
 every form.  Starting the word at the region's top-right bounding-box
 corner puts every normalised vertex in the quadrant x, y <= 0, which
-exercises the packed keys on negative coordinates.
+exercises the packed keys on negative coordinates.  Random triangular
+regions get the same treatment under the twelve symmetries of the
+triangular lattice, through ``decide_lozenge``.
 """
 
 import random
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from tiler import decide_tileable
 from tiler.lattice import alpha
+from tiler.lozenge import decide_lozenge, random_lozenge_region, tri_alpha
 from tiler.reference import random_region
 from tiler.region import INVERSE, MOVES, parse_boundary
 
@@ -103,3 +106,59 @@ def test_regions_in_the_negative_quadrant():
         check_witness(w)
         kinds.add(w.reason)
     assert kinds == {"ok", "bad-pair", "unbalanced-boundary"}
+
+
+# Rotation by 60 degrees and the reflection swapping v1 and v2, as maps of
+# the move tokens; together they generate the twelve symmetries of the
+# triangular lattice.
+ROTATE = {1: -3, -3: 2, 2: -1, -1: 3, 3: -2, -2: 1}
+REFLECT = {1: 2, 2: 1, 3: 3, -1: -2, -2: -1, -3: -3}
+
+
+def tri_symmetries():
+    maps = []
+    for reflect in (False, True):
+        m = {t: REFLECT[t] if reflect else t for t in ROTATE}
+        for _ in range(6):
+            maps.append(m)
+            m = {t: ROTATE[u] for t, u in m.items()}
+    return maps
+
+
+TRI_SYMMETRIES = tri_symmetries()
+
+
+def tri_word(moves):
+    return ",".join(map(str, moves))
+
+
+def check_tri_witness(v):
+    if v.reason != "bad-pair":
+        return
+    w = v.witness
+    assert w.alpha_xy == tri_alpha(w.x, w.y) and w.alpha_yx == tri_alpha(w.y, w.x)
+    assert w.gy - w.gx > w.alpha_xy or w.gx - w.gy > w.alpha_yx
+
+
+tri_regions = st.builds(
+    lambda seed, size: random_lozenge_region(random.Random(seed), size),
+    st.integers(0, 2 ** 32 - 1), st.integers(2, 380)).filter(lambda b: b.n <= 400)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(tri_regions, st.data())
+def test_lozenge_verdict_is_invariant_under_rewriting(b, data):
+    word = b.word
+    v = decide_lozenge(word)
+    check_tri_witness(v)
+    assert decide_lozenge(word).witness == v.witness
+    moves = list(b.moves)
+    assert len({tuple(sorted(m.items())) for m in TRI_SYMMETRIES}) == 12
+    forms = [tri_word(m[t] for t in moves) for m in TRI_SYMMETRIES[1:]]
+    k = data.draw(st.integers(1, len(moves) - 1))
+    forms.append(tri_word(moves[k:] + moves[:k]))
+    forms.append(tri_word(-t for t in reversed(moves)))
+    for form in forms:
+        other = decide_lozenge(form)
+        assert (other.tileable, other.reason) == (v.tileable, v.reason), form
+        check_tri_witness(other)
