@@ -109,9 +109,8 @@ def alpha_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     i = y[:, 0] - x[:, 0]
     j = y[:, 1] - x[:, 1]
     ai, aj = np.abs(i), np.abs(j)
-    sign = np.where(ai > aj, 1, -1)
-    sign = np.where((x[:, 0] - x[:, 1]) % 2 == 0, sign, -sign)
-    return 2 * np.maximum(ai, aj) + ((i - j) & 1) * sign
+    plus = (ai > aj) ^ ((x[:, 0] - x[:, 1]) & 1).astype(bool)  # correction is +1
+    return 2 * np.maximum(ai, aj) + ((i - j) & 1) * (2 * plus - 1)
 
 
 def in_geodesic_region(x: Point, y: Point, z: Point) -> bool:

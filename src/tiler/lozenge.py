@@ -111,7 +111,8 @@ def tri_alpha(x: TriPoint, y: TriPoint) -> int:
 def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``tri_alpha`` row by row over (m, 3) int64 arrays of vertices."""
     d = y - x
-    return d.sum(axis=1) - 3 * d.min(axis=1)
+    a, b, c = d[:, 0], d[:, 1], d[:, 2]
+    return a + b + c - 3 * np.minimum(np.minimum(a, b), c)
 
 
 def _step_sign(u: TriPoint, w: TriPoint) -> int:

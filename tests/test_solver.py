@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import tiler
-from tiler import decide_tileable
+from tiler import decide_lozenge, decide_tileable, solver
 from tiler.approxgraph import ApproxGraph
 from tiler.errors import InternalInconsistency
+from tiler.generators import dilate, spiral
 from tiler.lattice import alpha, alpha_array
 from tiler.reference import (
     enumerate_simply_connected,
@@ -109,6 +110,49 @@ def test_unreached_site_is_an_internal_inconsistency():
     bh = BoundaryHeight({(0, 0): 0, (0, 1): 1}, True)
     with pytest.raises(InternalInconsistency, match="1 sites unreached"):
         compute_gmax(graph, bh)
+    # Two more sites joined only to each other: the rounds must not lower
+    # the unreached label through the arcs between them, and must stop.
+    coords = np.array([(0, 0), (0, 1), (5, 5), (5, 6)], dtype=np.int64)
+    graph = ApproxGraph(coords, np.array([0, 2]), np.array([1, 3]), np.array([0, 1]))
+    with pytest.raises(InternalInconsistency, match="2 sites unreached"):
+        compute_gmax(graph, bh)
+
+
+def _dumbbell(m):
+    """Two (2m+1)-squares joined by a corridor of two cells: balanced and
+    untileable for odd m."""
+    s, c = 2 * m + 1, 2
+    return ("R" * s + "U" * m + "R" * c + "D" * m + "R" * s + "U" * s
+            + "L" * s + "D" * m + "L" * c + "U" * m + "L" * s + "D" * s)
+
+
+def _lozenge_dilate(base, k):
+    return ",".join(",".join([t] * k) for t in base.split(","))
+
+
+@pytest.mark.parametrize("decide, word, reason", [
+    (decide_tileable, dilate(spiral(2), 20), "ok"),
+    (decide_tileable, _dumbbell(25), "bad-pair"),
+    (decide_lozenge, _lozenge_dilate("1,-3,2,-1,3,-2", 40), "ok"),
+    (decide_lozenge, _lozenge_dilate("1,-2,1,-3,-1,-3,-1,2,3,3", 30), "bad-pair"),
+], ids=["spiral", "dumbbell", "hexagon", "lozenge-bad-pair"])
+def test_heap_finish_gives_the_round_result(monkeypatch, decide, word, reason):
+    seeds = []
+    finish = solver._finish
+
+    def counted(g, fell, *arcs):
+        seeds.append(len(fell))
+        return finish(g, fell, *arcs)
+
+    monkeypatch.setattr(solver, "_finish", counted)
+    want = decide(word)
+    assert want.reason == reason and not seeds  # the default cap needs no finish
+    for cap in (0, 1):
+        monkeypatch.setattr(solver, "_round_cap", lambda n: cap)
+        got = decide(word)
+        assert (got.reason, got.witness, got.heights) == (want.reason, want.witness, want.heights)
+        assert (got.sites, got.edges) == (want.sites, want.edges)
+    assert len(seeds) == 2 and all(seeds)
 
 
 def test_decide_path_loads_no_scipy():
