@@ -127,13 +127,15 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     """
     coords, src, dst = graph.coords, graph.src, graph.dst
     n = len(coords)
+    # np.take gathers rows several times faster than coords[src].
+    x, y = np.take(coords, src, axis=0), np.take(coords, dst, axis=0)
+    rise = metric(x, y)  # bound on g(dst) - g(src)
+    fall = metric(y, x)  # bound on g(src) - g(dst)
+    del x, y  # the endpoint rows would otherwise set the call's peak memory
+
     tail = np.concatenate([src, dst])
     head = np.concatenate([dst, src])
-    # Bound on g(head) - g(tail); np.take gathers rows several times
-    # faster than coords[tail].
-    weight = metric(np.take(coords, tail, axis=0), np.take(coords, head, axis=0))
-    rise, fall = weight[:len(src)], weight[len(src):]
-
+    weight = np.concatenate([rise, fall])
     fixed = np.zeros(n, dtype=bool)
     fixed[graph.boundary_ids] = True
     keep = np.flatnonzero(~fixed[head])
