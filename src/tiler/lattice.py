@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from typing import Iterator, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -89,7 +89,7 @@ def alpha(x: Point, y: Point) -> int:
     displacement has mixed parity.  The sign of the correction depends on
     whether the displacement is closer to horizontal or vertical, and flips
     with the colour class of ``x``.  The form below is calibrated against
-    the shortest-path oracle in :mod:`tiler.reference` over every direction
+    the shortest-path oracle in ``tests/brute.py`` over every direction
     at radius up to 6.
     """
     i = y[0] - x[0]
@@ -111,52 +111,3 @@ def alpha_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ai, aj = np.abs(i), np.abs(j)
     plus = (ai > aj) ^ ((x[:, 0] - x[:, 1]) & 1).astype(bool)  # correction is +1
     return 2 * np.maximum(ai, aj) + ((i - j) & 1) * (2 * plus - 1)
-
-
-def in_geodesic_region(x: Point, y: Point, z: Point) -> bool:
-    """Whether some geodesic path from x to y passes through z.
-
-    Geodesic paths take king moves that increase the Chebyshev distance to
-    the start by exactly one per step, which makes the union of all of them
-    a metric interval: z lies on one iff the distances add up exactly.
-    """
-    return cheb(x, z) + cheb(z, y) == cheb(x, y)
-
-
-class GeodesicRegion:
-    """The set of points on geodesic paths from ``x`` to ``y``.
-
-    In the coordinates ``u = px + py``, ``v = px - py`` the region is the
-    axis-aligned rectangle spanned by the endpoints (lattice parity trims
-    up to two opposite corners).  The descriptor is constant-size;
-    membership is O(1) and iteration is proportional to the region's size.
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: Point, y: Point):
-        self.x = x
-        self.y = y
-
-    def __contains__(self, z: Point) -> bool:
-        return in_geodesic_region(self.x, self.y, z)
-
-    def uv_bounds(self) -> Tuple[int, int, int, int]:
-        """``(u_min, u_max, v_min, v_max)`` of the rotated bounding rectangle."""
-        ux, vx = self.x[0] + self.x[1], self.x[0] - self.x[1]
-        uy, vy = self.y[0] + self.y[1], self.y[0] - self.y[1]
-        return min(ux, uy), max(ux, uy), min(vx, vy), max(vx, vy)
-
-    def points(self) -> Iterator[Point]:
-        u0, u1, v0, v1 = self.uv_bounds()
-        for u in range(u0, u1 + 1):
-            for v in range(v0, v1 + 1):
-                if (u + v) % 2 == 0:
-                    yield ((u + v) // 2, (u - v) // 2)
-
-    def __repr__(self) -> str:
-        return f"GeodesicRegion({self.x}, {self.y})"
-
-
-def geodesic_region(x: Point, y: Point) -> GeodesicRegion:
-    return GeodesicRegion(x, y)

@@ -35,16 +35,10 @@ uncrossed children one ``np.searchsorted`` against those keys, and the
 kept pieces one membership test.  The site graph takes its ids from one
 ``np.unique`` and each line family from one sort, as on the square
 lattice.
-
-The second half of the file holds the brute-force counterparts used by
-the tests: a shortest-path alpha oracle, geodesic enumeration, a
-perfect-matching decider on the up/down triangle graph, and polyiamond
-enumeration and random generation.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from enum import IntEnum
 from functools import cached_property
@@ -53,10 +47,10 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from tiler.errors import (CapExceeded, EmptyInterior, InternalInconsistency,
-                          NotClosed, RadiusExceeded, SelfIntersecting)
+                          NotClosed, SelfIntersecting)
 from tiler.approxgraph import ApproxGraph, make_graph
-from tiler.region import (first_repeat, odd_at_or_left, pack, row_lists,
-                          sorted_unique)
+from tiler.region import (BoundaryHeight, first_repeat, odd_at_or_left, pack,
+                          row_lists, sorted_unique)
 from tiler.solver import TileabilityVerdict, compute_gmax
 
 TriPoint = Tuple[int, int, int]
@@ -65,7 +59,6 @@ Face = Tuple[int, int, bool]  # axial anchor q, anchor r, points-up
 
 STEPS: Dict[int, Axial] = {1: (1, 0), 2: (0, 1), 3: (-1, -1),
                            -1: (-1, 0), -2: (0, -1), -3: (1, 1)}
-TOKENS = {v: k for k, v in STEPS.items()}
 # The only accepted spelling of each move.
 _MOVE_OF = {str(k): k for k in STEPS}
 
@@ -276,27 +269,13 @@ def parse_lozenge(text: str) -> LozengeBoundary:
     return LozengeBoundary(tuple(moves), verts, vertices, vertex_set, count)
 
 
-class LozengeHeight:
-    """Heights along the boundary walk, anchored at 0 on the first
-    vertex; ``valid`` is False when the forced increments fail to close."""
-
-    __slots__ = ("heights", "valid")
-
-    def __init__(self, heights: Dict[TriPoint, int], valid: bool):
-        self.heights = heights
-        self.valid = valid
-
-    def __getitem__(self, v: TriPoint) -> int:
-        return self.heights[v]
-
-
-def lozenge_boundary_height(b: LozengeBoundary) -> LozengeHeight:
+def lozenge_boundary_height(b: LozengeBoundary) -> BoundaryHeight:
     h: Dict[TriPoint, int] = {}
     cur = 0
     for u, w in zip(b.vertices, b.vertices[1:] + b.vertices[:1]):
         h[u] = cur
         cur += _step_sign(u, w)
-    return LozengeHeight(h, cur == 0)
+    return BoundaryHeight(h, cur == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -481,104 +460,9 @@ def decide_lozenge(source) -> TileabilityVerdict:
                               heights=dict(zip(graph.sites, g)))
 
 
-
 # ---------------------------------------------------------------------------
-# Brute-force counterparts.
-
-def tri_alpha_oracle(x: TriPoint, y: TriPoint) -> int:
-    """Shortest path from x to y with per-edge maximal height steps
-    (+1 along the color cycle, +2 against it), on a box wide enough that
-    restriction cannot matter."""
-    xa, ya = tri_axial(x), tri_axial(y)
-    rad = max(abs(ya[0] - xa[0]), abs(ya[1] - xa[1]))
-    if rad > 16:
-        raise RadiusExceeded(f"offset {rad} exceeds supported radius 16")
-    m = 3 * rad + 4
-    dist = {xa: 0}
-    heap = [(0, xa)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, 1 << 30):
-            continue
-        if u == ya:
-            return d
-        for dq, dr in STEPS.values():
-            v = (u[0] + dq, u[1] + dr)
-            if abs(v[0] - xa[0]) > m or abs(v[1] - xa[1]) > m:
-                continue
-            nd = d + (1 if (dq + dr) % 3 == 1 else 2)
-            if nd < dist.get(v, 1 << 30):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    raise InternalInconsistency("target not reached")  # pragma: no cover
-
-
-class TriGeodesicRegion:
-    """Union of the geodesic paths from x to y: the parallelogram (or
-    segment, or point) spanned by the at most two unit directions of the
-    canonical form of y - x."""
-
-    __slots__ = ("x", "y", "counts")
-
-    def __init__(self, x: TriPoint, y: TriPoint):
-        self.x = x
-        self.y = y
-        d = (y[0] - x[0], y[1] - x[1], y[2] - x[2])
-        m = min(d)
-        self.counts = (d[0] - m, d[1] - m, d[2] - m)
-
-    def contains(self, z: TriPoint) -> bool:
-        return tri_alpha(self.x, z) + tri_alpha(z, self.y) == tri_alpha(self.x, self.y)
-
-    def points(self) -> Set[TriPoint]:
-        used = [(i, cnt) for i, cnt in enumerate(self.counts) if cnt > 0]
-        if not used:
-            return {self.x}
-
-        def shift(i: int, k: int, j: int, l: int) -> TriPoint:
-            v = list(self.x)
-            v[i] += k
-            v[j] += l
-            m = min(v)
-            return (v[0] - m, v[1] - m, v[2] - m)
-
-        if len(used) == 1:
-            (i, cnt), = used
-            return {shift(i, k, i, 0) for k in range(cnt + 1)}
-        (i, c1), (j, c2) = used
-        return {shift(i, k, j, l)
-                for k in range(c1 + 1) for l in range(c2 + 1)}
-
-
-def tri_geodesic_region(x: TriPoint, y: TriPoint) -> TriGeodesicRegion:
-    return TriGeodesicRegion(x, y)
-
-
-def tri_geodesic_points_brute(x: TriPoint, y: TriPoint) -> Set[TriPoint]:
-    """Vertices of all geodesic paths from x to y, by path enumeration.
-    A path step adds one of v1, v2, v3 and must increase the distance
-    from x by one."""
-    total = tri_alpha(x, y)
-    out: Set[TriPoint] = set()
-
-    def go(cur: TriPoint, dist: int, trail: List[TriPoint]) -> None:
-        if cur == y and dist == total:
-            out.update(trail)
-            return
-        if dist >= total:
-            return
-        for i in range(3):
-            v = list(cur)
-            v[i] += 1
-            m = min(v)
-            nxt = (v[0] - m, v[1] - m, v[2] - m)
-            if tri_alpha(x, nxt) == dist + 1:
-                trail.append(nxt)
-                go(nxt, dist + 1, trail)
-                trail.pop()
-
-    go(x, 0, [x])
-    return out
+# Area-sized references.  They import tiler.reference on call: it imports
+# this module, and the decision path never loads it.
 
 
 def lozenge_matching_decide(b: LozengeBoundary, cap: Optional[int] = None,
@@ -606,167 +490,7 @@ def lozenge_matching_decide(b: LozengeBoundary, cap: Optional[int] = None,
     return [(f, downs[m]) for f, m in zip(ups, match_up)]
 
 
-def faces_to_lozenge_word(faces: Set[Face]) -> str:
-    """Boundary word of a face set, region kept on the left of travel."""
-    succ: Dict[Axial, Axial] = {}
-
-    def put(tail: Axial, head: Axial) -> None:
-        assert tail not in succ, f"pinched boundary at {tail}"
-        succ[tail] = head
-
-    for f in faces:
-        corners = face_corners(f)
-        for (tail, head), other in zip(
-                ((corners[0], corners[1]), (corners[1], corners[2]),
-                 (corners[2], corners[0])),
-                _across(f)):
-            if other not in faces:
-                put(tail, head)
-
-    start = min(succ)
-    word = []
-    v = start
-    steps = 0
-    while True:
-        w = succ[v]
-        word.append(str(TOKENS[(w[0] - v[0], w[1] - v[1])]))
-        v = w
-        steps += 1
-        if v == start:
-            break
-        assert steps <= len(succ), "boundary walk does not close"
-    assert steps == len(succ), "boundary has more than one component"
-    return ",".join(word)
-
-
-def _across(f: Face) -> Tuple[Face, Face, Face]:
-    """Neighbours of a face in the order of its directed corner edges."""
-    q, r, up = f
-    if up:
-        return ((q, r - 1, False), (q + 1, r, False), (q, r, False))
-    return ((q, r, True), (q, r + 1, True), (q - 1, r, True))
-
-
-def _tri_has_hole(faces: Set[Face]) -> bool:
-    qs = [f[0] for f in faces]
-    rs = [f[1] for f in faces]
-    qlo, qhi = min(qs) - 1, max(qs) + 1
-    rlo, rhi = min(rs) - 1, max(rs) + 1
-    outside: Set[Face] = set()
-    stack: List[Face] = [(qlo, rlo, False)]
-    while stack:
-        f = stack.pop()
-        if f in outside:
-            continue
-        outside.add(f)
-        for g in face_neighbors(f):
-            if (qlo <= g[0] <= qhi and rlo <= g[1] <= rhi
-                    and g not in faces and g not in outside):
-                stack.append(g)
-    total = 2 * (qhi - qlo + 1) * (rhi - rlo + 1)
-    return len(outside) + len(faces) != total
-
-
-def enumerate_lozenge_regions(max_triangles: int) -> Iterator[LozengeBoundary]:
-    """All fixed hole-free polyiamonds up to the given size, each once,
-    as parsed boundaries.  Shapes are rooted at their scan-order minimal
-    face, which may point either way, hence the two passes."""
-
-    def key(f: Face) -> Tuple[int, int]:
-        return (f[1], 2 * f[0] + (1 if f[2] else 0))
-
-    def run(root: Face) -> Iterator[LozengeBoundary]:
-        rkey = key(root)
-        poly: List[Face] = []
-
-        def emit() -> Optional[LozengeBoundary]:
-            faces = set(poly)
-            if _tri_has_hole(faces):
-                return None
-            return parse_lozenge(faces_to_lozenge_word(faces))
-
-        def grow(untried: List[Face], seen: Set[Face]) -> Iterator[LozengeBoundary]:
-            for i, f in enumerate(untried):
-                poly.append(f)
-                region = emit()
-                if region is not None:
-                    yield region
-                if len(poly) < max_triangles:
-                    new = []
-                    for g in face_neighbors(f):
-                        if g in seen or key(g) < rkey:
-                            continue
-                        new.append(g)
-                    yield from grow(untried[i + 1:] + new, seen | set(new))
-                poly.pop()
-
-        yield from grow([root], {root})
-
-    yield from run((0, 0, False))
-    yield from run((0, 0, True))
-
-
-def _tri_fill_and_unpinch(faces: Set[Face]) -> Set[Face]:
-    """Close holes and absorb pinch vertices until the set is clean."""
-    faces = set(faces)
-    while True:
-        changed = False
-        qs = [f[0] for f in faces]
-        rs = [f[1] for f in faces]
-        qlo, qhi = min(qs) - 1, max(qs) + 1
-        rlo, rhi = min(rs) - 1, max(rs) + 1
-        outside: Set[Face] = set()
-        stack: List[Face] = [(qlo, rlo, False)]
-        while stack:
-            f = stack.pop()
-            if f in outside:
-                continue
-            outside.add(f)
-            for g in face_neighbors(f):
-                if (qlo <= g[0] <= qhi and rlo <= g[1] <= rhi
-                        and g not in faces and g not in outside):
-                    stack.append(g)
-        for q in range(qlo, qhi + 1):
-            for r in range(rlo, rhi + 1):
-                for up in (False, True):
-                    f = (q, r, up)
-                    if f not in faces and f not in outside:
-                        faces.add(f)
-                        changed = True
-        # A pinch vertex has its six surrounding faces split into more
-        # than one arc of region faces; absorb the whole ring.
-        verts = {c for f in faces for c in face_corners(f)}
-        for q, r in sorted(verts):
-            ring = ((q, r, True), (q, r, False), (q - 1, r, True),
-                    (q - 1, r - 1, False), (q - 1, r - 1, True),
-                    (q, r - 1, False))
-            ins = [f in faces for f in ring]
-            arcs = sum(1 for a, bb in zip(ins, ins[1:] + ins[:1])
-                       if a and not bb)
-            if arcs > 1:
-                for f in ring:
-                    if f not in faces:
-                        faces.add(f)
-                        changed = True
-        if not changed:
-            return faces
-
-
 def random_lozenge_region(rng, target_triangles: int) -> LozengeBoundary:
-    """Random simply connected triangular region of very roughly the
-    target size, grown face by face and then repaired."""
-    faces: Set[Face] = {(0, 0, True)}
-    frontier: List[Face] = list(face_neighbors((0, 0, True)))
-    while len(faces) < target_triangles:
-        i = rng.randrange(len(frontier))
-        f = frontier[i]
-        frontier[i] = frontier[-1]
-        frontier.pop()
-        if f in faces:
-            continue
-        faces.add(f)
-        for g in face_neighbors(f):
-            if g not in faces:
-                frontier.append(g)
-    faces = _tri_fill_and_unpinch(faces)
-    return parse_lozenge(faces_to_lozenge_word(faces))
+    """``tiler.reference.random_lozenge_region``, imported on call."""
+    from tiler.reference import random_lozenge_region
+    return random_lozenge_region(rng, target_triangles)

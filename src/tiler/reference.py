@@ -1,31 +1,31 @@
 """Reference implementations: small, slow, and obviously correct.
 
-Everything here exists to check the fast code against an independent route:
-shortest-path distances computed by explicit Dijkstra, tileability by
-bipartite matching, maximum height functions by a whole-region shortest-path
-sweep, and exhaustive or randomised region generators to feed them.  All of
-it scales with the area of the region, not the perimeter, and several
-entry points enforce a cell cap (override with the TILER_CAP environment
+Everything here checks the fast code against an independent route, or
+builds its inputs: tileability by bipartite matching, maximum height
+functions by a whole-region shortest-path sweep, and one engine that
+enumerates and randomly grows simply connected regions of either lattice.
+All of it scales with the area of the region, not the perimeter, and the
+deciders enforce a cell cap (override with the TILER_CAP environment
 variable) so a typo cannot freeze a test run.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Set,
+                    Tuple)
 
 import numpy as np
 
-from tiler.errors import CapExceeded, RadiusExceeded
-from tiler.lattice import Point, alpha, cheb, edge_max_delta, edge_step
-from tiler.region import RegionBoundary, boundary_height, parse_boundary
+from tiler.errors import CapExceeded
+from tiler.lattice import Point
+from tiler.lozenge import STEPS, LozengeBoundary, face_neighbors, parse_lozenge
+from tiler.region import MOVES, RegionBoundary, boundary_height, parse_boundary
 
 Domino = Tuple[Point, Point]
 Tiling = Set[Domino]
 
 _AXIS = ((1, 0), (-1, 0), (0, 1), (0, -1))
-_KING = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _cap(default: int) -> int:
@@ -36,146 +36,6 @@ def _cap(default: int) -> int:
 def domino(a: Point, b: Point) -> Domino:
     """Canonical form of a domino: its two cells in sorted order."""
     return (a, b) if a <= b else (b, a)
-
-
-# ---------------------------------------------------------------------------
-# Distances in the unconstrained plane.
-
-
-def alpha_oracle(x: Point, y: Point) -> int:
-    """Largest admissible height difference h(y) - h(x) over the full plane.
-
-    Computed as an explicit shortest path over grid edges weighted by the
-    maximum height increase each edge permits.  Exact, but costs area of a
-    box around the pair, so it refuses distant arguments.
-    """
-    r = cheb(x, y)
-    if r > 16:
-        raise RadiusExceeded(f"alpha_oracle limited to Chebyshev radius 16, got {r}")
-    if r == 0:
-        return 0
-    # Edge weights are at least 1, and a staircase walk shows the distance
-    # is at most 2r + 1, so no shortest path leaves this box.
-    lo_x, hi_x = x[0] - 3 * r - 4, x[0] + 3 * r + 4
-    lo_y, hi_y = x[1] - 3 * r - 4, x[1] + 3 * r + 4
-    dist: Dict[Point, int] = {}
-    heap: List[Tuple[int, Point]] = [(0, x)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in dist:
-            continue
-        dist[u] = d
-        if u == y:
-            return d
-        for dx, dy in _AXIS:
-            v = (u[0] + dx, u[1] + dy)
-            if v in dist or not (lo_x <= v[0] <= hi_x and lo_y <= v[1] <= hi_y):
-                continue
-            heapq.heappush(heap, (d + edge_max_delta(u, v), v))
-    raise AssertionError("target not reached inside the search box")
-
-
-def geodesic_points_brute(x: Point, y: Point) -> Set[Point]:
-    """Every lattice point on some minimum-length king walk from x to y.
-
-    Direct depth-first enumeration of the walks themselves; intended for
-    small radii only.
-    """
-    points: Set[Point] = {x}
-    path: List[Point] = [x]
-
-    def extend(z: Point) -> None:
-        if z == y:
-            points.update(path)
-            return
-        left = cheb(z, y)
-        for dx, dy in _KING:
-            w = (z[0] + dx, z[1] + dy)
-            if cheb(w, y) == left - 1:
-                path.append(w)
-                extend(w)
-                path.pop()
-
-    extend(x)
-    return points
-
-
-# ---------------------------------------------------------------------------
-# Valid pairs, by brute force.
-
-
-def _step_in_region(b: RegionBoundary, z: Point, d: Point) -> bool:
-    """Whether the king step z -> z + d stays strongly inside the region.
-
-    An axis step needs at least one of the two cells flanking the traversed
-    edge; a diagonal step needs the cell it cuts through.
-    """
-    zx, zy = z
-    dx, dy = d
-    if dx == 0:
-        cy = zy if dy > 0 else zy - 1
-        return b.contains_cell((zx - 1, cy)) or b.contains_cell((zx, cy))
-    if dy == 0:
-        cx = zx if dx > 0 else zx - 1
-        return b.contains_cell((cx, zy - 1)) or b.contains_cell((cx, zy))
-    return b.contains_cell((zx if dx > 0 else zx - 1, zy if dy > 0 else zy - 1))
-
-
-def pair_connected_brute(b: RegionBoundary, sites: Set[Point], x: Point, y: Point) -> bool:
-    """Whether some king geodesic runs from x to y strongly inside the
-    region without touching another site on the way."""
-    if x == y:
-        return False
-    blocked = sites - {x, y}
-    memo: Dict[Point, bool] = {}
-
-    def reach(z: Point) -> bool:
-        if z == y:
-            return True
-        if z in memo:
-            return memo[z]
-        memo[z] = False
-        left = cheb(z, y)
-        for d in _KING:
-            w = (z[0] + d[0], z[1] + d[1])
-            if cheb(w, y) != left - 1 or (w in blocked) or not _step_in_region(b, z, d):
-                continue
-            if reach(w):
-                memo[z] = True
-                break
-        return memo[z]
-
-    return reach(x)
-
-
-def valid_pairs_brute(b: RegionBoundary, sites: Sequence[Point]) -> Set[Tuple[Point, Point]]:
-    """All ordered site pairs joined by a clean geodesic (both directions)."""
-    out: Set[Tuple[Point, Point]] = set()
-    site_set = set(sites)
-    ordered = sorted(site_set)
-    for i, x in enumerate(ordered):
-        for y in ordered[i + 1:]:
-            if pair_connected_brute(b, site_set, x, y):
-                out.add((x, y))
-                out.add((y, x))
-    return out
-
-
-def pairs_condition_decide(b: RegionBoundary) -> bool:
-    """Tileability via the boundary pair condition, checked by brute force.
-
-    The region is tileable iff the boundary heights close up and every
-    geodesically linked pair of boundary vertices satisfies
-    h(y) - h(x) <= alpha(x, y).  Quadratic in the perimeter and worse,
-    so only for cross-checks on small regions.
-    """
-    bh = boundary_height(b)
-    if not bh.valid:
-        return False
-    for x, y in valid_pairs_brute(b, b.vertices):
-        if bh[y] - bh[x] > alpha(x, y):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -301,57 +161,6 @@ def extract_tiling(b: RegionBoundary, heights: Dict[Point, int]) -> Tiling:
     return tiling
 
 
-def verify_tiling(b: RegionBoundary, tiling: Tiling) -> bool:
-    """Exact cover check: every cell in exactly one domino, all cells in R."""
-    covered: Set[Point] = set()
-    for a, c in tiling:
-        if abs(a[0] - c[0]) + abs(a[1] - c[1]) != 1:
-            return False
-        for cell in (a, c):
-            if cell in covered or not b.contains_cell(cell):
-                return False
-            covered.add(cell)
-    return len(covered) == b.area
-
-
-def height_from_tiling(b: RegionBoundary, tiling: Tiling) -> Dict[Point, int]:
-    """Height function induced by a tiling, anchored at h(origin) = 0.
-
-    Walks the vertex graph of the region; every edge contributes its plain
-    step unless a domino crosses it, in which case the difference moves by
-    4 in the opposite direction.  Inconsistencies (which would mean the
-    tiling is broken) raise AssertionError.
-    """
-    heights: Dict[Point, int] = {(0, 0): 0}
-    stack: List[Point] = [(0, 0)]
-    in_r = b.contains_cell
-
-    def edge_cells(u: Point, v: Point) -> Tuple[Point, Point]:
-        if u[0] == v[0]:  # vertical edge
-            y = min(u[1], v[1])
-            return (u[0] - 1, y), (u[0], y)
-        x = min(u[0], v[0])
-        return (x, u[1] - 1), (x, u[1])
-
-    while stack:
-        u = stack.pop()
-        for d in _AXIS:
-            v = (u[0] + d[0], u[1] + d[1])
-            c1, c2 = edge_cells(u, v)
-            if not (in_r(c1) or in_r(c2)):
-                continue
-            delta = edge_step(u, v)
-            if in_r(c1) and in_r(c2) and domino(c1, c2) in tiling:
-                delta -= 4 if delta > 0 else -4
-            h = heights[u] + delta
-            if v in heights:
-                assert heights[v] == h, f"inconsistent heights at {v}"
-            else:
-                heights[v] = h
-                stack.append(v)
-    return heights
-
-
 # ---------------------------------------------------------------------------
 # Tileability by bipartite matching.
 
@@ -428,173 +237,211 @@ def _hopcroft_karp(nw: int, nb: int, adj: List[List[int]]) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Region generators.
+# Region generators: one engine over face sets of either lattice.
+#
+# A face is a tuple whose first two entries are its anchor: the cell
+# (x, y) on the square lattice, (q, r, points-up) on the triangular one.
+# A vertex is a pair, (x, y) or axial (q, r).
+
+Face = tuple
+Vertex = Tuple[int, int]
 
 
-def cells_to_boundary(cells: Set[Point]) -> str:
-    """Boundary word of a cell set, region kept on the left of travel.
+class FaceLattice(NamedTuple):
+    """What the engine needs to know about the faces of one lattice."""
+
+    neighbours: Callable[[Face], Tuple[Face, ...]]  # faces sharing an edge
+    sides: Callable[[Face], Tuple[Tuple[Vertex, Vertex, Face], ...]]
+    """Directed sides (tail, head) with the face on the left, each with
+    the face across it."""
+    tokens: Dict[Vertex, str]  # boundary-word token of each unit step
+    sep: str  # joins the tokens
+    kinds: Tuple[tuple, ...]  # the entries after the anchor, one per face
+    key: Callable[[Face], tuple]  # a shape is enumerated from its least face
+    roots: Tuple[Face, ...]  # the least faces; random growth starts at the last
+    parse: Callable[[str], object]
+
+
+def _trace(lat: FaceLattice, faces: Set[Face]) -> str:
+    """Boundary word of a face set, region kept on the left of travel.
 
     Requires the set to be edge-connected with no holes and no pinch
     vertices; any violation surfaces as an AssertionError here or a parse
     error downstream.
     """
-    succ: Dict[Point, Point] = {}
-
-    def put(tail: Point, head: Point) -> None:
-        assert tail not in succ, f"pinched boundary at {tail}"
-        succ[tail] = head
-
-    for a, bb in cells:
-        if (a, bb - 1) not in cells:
-            put((a, bb), (a + 1, bb))
-        if (a + 1, bb) not in cells:
-            put((a + 1, bb), (a + 1, bb + 1))
-        if (a, bb + 1) not in cells:
-            put((a + 1, bb + 1), (a, bb + 1))
-        if (a - 1, bb) not in cells:
-            put((a, bb + 1), (a, bb))
-
-    start = min(succ)
+    succ: Dict[Vertex, Vertex] = {}
+    for f in faces:
+        for tail, head, across in lat.sides(f):
+            if across not in faces:
+                assert tail not in succ, f"pinched boundary at {tail}"
+                succ[tail] = head
+    start = v = min(succ)
     word = []
-    v = start
-    steps = 0
     while True:
         w = succ[v]
-        word.append({(1, 0): "R", (-1, 0): "L", (0, 1): "U", (0, -1): "D"}[(w[0] - v[0], w[1] - v[1])])
+        word.append(lat.tokens[(w[0] - v[0], w[1] - v[1])])
         v = w
-        steps += 1
         if v == start:
             break
-        assert steps <= len(succ), "boundary walk does not close"
-    assert steps == len(succ), "boundary has more than one component"
-    return "".join(word)
+        assert len(word) <= len(succ), "boundary walk does not close"
+    assert len(word) == len(succ), "boundary has more than one component"
+    return lat.sep.join(word)
 
 
-def _has_hole(cells: Set[Point]) -> bool:
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    lo = (min(xs) - 1, min(ys) - 1)
-    hi = (max(xs) + 1, max(ys) + 1)
-    outside: Set[Point] = set()
-    stack = [lo]
+def _holes(lat: FaceLattice, faces: Set[Face]) -> List[Face]:
+    """The faces the set encloses: those of its anchor box, widened by one,
+    that a flood fill from a corner of the box does not reach."""
+    qs = [f[0] for f in faces]
+    rs = [f[1] for f in faces]
+    qlo, qhi = min(qs) - 1, max(qs) + 1
+    rlo, rhi = min(rs) - 1, max(rs) + 1
+    stack = [(qlo, rlo) + lat.kinds[0]]
+    outside = set(stack)
     while stack:
-        c = stack.pop()
-        if c in outside:
+        for g in lat.neighbours(stack.pop()):
+            if (g not in outside and g not in faces
+                    and qlo <= g[0] <= qhi and rlo <= g[1] <= rhi):
+                outside.add(g)
+                stack.append(g)
+    if len(outside) + len(faces) == len(lat.kinds) * (qhi - qlo + 1) * (rhi - rlo + 1):
+        return []
+    return [f for q in range(qlo, qhi + 1) for r in range(rlo, rhi + 1)
+            for k in lat.kinds if (f := (q, r) + k) not in faces and f not in outside]
+
+
+def _enumerate(lat: FaceLattice, max_faces: int) -> Iterator:
+    """All fixed hole-free shapes up to the given size, each once, parsed.
+
+    A shape is grown from its least face under the lattice key, and a face
+    picked and rejected at one branch stays forbidden in the branches
+    explored after it.
+    """
+    for root in lat.roots:
+        rkey = lat.key(root)
+        poly: List[Face] = []
+
+        def grow(untried: List[Face], seen: Set[Face]) -> Iterator:
+            for i, f in enumerate(untried):
+                poly.append(f)
+                faces = set(poly)
+                if not _holes(lat, faces):
+                    yield lat.parse(_trace(lat, faces))
+                if len(poly) < max_faces:
+                    new = [g for g in lat.neighbours(f)
+                           if g not in seen and lat.key(g) >= rkey]
+                    yield from grow(untried[i + 1:] + new, seen | set(new))
+                poly.pop()
+
+        yield from grow([root], {root})
+
+
+def _random(lat: FaceLattice, rng, target: int) -> object:
+    """Random simply connected region of very roughly the target size.
+
+    Grows a blob face by face from a seeded frontier, then fills its
+    holes, which may overshoot the target a little.
+    """
+    root = lat.roots[-1]
+    faces = {root}
+    frontier = list(lat.neighbours(root))
+    while len(faces) < target:
+        i = rng.randrange(len(frontier))
+        f = frontier[i]
+        frontier[i] = frontier[-1]
+        frontier.pop()
+        if f in faces:
             continue
-        outside.add(c)
-        for dx, dy in _AXIS:
-            w = (c[0] + dx, c[1] + dy)
-            if lo[0] <= w[0] <= hi[0] and lo[1] <= w[1] <= hi[1] and w not in cells and w not in outside:
-                stack.append(w)
-    total = (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
-    return len(outside) + len(cells) != total
+        faces.add(f)
+        frontier.extend(g for g in lat.neighbours(f) if g not in faces)
+    # Filling the holes of an edge-connected set leaves no pinch vertex: a
+    # path of faces joining two runs of faces around a vertex closes, through
+    # that vertex, a curve that encloses a face missing there, so a hole.
+    faces.update(_holes(lat, faces))
+    return lat.parse(_trace(lat, faces))
+
+
+def _cell_sides(c: Point) -> Tuple[Tuple[Point, Point, Point], ...]:
+    a, b = c
+    return (((a, b), (a + 1, b), (a, b - 1)),
+            ((a + 1, b), (a + 1, b + 1), (a + 1, b)),
+            ((a + 1, b + 1), (a, b + 1), (a, b + 1)),
+            ((a, b + 1), (a, b), (a - 1, b)))
+
+
+def _triangle_sides(f: Face) -> Tuple[Tuple[Vertex, Vertex, Face], ...]:
+    q, r, up = f
+    if up:
+        return (((q, r), (q + 1, r), (q, r - 1, False)),
+                ((q + 1, r), (q + 1, r + 1), (q + 1, r, False)),
+                ((q + 1, r + 1), (q, r), (q, r, False)))
+    return (((q, r), (q + 1, r + 1), (q, r, True)),
+            ((q + 1, r + 1), (q, r + 1), (q, r + 1, True)),
+            ((q, r + 1), (q, r), (q - 1, r, True)))
+
+
+SQUARE = FaceLattice(
+    neighbours=lambda c: ((c[0] + 1, c[1]), (c[0] - 1, c[1]),
+                          (c[0], c[1] + 1), (c[0], c[1] - 1)),
+    sides=_cell_sides,
+    tokens={d: m for m, d in MOVES.items()},
+    sep="",
+    kinds=((),),
+    key=lambda c: (c[1], c[0]),
+    roots=((0, 0),),
+    parse=parse_boundary,
+)
+
+TRIANGULAR = FaceLattice(
+    neighbours=face_neighbors,
+    sides=_triangle_sides,
+    tokens={d: str(t) for t, d in STEPS.items()},
+    sep=",",
+    kinds=((False,), (True,)),
+    key=lambda f: (f[1], 2 * f[0] + f[2]),
+    roots=((0, 0, False), (0, 0, True)),
+    parse=parse_lozenge,
+)
+
+
+def cells_to_boundary(cells: Set[Point]) -> str:
+    """Boundary word of a cell set; see ``_trace``."""
+    return _trace(SQUARE, cells)
+
+
+def faces_to_lozenge_word(faces: Set[Face]) -> str:
+    """Boundary word of a set of triangles; see ``_trace``."""
+    return _trace(TRIANGULAR, faces)
 
 
 def enumerate_simply_connected(max_area: int) -> Iterator[RegionBoundary]:
-    """All fixed polyominoes without holes, up to the given area.
-
-    Enumeration never revisits a shape: a cell picked and rejected at one
-    branch stays forbidden in the branches explored after it.
-    """
-    poly: List[Point] = []
-
-    def emit() -> Optional[RegionBoundary]:
-        cells = set(poly)
-        if _has_hole(cells):
-            return None
-        return parse_boundary(cells_to_boundary(cells))
-
-    def grow(untried: List[Point], seen: Set[Point]) -> Iterator[RegionBoundary]:
-        for i, u in enumerate(untried):
-            poly.append(u)
-            region = emit()
-            if region is not None:
-                yield region
-            if len(poly) < max_area:
-                new = []
-                for dx, dy in _AXIS:
-                    v = (u[0] + dx, u[1] + dy)
-                    if v in seen or v[1] < 0 or (v[1] == 0 and v[0] < 0):
-                        continue
-                    new.append(v)
-                yield from grow(untried[i + 1:] + new, seen | set(new))
-            poly.pop()
-
-    yield from grow([(0, 0)], {(0, 0)})
+    """All fixed polyominoes without holes, up to the given area."""
+    return _enumerate(SQUARE, max_area)
 
 
-def _fill_and_unpinch(cells: Set[Point]) -> Set[Point]:
-    """Close holes and repair pinch vertices until the set is clean."""
-    cells = set(cells)
-    while True:
-        changed = False
-        # Holes: bounded complement components get absorbed.
-        xs = [c[0] for c in cells]
-        ys = [c[1] for c in cells]
-        lo = (min(xs) - 1, min(ys) - 1)
-        hi = (max(xs) + 1, max(ys) + 1)
-        outside: Set[Point] = set()
-        stack = [lo]
-        while stack:
-            c = stack.pop()
-            if c in outside:
-                continue
-            outside.add(c)
-            for dx, dy in _AXIS:
-                w = (c[0] + dx, c[1] + dy)
-                if lo[0] <= w[0] <= hi[0] and lo[1] <= w[1] <= hi[1] and w not in cells and w not in outside:
-                    stack.append(w)
-        for x in range(lo[0], hi[0] + 1):
-            for y in range(lo[1], hi[1] + 1):
-                if (x, y) not in cells and (x, y) not in outside:
-                    cells.add((x, y))
-                    changed = True
-        # Pinch vertices: two diagonal cells present, the other two absent.
-        for a, bb in sorted(cells):
-            for corner in ((a, bb), (a + 1, bb), (a, bb + 1), (a + 1, bb + 1)):
-                x, y = corner
-                ne, nw = (x, y), (x - 1, y)
-                sw, se = (x - 1, y - 1), (x, y - 1)
-                ins = [c in cells for c in (ne, nw, sw, se)]
-                if ins == [True, False, True, False]:
-                    cells.add(nw)
-                    changed = True
-                elif ins == [False, True, False, True]:
-                    cells.add(ne)
-                    changed = True
-        if not changed:
-            return cells
+def enumerate_lozenge_regions(max_triangles: int) -> Iterator[LozengeBoundary]:
+    """All fixed hole-free polyiamonds up to the given size.  Shapes are
+    rooted at their scan-order least face, which may point either way."""
+    return _enumerate(TRIANGULAR, max_triangles)
 
 
 def random_region(rng, target_area: int) -> RegionBoundary:
-    """Random simply connected region of very roughly the target area.
-
-    Grows a blob cell by cell from a seeded frontier, then repairs holes
-    and pinches, which may overshoot the target a little.
-    """
-    cells: Set[Point] = {(0, 0)}
-    frontier: List[Point] = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    while len(cells) < target_area:
-        i = rng.randrange(len(frontier))
-        c = frontier[i]
-        frontier[i] = frontier[-1]
-        frontier.pop()
-        if c in cells:
-            continue
-        cells.add(c)
-        for dx, dy in _AXIS:
-            w = (c[0] + dx, c[1] + dy)
-            if w not in cells:
-                frontier.append(w)
-    cells = _fill_and_unpinch(cells)
-    return parse_boundary(cells_to_boundary(cells))
+    """Random polyomino of about the target area; see ``_random``."""
+    return _random(SQUARE, rng, target_area)
 
 
-def random_tileable_region(rng, target_area: int, max_tries: int = 1000) -> RegionBoundary:
+def random_lozenge_region(rng, target_triangles: int) -> LozengeBoundary:
+    """Random polyiamond of about the target size; see ``_random``."""
+    return _random(TRIANGULAR, rng, target_triangles)
+
+
+_TILEABLE_TRIES = 1000
+
+
+def random_tileable_region(rng, target_area: int) -> RegionBoundary:
     """Random simply connected region that is domino tileable (checked by
     matching), resampling until one is found."""
-    for _ in range(max_tries):
+    for _ in range(_TILEABLE_TRIES):
         b = random_region(rng, target_area)
         if b.area % 2 == 0 and matching_decide(b) is not None:
             return b
-    raise AssertionError(f"no tileable region of area ~{target_area} in {max_tries} tries")
+    raise AssertionError(f"no tileable region of area ~{target_area} in {_TILEABLE_TRIES} tries")

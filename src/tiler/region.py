@@ -241,12 +241,14 @@ def parse_boundary(text: str) -> RegionBoundary:
 
 
 class BoundaryHeight:
-    """Heights along the boundary walk, anchored at h(origin) = 0.
+    """Heights along a boundary walk of either lattice, anchored at 0 on
+    its first vertex.
 
     ``valid`` is False when the walk's forced increments fail to close up,
-    which happens exactly when the region's cell colours are unbalanced.
-    Invalidity is a value, not an exception: callers turn it into an
-    untileability verdict.
+    which happens exactly when the region's two kinds of face (cell
+    colours, or upward and downward triangles) are unbalanced.  Invalidity
+    is a value, not an exception: callers turn it into an untileability
+    verdict.
     """
 
     __slots__ = ("heights", "valid")

@@ -1,0 +1,248 @@
+"""Brute-force oracles that only the tests use.
+
+Each one answers a question the library answers fast, by a route that
+shares nothing with it: explicit shortest paths for the free-space
+metrics ``alpha`` and ``tri_alpha``, walk enumeration for the triangular
+geodesics, the boundary pair condition checked pair by pair, and the
+height function a tiling induces.  All of them are exponential or
+area-sized, so they are for small regions and radii only.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Dict, List, Sequence, Set, Tuple
+
+from tiler.errors import InternalInconsistency, RadiusExceeded
+from tiler.lattice import Point, alpha, cheb, edge_max_delta, edge_step
+from tiler.lozenge import STEPS, TriPoint, tri_alpha, tri_axial
+from tiler.reference import Tiling, domino
+from tiler.region import RegionBoundary, boundary_height
+
+_AXIS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_KING = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+# ---------------------------------------------------------------------------
+# Distances in the unconstrained plane, and triangular geodesics.
+
+
+def alpha_oracle(x: Point, y: Point) -> int:
+    """Largest admissible height difference h(y) - h(x) over the full plane.
+
+    Computed as an explicit shortest path over grid edges weighted by the
+    maximum height increase each edge permits.  Exact, but costs area of a
+    box around the pair, so it refuses distant arguments.
+    """
+    r = cheb(x, y)
+    if r > 16:
+        raise RadiusExceeded(f"alpha_oracle limited to Chebyshev radius 16, got {r}")
+    if r == 0:
+        return 0
+    # Edge weights are at least 1, and a staircase walk shows the distance
+    # is at most 2r + 1, so no shortest path leaves this box.
+    lo_x, hi_x = x[0] - 3 * r - 4, x[0] + 3 * r + 4
+    lo_y, hi_y = x[1] - 3 * r - 4, x[1] + 3 * r + 4
+    dist: Dict[Point, int] = {}
+    heap: List[Tuple[int, Point]] = [(0, x)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = d
+        if u == y:
+            return d
+        for dx, dy in _AXIS:
+            v = (u[0] + dx, u[1] + dy)
+            if v in dist or not (lo_x <= v[0] <= hi_x and lo_y <= v[1] <= hi_y):
+                continue
+            heapq.heappush(heap, (d + edge_max_delta(u, v), v))
+    raise AssertionError("target not reached inside the search box")
+
+
+def tri_alpha_oracle(x: TriPoint, y: TriPoint) -> int:
+    """Shortest path from x to y with per-edge maximal height steps
+    (+1 along the color cycle, +2 against it), on a box wide enough that
+    restriction cannot matter."""
+    xa, ya = tri_axial(x), tri_axial(y)
+    rad = max(abs(ya[0] - xa[0]), abs(ya[1] - xa[1]))
+    if rad > 16:
+        raise RadiusExceeded(f"offset {rad} exceeds supported radius 16")
+    m = 3 * rad + 4
+    dist = {xa: 0}
+    heap = [(0, xa)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, 1 << 30):
+            continue
+        if u == ya:
+            return d
+        for dq, dr in STEPS.values():
+            v = (u[0] + dq, u[1] + dr)
+            if abs(v[0] - xa[0]) > m or abs(v[1] - xa[1]) > m:
+                continue
+            nd = d + (1 if (dq + dr) % 3 == 1 else 2)
+            if nd < dist.get(v, 1 << 30):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    raise InternalInconsistency("target not reached")  # pragma: no cover
+
+
+def tri_geodesic_points_brute(x: TriPoint, y: TriPoint) -> Set[TriPoint]:
+    """Vertices of all geodesic paths from x to y, by path enumeration.
+    A path step adds one of v1, v2, v3 and must increase the distance
+    from x by one."""
+    total = tri_alpha(x, y)
+    out: Set[TriPoint] = set()
+
+    def go(cur: TriPoint, dist: int, trail: List[TriPoint]) -> None:
+        if cur == y and dist == total:
+            out.update(trail)
+            return
+        if dist >= total:
+            return
+        for i in range(3):
+            v = list(cur)
+            v[i] += 1
+            m = min(v)
+            nxt = (v[0] - m, v[1] - m, v[2] - m)
+            if tri_alpha(x, nxt) == dist + 1:
+                trail.append(nxt)
+                go(nxt, dist + 1, trail)
+                trail.pop()
+
+    go(x, 0, [x])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Valid pairs, by brute force.
+
+
+def _step_in_region(b: RegionBoundary, z: Point, d: Point) -> bool:
+    """Whether the king step z -> z + d stays strongly inside the region.
+
+    An axis step needs at least one of the two cells flanking the traversed
+    edge; a diagonal step needs the cell it cuts through.
+    """
+    zx, zy = z
+    dx, dy = d
+    if dx == 0:
+        cy = zy if dy > 0 else zy - 1
+        return b.contains_cell((zx - 1, cy)) or b.contains_cell((zx, cy))
+    if dy == 0:
+        cx = zx if dx > 0 else zx - 1
+        return b.contains_cell((cx, zy - 1)) or b.contains_cell((cx, zy))
+    return b.contains_cell((zx if dx > 0 else zx - 1, zy if dy > 0 else zy - 1))
+
+
+def pair_connected_brute(b: RegionBoundary, sites: Set[Point], x: Point, y: Point) -> bool:
+    """Whether some king geodesic runs from x to y strongly inside the
+    region without touching another site on the way."""
+    if x == y:
+        return False
+    blocked = sites - {x, y}
+    memo: Dict[Point, bool] = {}
+
+    def reach(z: Point) -> bool:
+        if z == y:
+            return True
+        if z in memo:
+            return memo[z]
+        memo[z] = False
+        left = cheb(z, y)
+        for d in _KING:
+            w = (z[0] + d[0], z[1] + d[1])
+            if cheb(w, y) != left - 1 or (w in blocked) or not _step_in_region(b, z, d):
+                continue
+            if reach(w):
+                memo[z] = True
+                break
+        return memo[z]
+
+    return reach(x)
+
+
+def valid_pairs_brute(b: RegionBoundary, sites: Sequence[Point]) -> Set[Tuple[Point, Point]]:
+    """All ordered site pairs joined by a clean geodesic (both directions)."""
+    out: Set[Tuple[Point, Point]] = set()
+    site_set = set(sites)
+    ordered = sorted(site_set)
+    for i, x in enumerate(ordered):
+        for y in ordered[i + 1:]:
+            if pair_connected_brute(b, site_set, x, y):
+                out.add((x, y))
+                out.add((y, x))
+    return out
+
+
+def pairs_condition_decide(b: RegionBoundary) -> bool:
+    """Tileability via the boundary pair condition, checked by brute force.
+
+    The region is tileable iff the boundary heights close up and every
+    geodesically linked pair of boundary vertices satisfies
+    h(y) - h(x) <= alpha(x, y).  Quadratic in the perimeter and worse,
+    so only for cross-checks on small regions.
+    """
+    bh = boundary_height(b)
+    if not bh.valid:
+        return False
+    for x, y in valid_pairs_brute(b, b.vertices):
+        if bh[y] - bh[x] > alpha(x, y):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Heights and tilings.
+
+
+def verify_tiling(b: RegionBoundary, tiling: Tiling) -> bool:
+    """Exact cover check: every cell in exactly one domino, all cells in R."""
+    covered: Set[Point] = set()
+    for a, c in tiling:
+        if abs(a[0] - c[0]) + abs(a[1] - c[1]) != 1:
+            return False
+        for cell in (a, c):
+            if cell in covered or not b.contains_cell(cell):
+                return False
+            covered.add(cell)
+    return len(covered) == b.area
+
+
+def height_from_tiling(b: RegionBoundary, tiling: Tiling) -> Dict[Point, int]:
+    """Height function induced by a tiling, anchored at h(origin) = 0.
+
+    Walks the vertex graph of the region; every edge contributes its plain
+    step unless a domino crosses it, in which case the difference moves by
+    4 in the opposite direction.  Inconsistencies (which would mean the
+    tiling is broken) raise AssertionError.
+    """
+    heights: Dict[Point, int] = {(0, 0): 0}
+    stack: List[Point] = [(0, 0)]
+    in_r = b.contains_cell
+
+    def edge_cells(u: Point, v: Point) -> Tuple[Point, Point]:
+        if u[0] == v[0]:  # vertical edge
+            y = min(u[1], v[1])
+            return (u[0] - 1, y), (u[0], y)
+        x = min(u[0], v[0])
+        return (x, u[1] - 1), (x, u[1])
+
+    while stack:
+        u = stack.pop()
+        for d in _AXIS:
+            v = (u[0] + d[0], u[1] + d[1])
+            c1, c2 = edge_cells(u, v)
+            if not (in_r(c1) or in_r(c2)):
+                continue
+            delta = edge_step(u, v)
+            if in_r(c1) and in_r(c2) and domino(c1, c2) in tiling:
+                delta -= 4 if delta > 0 else -4
+            h = heights[u] + delta
+            if v in heights:
+                assert heights[v] == h, f"inconsistent heights at {v}"
+            else:
+                heights[v] = h
+                stack.append(v)
+    return heights

@@ -38,8 +38,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from tiler import decide_lozenge, decide_tileable  # noqa: E402
 from tiler.generators import dilate  # noqa: E402
-from tiler.lozenge import enumerate_lozenge_regions, random_lozenge_region  # noqa: E402
-from tiler.reference import enumerate_simply_connected, random_region  # noqa: E402
+from tiler.reference import (enumerate_lozenge_regions,  # noqa: E402
+                             enumerate_simply_connected, random_lozenge_region,
+                             random_region)
 from workloads import LOZENGE_LARGE, SQUARE_LARGE  # noqa: E402
 
 ENUM_SQUARE_AREA = 8

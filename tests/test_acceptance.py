@@ -16,16 +16,19 @@ from tiler.cli import _bench_instance, fit_exponent
 from tiler.generators import dilate, snake, spiral
 from tiler.lattice import alpha
 from tiler.lozenge import (build_tri_graph, build_tri_subdivision,
-                           decide_lozenge, enumerate_lozenge_regions,
-                           lozenge_matching_decide, parse_lozenge,
-                           random_lozenge_region)
+                           decide_lozenge, lozenge_matching_decide,
+                           parse_lozenge)
 from tiler.oracle import TilingOracle
-from tiler.reference import (alpha_oracle, enumerate_simply_connected,
-                             extract_tiling, matching_decide, random_region,
-                             random_tileable_region, thurston_full)
+from tiler.reference import (enumerate_lozenge_regions,
+                             enumerate_simply_connected, extract_tiling,
+                             matching_decide, random_lozenge_region,
+                             random_region, random_tileable_region,
+                             thurston_full)
 from tiler.region import parse_boundary
 from tiler.solver import decide_tileable
 from tiler.subdivision import build_subdivision
+
+from brute import alpha_oracle
 
 
 def test_criterion_1_exhaustive_oracle_agreement():

@@ -1,8 +1,8 @@
-"""Plane geometry: colours, edge increments, alpha, geodesic regions.
+"""Plane geometry: colours, edge increments and alpha.
 
 The closed-form ``alpha`` is the piece most worth distrusting, so it is
-checked exhaustively against the explicit shortest-path oracle out to a
-radius well past every case split in the formula.
+checked exhaustively against the explicit shortest-path oracle of
+``brute.py`` out to a radius well past every case split in the formula.
 """
 
 import random
@@ -17,15 +17,13 @@ from tiler.lattice import (
     alpha,
     alpha_array,
     cell_color,
-    cheb,
     edge_deltas,
     edge_max_delta,
     edge_step,
-    geodesic_region,
-    in_geodesic_region,
     left_cell,
 )
-from tiler.reference import alpha_oracle, geodesic_points_brute
+
+from brute import alpha_oracle
 
 BOX = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
 AXIS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -130,43 +128,6 @@ def test_alpha_triangle_inequality():
 def test_alpha_oracle_radius_guard():
     with pytest.raises(RadiusExceeded):
         alpha_oracle((0, 0), (17, 0))
-
-
-def test_geodesic_region_matches_walk_enumeration():
-    for x in [(0, 0), (1, 0)]:
-        for i in range(-3, 4):
-            for j in range(-3, 4):
-                y = (x[0] + i, x[1] + j)
-                expected = geodesic_points_brute(x, y)
-                got = set(geodesic_region(x, y).points())
-                assert got == expected, (x, y)
-
-
-def test_geodesic_region_matches_walk_enumeration_sampled():
-    rng = random.Random(99)
-    for _ in range(15):
-        x = (rng.randrange(-5, 6), rng.randrange(-5, 6))
-        while True:
-            y = (x[0] + rng.randrange(-5, 6), x[1] + rng.randrange(-5, 6))
-            if 4 <= cheb(x, y) <= 5:
-                break
-        assert set(geodesic_region(x, y).points()) == geodesic_points_brute(x, y)
-
-
-def test_geodesic_membership_is_cheb_additivity():
-    rng = random.Random(3)
-    for _ in range(300):
-        x = (rng.randrange(-6, 7), rng.randrange(-6, 7))
-        y = (rng.randrange(-6, 7), rng.randrange(-6, 7))
-        g = geodesic_region(x, y)
-        pts = list(g.points())
-        assert len(pts) == len(set(pts))
-        assert x in g and y in g
-        for z in pts:
-            assert cheb(x, z) + cheb(z, y) == cheb(x, y)
-        z = (rng.randrange(-6, 7), rng.randrange(-6, 7))
-        assert (z in g) == (cheb(x, z) + cheb(z, y) == cheb(x, y))
-        assert (z in g) == in_geodesic_region(x, y, z)
 
 
 def test_alpha_array_matches_alpha_radius_6():

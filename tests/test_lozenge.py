@@ -1,8 +1,8 @@
 """Triangular-grid pipeline against its brute-force counterparts.
 
 Expected values marked as frozen were produced by the shortest-path
-alpha oracle, the geodesic path enumerator, and the up/down triangle
-matching decider in this file's own helpers, then pinned.
+alpha oracle and the geodesic path enumerator of ``brute.py`` and by the
+up/down triangle matching decider, then pinned.
 """
 
 import random
@@ -15,12 +15,13 @@ from tiler.errors import (EmptyInterior, NotClosed, RadiusExceeded,
                           SelfIntersecting)
 from tiler.lozenge import (STEPS, LozengeBoundary, TriColor, _piece_corners,
                            build_tri_graph, build_tri_subdivision, decide_lozenge,
-                           enumerate_lozenge_regions, faces_to_lozenge_word,
                            lozenge_boundary_height, lozenge_matching_decide,
-                           parse_lozenge, random_lozenge_region, tri_alpha,
-                           tri_alpha_array, tri_alpha_oracle, tri_axial,
-                           tri_color, tri_geodesic_points_brute,
-                           tri_geodesic_region, tri_point)
+                           parse_lozenge, tri_alpha, tri_alpha_array, tri_axial,
+                           tri_color, tri_point)
+from tiler.reference import (enumerate_lozenge_regions, faces_to_lozenge_word,
+                             random_lozenge_region)
+
+from brute import tri_alpha_oracle, tri_geodesic_points_brute
 
 HEXAGON = "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2"  # H(2,2,2), 24 triangles
 
@@ -84,32 +85,14 @@ def test_tri_alpha_oracle_radius_guard():
 # ---------------------------------------------------------------------------
 # Geodesics.
 
-def test_geodesic_region_matches_path_enumeration():
-    box = [tri_point(q, r) for q, r in product(range(-11, 12), repeat=2)]
-    for dq, dr in product(range(-5, 6), repeat=2):
-        x, y = tri_point(0, 0), tri_point(dq, dr)
-        reg = tri_geodesic_region(x, y)
-        brute = tri_geodesic_points_brute(x, y)
-        assert reg.points() == brute, (x, y)
-        assert {z for z in box if reg.contains(z)} == brute, (x, y)
-
-
-def test_geodesic_degenerate_shapes():
-    o = tri_point(0, 0)
-    assert tri_geodesic_region(o, o).points() == {o}
-    # A straight multiple of one direction gives the segment.
-    seg = tri_geodesic_region(o, tri_point(3, 0))
-    assert seg.points() == {tri_point(k, 0) for k in range(4)}
-
-
 def test_alpha_additive_and_strictly_increasing_on_geodesics():
     rng = random.Random(919)
     for _ in range(200):
         x = tri_point(rng.randrange(-4, 5), rng.randrange(-4, 5))
         y = tri_point(x[0] - x[2] + rng.randrange(-5, 6),
                       x[1] - x[2] + rng.randrange(-5, 6))
-        reg = tri_geodesic_region(x, y)
-        for z in reg.points():
+        geodesic = tri_geodesic_points_brute(x, y)
+        for z in geodesic:
             assert tri_alpha(x, z) + tri_alpha(z, y) == tri_alpha(x, y)
         # Walk one geodesic path greedily; alpha from x must step by 1.
         cur, d = x, 0
@@ -119,7 +102,7 @@ def test_alpha_additive_and_strictly_increasing_on_geodesics():
                 v[i] += 1
                 m = min(v)
                 nxt = (v[0] - m, v[1] - m, v[2] - m)
-                if tri_alpha(x, nxt) == d + 1 and reg.contains(nxt):
+                if tri_alpha(x, nxt) == d + 1 and nxt in geodesic:
                     cur, d = nxt, d + 1
                     break
             else:

@@ -9,9 +9,10 @@ from tiler.errors import InternalInconsistency, NotTileable, OutsideRegion
 from tiler.generators import dilate, rect, spiral
 from tiler.oracle import TilingOracle
 from tiler.reference import (enumerate_simply_connected, extract_tiling,
-                             random_tileable_region, thurston_full,
-                             verify_tiling)
+                             random_tileable_region, thurston_full)
 from tiler.region import boundary_height, parse_boundary
+
+from brute import verify_tiling
 
 
 def closure_vertices(b):

@@ -1,7 +1,8 @@
 """The reference oracles are the ground truth for everything else, so they
 get their own consistency checks: enumeration counts against published
-polyomino counts, matching against height-field relaxation, tilings against
-the height functions they induce."""
+polyomino counts, matching against height-field relaxation and the
+brute-force pair condition, tilings against the height functions they
+induce, and random regions of both lattices against simple connectivity."""
 
 import random
 
@@ -14,16 +15,16 @@ from tiler.reference import (
     domino,
     enumerate_simply_connected,
     extract_tiling,
-    height_from_tiling,
     matching_decide,
-    pairs_condition_decide,
+    random_lozenge_region,
     random_region,
     random_tileable_region,
     thurston_full,
-    valid_pairs_brute,
-    verify_tiling,
 )
 from tiler.region import boundary_height, parse_boundary
+
+from brute import (height_from_tiling, pairs_condition_decide,
+                   valid_pairs_brute, verify_tiling)
 
 
 def test_enumeration_counts():
@@ -171,11 +172,16 @@ def test_valid_pairs_exclude_across_slots():
 
 
 def test_random_regions_are_valid():
-    rng = random.Random(2026)
-    for target in (3, 10, 37, 120):
-        b = random_region(rng, target)
-        assert b.area >= target
-        assert len(set(b.vertices)) == b.p
+    # On both lattices a draw is simply connected (its walk revisits no
+    # vertex) and at least as large as asked.  The tileable draw below
+    # continues the square lattice's generator.
+    for draw, size in ((random_lozenge_region, lambda b: b.n),
+                       (random_region, lambda b: b.area)):
+        rng = random.Random(2026)
+        for target in (3, 10, 37, 120):
+            b = draw(rng, target)
+            assert size(b) >= target
+            assert len(set(b.vertices)) == b.p
     t = random_tileable_region(rng, 50)
     assert t.area % 2 == 0 and matching_decide(t) is not None
 

@@ -158,6 +158,8 @@ def test_heap_finish_gives_the_round_result(monkeypatch, decide, word, reason):
 def test_decide_path_loads_no_scipy():
     # Importing scipy.sparse.csgraph costs a fresh process about as much
     # time and memory again as importing tiler; only the references use it.
+    # The area-sized references and generators stay unloaded too, so a
+    # process that only decides pays for neither.
     code = textwrap.dedent("""
         import sys
         import tiler
@@ -165,7 +167,8 @@ def test_decide_path_loads_no_scipy():
         tiler.decide_tileable("RDRURRULULDLLD")
         tiler.decide_lozenge("1,1,-3,-3,2,2,-1,-1,3,3,-2,-2")
         tiler.TilingOracle("RRRRUUUULLLLDDDD").domino_at((1, 2))
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                     or m in ("tiler.reference", "tiler.generators")))
     """)
     env = dict(os.environ)
     src = Path(tiler.__file__).resolve().parents[1]
