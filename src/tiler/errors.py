@@ -5,10 +5,6 @@ class TilerError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotAdjacent(TilerError):
-    """Two lattice points that were expected to be unit-edge neighbours are not."""
-
-
 class NotClosed(TilerError):
     """A boundary word does not return to its starting vertex."""
 
@@ -23,10 +19,6 @@ class EmptyInterior(TilerError):
 
 class CapExceeded(TilerError):
     """An area-scaled reference computation was asked to exceed its cell cap."""
-
-
-class RadiusExceeded(TilerError):
-    """A brute-force lattice oracle was queried beyond its supported radius."""
 
 
 class OutsideRegion(TilerError):

@@ -1,5 +1,4 @@
-"""Square-lattice geometry: colouring, edge height increments, and the
-maximal height gap ``alpha``.
+"""Square-lattice geometry: the maximal height gap ``alpha``.
 
 Conventions used throughout the package:
 
@@ -15,71 +14,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import enum
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from tiler.errors import NotAdjacent
-
 Point = Tuple[int, int]
-Cell = Tuple[int, int]
-
-
-class Color(enum.Enum):
-    WHITE = "white"
-    BLACK = "black"
-
-
-class EdgeDeltas(NamedTuple):
-    """The two admissible height increments along a directed lattice edge.
-
-    ``step`` applies when the edge belongs to the tiling (no domino crosses
-    it), ``crossed`` when a domino straddles it.  One is always positive and
-    the other negative, and they differ by 4.
-    """
-
-    step: int
-    crossed: int
-
-
-def cell_color(cell: Cell) -> Color:
-    return Color.WHITE if (cell[0] + cell[1]) % 2 == 0 else Color.BLACK
-
-
-def left_cell(tail: Point, head: Point) -> Cell:
-    """The cell lying to the left when travelling from ``tail`` to ``head``."""
-    dx = head[0] - tail[0]
-    dy = head[1] - tail[1]
-    if dx * dx + dy * dy != 1:
-        raise NotAdjacent(f"{tail} -> {head} is not a unit lattice edge")
-    return (
-        (2 * tail[0] + dx - dy - 1) // 2,
-        (2 * tail[1] + dy + dx - 1) // 2,
-    )
-
-
-def edge_deltas(tail: Point, head: Point) -> EdgeDeltas:
-    cx, cy = left_cell(tail, head)
-    step = -1 if (cx + cy) % 2 == 0 else 1
-    return EdgeDeltas(step, step - 4 * (1 if step > 0 else -1))
-
-
-def edge_step(tail: Point, head: Point) -> int:
-    """``edge_deltas(tail, head).step`` without the tuple allocation."""
-    dx = head[0] - tail[0]
-    # Parity of the left cell's coordinate sum: tx + ty + dx - 1.
-    return 1 if (tail[0] + tail[1] + dx) % 2 == 0 else -1
-
-
-def edge_max_delta(tail: Point, head: Point) -> int:
-    """The larger admissible increment from ``tail`` to ``head`` (1 or 3)."""
-    return 3 if edge_step(tail, head) < 0 else 1
-
-
-def cheb(a: Point, b: Point) -> int:
-    """Chebyshev (king-move) distance."""
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
 def alpha(x: Point, y: Point) -> int:

@@ -15,14 +15,18 @@ lozenge covers it, and the reverse signs hold against the cycle.  The
 maximal plane height vanishing at x is ``tri_alpha(x, y)``: the
 coordinate sum of y - x in canonical form.
 
-The decision pipeline mirrors the square-lattice one: walk the boundary
-heights, cover the region by a quadtree of upward and downward
-lattice-aligned triangles whose side halves until it clears the
-boundary, take the piece corners plus the boundary as sites, join
-consecutive sites along the three line families, and relax the maximal
-height over that graph.  An untileable verdict's witness is the violated
-edge whose endpoints come first in sorted site order.  Degrees are at
-most six (two per family).
+The decision pipeline mirrors the square-lattice one.  Parsing checks
+the walk with the same array check, ``region.closed_walk``, on axial
+coordinates, where the shoelace sum counts the triangles.  Along the
+boundary the color rises by 1 exactly on the moves 1, 2 and 3, so the
+boundary heights are the ``cumsum`` of the move signs, an int64 array in
+walk order.  Then the pipeline covers the region by a quadtree of
+upward and downward lattice-aligned triangles whose side halves until
+it clears the boundary, takes the piece corners plus the boundary as
+sites, joins consecutive sites along the three line families, and
+relaxes the maximal height over that graph.  An untileable verdict's
+witness is the violated edge whose endpoints come first in sorted site
+order.  Degrees are at most six (two per family).
 
 Region membership comes from one index, the strip cuts: the boundary
 edges that cross a horizontal strip of faces, held as one sorted array
@@ -40,17 +44,15 @@ lattice.
 from __future__ import annotations
 
 from bisect import bisect_right
-from enum import IntEnum
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from tiler.errors import (CapExceeded, EmptyInterior, InternalInconsistency,
-                          NotClosed, SelfIntersecting)
+from tiler.errors import CapExceeded, InternalInconsistency
 from tiler.approxgraph import ApproxGraph, make_graph
-from tiler.region import (BoundaryHeight, first_repeat, odd_at_or_left, pack,
-                          row_lists, sorted_unique)
+from tiler.region import (BoundaryHeight, closed_walk, odd_at_or_left, pack,
+                          row_lists, sorted_unique, walk_back)
 from tiler.solver import TileabilityVerdict, compute_gmax
 
 TriPoint = Tuple[int, int, int]
@@ -74,12 +76,6 @@ _STEP_Q, _STEP_R = np.array([STEPS.get(m, (0, 0)) for m in range(-3, 4)],
                             dtype=np.int64).T
 
 
-class TriColor(IntEnum):
-    BLACK = 0
-    RED = 1
-    BLUE = 2
-
-
 def tri_point(q: int, r: int) -> TriPoint:
     """Normalized vertex for the axial combination q*v1 + r*v2."""
     m = min(q, r, 0)
@@ -88,10 +84,6 @@ def tri_point(q: int, r: int) -> TriPoint:
 
 def tri_axial(p: TriPoint) -> Axial:
     return (p[0] - p[2], p[1] - p[2])
-
-
-def tri_color(p: TriPoint) -> TriColor:
-    return TriColor((p[0] + p[1] + p[2]) % 3)
 
 
 def tri_alpha(x: TriPoint, y: TriPoint) -> int:
@@ -106,12 +98,6 @@ def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = y - x
     a, b, c = d[:, 0], d[:, 1], d[:, 2]
     return a + b + c - 3 * np.minimum(np.minimum(a, b), c)
-
-
-def _step_sign(u: TriPoint, w: TriPoint) -> int:
-    """Height change along the boundary edge u -> w: +1 when the edge
-    advances the color cycle, else -1."""
-    return 1 if (sum(w) - sum(u)) % 3 == 1 else -1
 
 
 def face_corners(f: Face) -> Tuple[Axial, Axial, Axial]:
@@ -140,9 +126,12 @@ _FLANKS: Dict[Axial, Tuple[Axial, Axial]] = {
 class LozengeBoundary:
     """Simple closed walk on the triangular grid, region on the left.
 
-    ``vertices`` are the normalised boundary vertices in walk order,
-    ``vertex_set`` the same as a set, and ``qr`` their axial coordinates
-    as two int64 arrays.
+    ``tokens`` is the int64 array of the moves and ``qr`` the axial
+    coordinates of the boundary vertices in walk order, as two int64
+    arrays.  ``moves`` (the tokens as a tuple), ``axial`` (the vertices
+    as (q, r) pairs) and ``vertices`` (as normalised triples) are built
+    on first access for rendering and the tests; the decision never
+    builds them.
 
     Boundary edges cut the horizontal strips of faces; within strip r the
     faces in scan order are ..., D(q,r), U(q,r), D(q+1,r), ... at
@@ -151,28 +140,31 @@ class LozengeBoundary:
     position gives region membership.
     """
 
-    def __init__(self, moves: Tuple[int, ...], averts: List[Axial],
-                 vertices: List[TriPoint], vertex_set: Set[TriPoint], n: int):
-        self.moves = moves
-        self._averts = averts
-        self.vertices = vertices
-        self.vertex_set = vertex_set
+    def __init__(self, tokens: np.ndarray, qr: Tuple[np.ndarray, np.ndarray], n: int):
+        self.tokens = tokens
+        self.qr = qr
         self.n = n
 
     @property
     def p(self) -> int:
-        return len(self.moves)
+        return len(self.tokens)
+
+    @cached_property
+    def moves(self) -> Tuple[int, ...]:
+        return tuple(self.tokens.tolist())
 
     @property
     def word(self) -> str:
         return ",".join(str(t) for t in self.moves)
 
     @cached_property
-    def qr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The vertices' axial coordinates q and r, in walk order."""
-        codes = np.array(self.moves, dtype=np.int64) + 3
-        dq, dr = _STEP_Q[codes], _STEP_R[codes]
-        return np.cumsum(dq) - dq, np.cumsum(dr) - dr
+    def axial(self) -> List[Axial]:
+        q, r = self.qr
+        return list(zip(q.tolist(), r.tolist()))
+
+    @cached_property
+    def vertices(self) -> List[TriPoint]:
+        return [tri_point(q, r) for q, r in self.axial]
 
     @cached_property
     def _cut_keys(self) -> np.ndarray:
@@ -207,23 +199,6 @@ class LozengeBoundary:
                 for pos in range(arr[k], arr[k + 1]):
                     yield (pos // 2, r, pos % 2 == 1)
 
-    def vertex_in_closure(self, v: TriPoint) -> bool:
-        if v in self.vertex_set:
-            return True
-        q, r = tri_axial(v)
-        return any(self.face_inside(f) for f in (
-            (q, r, True), (q - 1, r, True), (q - 1, r - 1, True),
-            (q, r, False), (q - 1, r - 1, False), (q, r - 1, False)))
-
-    def edge_in_region(self, u: TriPoint, w: TriPoint) -> bool:
-        """Whether the unit edge borders at least one region face."""
-        ua, wa = tri_axial(u), tri_axial(w)
-        d = (wa[0] - ua[0], wa[1] - ua[1])
-        if d not in _FLANKS:
-            ua, d = wa, (-d[0], -d[1])
-        return any(self.face_inside((ua[0] + dq, ua[1] + dr, up))
-                   for (dq, dr), up in zip(_FLANKS[d], (True, False)))
-
 
 def parse_lozenge(text: str) -> LozengeBoundary:
     """Parse a comma-separated walk over the six unit directions
@@ -240,42 +215,19 @@ def parse_lozenge(text: str) -> LozengeBoundary:
         i = next(i for i, tok in enumerate(raw) if tok.strip() not in _MOVE_OF)
         raise ValueError(f"invalid move {raw[i].strip()!r} at index {i}", i) from None
 
-    def walk(seq: List[int]) -> List[Axial]:
-        verts: List[Axial] = [(0, 0)]
-        for t in seq:
-            dq, dr = STEPS[t]
-            q, r = verts[-1]
-            verts.append((q + dq, r + dr))
-        return verts
-
-    verts = walk(moves)
-    if verts[-1] != (0, 0):
-        raise NotClosed(f"walk ends at {verts[-1]}, not at the origin")
-    verts.pop()
-    count = sum(q1 * r2 - q2 * r1 for (q1, r1), (q2, r2)
-                in zip(verts, verts[1:] + verts[:1]))
-    if count == 0:
-        raise EmptyInterior("boundary encloses no area")
+    tokens = np.array(moves, dtype=np.int64)
+    index = tokens + 3
+    q, r, count = closed_walk(_STEP_Q[index], _STEP_R[index])
     if count < 0:
-        moves = [-t for t in reversed(moves)]
-        verts = walk(moves)
-        verts.pop()
-        count = -count
-    vertices = [tri_point(q, r) for q, r in verts]
-    vertex_set = set(vertices)
-    if len(vertex_set) < len(vertices):
-        raise SelfIntersecting(
-            f"vertex {tri_axial(first_repeat(vertices))} visited twice")
-    return LozengeBoundary(tuple(moves), verts, vertices, vertex_set, count)
+        tokens = -tokens[::-1]
+        q, r, count = walk_back(q), walk_back(r), -count
+    return LozengeBoundary(tokens, (q, r), count)
 
 
 def lozenge_boundary_height(b: LozengeBoundary) -> BoundaryHeight:
-    h: Dict[TriPoint, int] = {}
-    cur = 0
-    for u, w in zip(b.vertices, b.vertices[1:] + b.vertices[:1]):
-        h[u] = cur
-        cur += _step_sign(u, w)
-    return BoundaryHeight(h, cur == 0)
+    """The step along an edge is the sign of its move: q + r mod 3, the
+    vertex colour, rises by 1 exactly on moves 1, 2 and 3."""
+    return BoundaryHeight.of_steps(2 * (b.tokens > 0) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -106,16 +106,15 @@ def thurston_full(b: RegionBoundary, cap: Optional[int] = None, want_heights: bo
     tail_idx = np.array([index[(int(a), int(c))] for a, c in tails], dtype=np.int64)
     head_idx = np.array([index[(int(a), int(c))] for a, c in heads], dtype=np.int64)
 
-    seeds = [(index[v], bh[v]) for v in b.vertices]
-    seed_idx = np.array([i for i, _ in seeds], dtype=np.int64)
-    seed_h = np.array([h for _, h in seeds], dtype=np.int64)
+    seed_idx = np.array([index[v] for v in b.vertices], dtype=np.int64)
+    seed_h = bh.heights
     h_min = int(seed_h.min())
 
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra
 
     source = nv
-    row = np.concatenate([tail_idx, head_idx, np.full(len(seeds), source)])
+    row = np.concatenate([tail_idx, head_idx, np.full(len(seed_idx), source)])
     col = np.concatenate([head_idx, tail_idx, seed_idx])
     wgt = np.concatenate([w_fwd, w_bwd, seed_h - h_min])
     graph = coo_matrix((wgt, (row, col)), shape=(nv + 1, nv + 1))

@@ -5,6 +5,12 @@ A region is described by a single closed walk over the moves ``R``, ``U``,
 vertex (this also rejects pinch points), and encloses a nonzero area.  The
 walk is then normalised: counterclockwise orientation, first vertex at the
 origin.
+
+Both lattices check their walks with ``closed_walk``, which works on
+int64 arrays: the vertices are a ``cumsum`` of the unit steps, the area a
+shoelace sum, and a revisit shows as fewer distinct packed vertex keys
+than vertices.  The boundary heights are an int64 array in walk order,
+the ``cumsum`` of one forced step per edge.
 """
 
 from __future__ import annotations
@@ -17,16 +23,20 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
-from tiler.lattice import Point, edge_step
+from tiler.lattice import Point
 
 MOVES: Dict[str, Point] = {"R": (1, 0), "U": (0, 1), "L": (-1, 0), "D": (0, -1)}
 INVERSE = {"R": "L", "L": "R", "U": "D", "D": "U"}
+_INVERSE = str.maketrans(INVERSE)
 
-# Unit steps indexed by the ASCII code of a move.
+# Unit steps indexed by the ASCII code of a move; _BAD marks the codes
+# that are no move.
 _STEP_X = np.zeros(128, dtype=np.int64)
 _STEP_Y = np.zeros(128, dtype=np.int64)
+_BAD = np.ones(128, dtype=bool)
 for _m, (_dx, _dy) in MOVES.items():
     _STEP_X[ord(_m)], _STEP_Y[ord(_m)] = _dx, _dy
+    _BAD[ord(_m)] = False
 
 # Packed int64 key of a lattice pair (a, b): sorting keys sorts the pairs
 # lexicographically.  Coordinates must lie in [-2**31, 2**31).
@@ -92,14 +102,20 @@ class RegionBoundary:
 
     Attributes:
       moves: the normalised move word, one character per edge.
-      vertices: the p boundary vertices in walk order, starting at (0, 0).
+      xy: the p boundary vertices in walk order, starting at (0, 0), as
+        two int64 arrays x and y.
       area: number of cells enclosed.
       name: optional label carried through from the input.
+
+    ``vertices`` lists the same vertices as tuples, built on first access
+    for the references, rendering and the tests; the decision never
+    builds it.
     """
 
-    def __init__(self, moves: str, vertices: List[Point], area: int, name: Optional[str] = None):
+    def __init__(self, moves: str, xy: Tuple[np.ndarray, np.ndarray], area: int,
+                 name: Optional[str] = None):
         self.moves = moves
-        self.vertices = vertices
+        self.xy = xy
         self.area = area
         self.name = name
 
@@ -107,20 +123,16 @@ class RegionBoundary:
     def p(self) -> int:
         return len(self.moves)
 
+    @cached_property
+    def vertices(self) -> List[Point]:
+        xs, ys = self.xy
+        return list(zip(xs.tolist(), ys.tolist()))
+
     def edges(self) -> Iterator[Tuple[Point, Point]]:
         verts = self.vertices
         for i in range(len(verts) - 1):
             yield verts[i], verts[i + 1]
         yield verts[-1], verts[0]
-
-    @cached_property
-    def xy(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The vertices as two int64 arrays, x and y, in walk order."""
-        codes = np.frombuffer(self.moves.encode("ascii"), dtype=np.uint8)
-        dx, dy = _STEP_X[codes], _STEP_Y[codes]
-        xs = np.cumsum(dx) - dx
-        ys = np.cumsum(dy) - dy
-        return xs, ys
 
     @cached_property
     def bbox(self) -> Tuple[int, int, int, int]:
@@ -185,19 +197,36 @@ class RegionBoundary:
         return f"RegionBoundary({label!r}, p={self.p}, n={self.area})"
 
 
-def _walk(moves: str) -> Tuple[List[Point], int]:
-    """Vertices visited by the walk and twice its signed area."""
-    verts = [(0, 0)]
-    x = y = 0
-    area2 = 0
-    for m in moves:
-        dx, dy = MOVES[m]
-        # Shoelace contribution of the edge (x, y) -> (x + dx, y + dy).
-        area2 += x * dy - y * dx
-        x += dx
-        y += dy
-        verts.append((x, y))
-    return verts, area2
+def closed_walk(dx: np.ndarray, dy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The vertices of the walk from the origin along the int64 unit steps
+    (dx, dy), as two arrays in walk order, and its shoelace sum.
+
+    The sum is twice the signed area on the square lattice and the signed
+    triangle count in axial coordinates.  Raises ``NotClosed`` when the
+    walk is empty or does not return to the origin, ``EmptyInterior`` when
+    the sum is 0 and ``SelfIntersecting``, naming the first repeat, when a
+    vertex is visited twice.  Coordinates must lie in [-2**31, 2**31)."""
+    if not len(dx):
+        raise NotClosed("empty boundary word")
+    xs, ys = np.cumsum(dx), np.cumsum(dy)
+    end = (int(xs[-1]), int(ys[-1]))
+    if end != (0, 0):
+        raise NotClosed(f"walk ends at {end}, not at the origin")
+    xs -= dx
+    ys -= dy
+    twice = int((xs * dy - ys * dx).sum())
+    if twice == 0:
+        raise EmptyInterior("boundary encloses no area")
+    if len(sorted_unique(pack(xs, ys))) < len(xs):
+        repeat = first_repeat(zip(xs.tolist(), ys.tolist()))
+        raise SelfIntersecting(f"vertex {repeat} visited twice")
+    return xs, ys, twice
+
+
+def walk_back(xs: np.ndarray) -> np.ndarray:
+    """One coordinate of the vertices of a closed walk, for the reversed
+    walk from the same first vertex."""
+    return np.concatenate((xs[:1], xs[:0:-1]))
 
 
 def parse_boundary(text: str) -> RegionBoundary:
@@ -218,31 +247,23 @@ def parse_boundary(text: str) -> RegionBoundary:
     else:
         word = stripped
     cleaned = "".join(word.split()).upper()
-    for i, ch in enumerate(cleaned):
-        if ch not in MOVES:
-            raise ValueError(f"invalid move {ch!r} at index {i}", i)
-    if not cleaned:
-        raise NotClosed("empty boundary word")
+    # "replace" keeps one byte per character, so indices carry over.
+    codes = np.frombuffer(cleaned.encode("ascii", "replace"), dtype=np.uint8)
+    bad = _BAD[codes]
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"invalid move {cleaned[i]!r} at index {i}", i)
 
-    verts, area2 = _walk(cleaned)
-    if verts[-1] != (0, 0):
-        raise NotClosed(f"walk ends at {verts[-1]}, not at the origin")
-    verts.pop()
-    if area2 == 0:
-        raise EmptyInterior("boundary encloses no area")
-    if len(set(verts)) < len(verts):
-        raise SelfIntersecting(f"vertex {first_repeat(verts)} visited twice")
-
-    if area2 < 0:
-        cleaned = "".join(INVERSE[m] for m in reversed(cleaned))
-        verts, area2 = _walk(cleaned)
-        verts.pop()
-    return RegionBoundary(cleaned, verts, area2 // 2, name)
+    xs, ys, twice = closed_walk(_STEP_X[codes], _STEP_Y[codes])
+    if twice < 0:
+        cleaned = cleaned[::-1].translate(_INVERSE)
+        xs, ys, twice = walk_back(xs), walk_back(ys), -twice
+    return RegionBoundary(cleaned, (xs, ys), twice // 2, name)
 
 
 class BoundaryHeight:
     """Heights along a boundary walk of either lattice, anchored at 0 on
-    its first vertex.
+    its first vertex: an int64 array in walk order.
 
     ``valid`` is False when the walk's forced increments fail to close up,
     which happens exactly when the region's two kinds of face (cell
@@ -253,18 +274,21 @@ class BoundaryHeight:
 
     __slots__ = ("heights", "valid")
 
-    def __init__(self, heights: Dict[Point, int], valid: bool):
+    def __init__(self, heights: np.ndarray, valid: bool):
         self.heights = heights
         self.valid = valid
 
-    def __getitem__(self, v: Point) -> int:
-        return self.heights[v]
+    @classmethod
+    def of_steps(cls, step: np.ndarray) -> "BoundaryHeight":
+        """The heights of the walk whose edge i changes the height by
+        ``step[i]``."""
+        total = np.cumsum(step)
+        return cls(total - step, bool(total[-1] == 0))
 
 
 def boundary_height(b: RegionBoundary) -> BoundaryHeight:
-    heights: Dict[Point, int] = {}
-    h = 0
-    for tail, head in b.edges():
-        heights[tail] = h
-        h += edge_step(tail, head)
-    return BoundaryHeight(heights, h == 0)
+    """The step along an edge is +1 when the cell on its left is black,
+    that is when tail x + y + dx is even, else -1."""
+    xs, ys = b.xy
+    dx = np.diff(xs, append=0)
+    return BoundaryHeight.of_steps(1 - 2 * ((xs + ys + dx) & 1))

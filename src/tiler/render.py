@@ -140,7 +140,7 @@ def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
             bh = boundary_height(b)
             if not bh.valid:
                 raise NotTileable("boundary heights do not close up")
-            labels = dict(bh.heights)
+            labels = dict(zip(b.vertices, bh.heights.tolist()))
         for (x, y), h in sorted(labels.items()):
             px, py = pt(x, y)
             body.append(_text(px, py - 0.12 * scale, 0.38 * scale, str(h)))
@@ -155,7 +155,7 @@ _SQRT3 = math.sqrt(3.0)
 def render_lozenge(b: LozengeBoundary, layers: Iterable[str] = ("boundary",),
                    scale: int = 24) -> str:
     layers = _check_layers(layers)
-    averts = b._averts
+    averts = b.axial
     embedded = [(q - r / 2.0, r * _SQRT3 / 2.0) for q, r in averts]
 
     sub = build_tri_subdivision(b) if "subdivision" in layers else None
@@ -205,7 +205,7 @@ def render_lozenge(b: LozengeBoundary, layers: Iterable[str] = ("boundary",),
         lh = lozenge_boundary_height(b)
         if not lh.valid:
             raise NotTileable("boundary heights do not close up")
-        for (q, r), v in sorted(zip(averts, (lh[w] for w in b.vertices))):
+        for (q, r), v in sorted(zip(averts, lh.heights.tolist())):
             px, py = pt(q, r)
             body.append(_text(px, py - 0.12 * scale, 0.38 * scale, str(v)))
 

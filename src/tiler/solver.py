@@ -105,8 +105,8 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
 
     Returns the heights indexed by site id and the violated edge
     constraint whose endpoints come first in sorted site order, if any.
-    ``bh.heights`` lists the boundary vertices in walk order, as
-    ``graph.boundary_ids`` does.  ``metric(x, y)`` is the array form of
+    ``bh.heights`` is the int64 array of the boundary heights in walk
+    order, the order of ``graph.boundary_ids``.  ``metric(x, y)`` is the array form of
     the directed per-pair height bound over (m, d) coordinate arrays; the
     default is the square-lattice one, the lozenge pipeline passes its
     own.
@@ -143,7 +143,7 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     tail, head, weight = tail[order], head[order], weight[order]
 
     g = np.full(n, _UNREACHED, dtype=np.int64)
-    g[graph.boundary_ids] = list(bh.heights.values())
+    g[graph.boundary_ids] = bh.heights
     fell = graph.boundary_ids
     active = np.zeros(n, dtype=bool)
     for _ in range(_round_cap(n)):

@@ -97,12 +97,6 @@ class Subdivision:
         s = self.side(level)
         return self.U0 + key[0] * s, self.V0 + key[1] * s
 
-    def center_xy(self, level: int, key: Key) -> Point:
-        umin, vmin = self.uv_min(level, key)
-        s = self.side(level)
-        uc, vc = umin + s // 2, vmin + s // 2
-        return ((uc + vc) // 2, (uc - vc) // 2)
-
     def corners_xy(self, level: int, key: Key) -> Tuple[Point, Point, Point, Point]:
         """Lattice corners of a square, in (x, y)."""
         umin, vmin = self.uv_min(level, key)

@@ -1,26 +1,194 @@
-"""Brute-force oracles that only the tests use.
+"""Brute-force oracles and helpers that only the tests use.
 
-Each one answers a question the library answers fast, by a route that
+Each oracle answers a question the library answers fast, by a route that
 shares nothing with it: explicit shortest paths for the free-space
 metrics ``alpha`` and ``tri_alpha``, walk enumeration for the triangular
-geodesics, the boundary pair condition checked pair by pair, and the
-height function a tiling induces.  All of them are exponential or
-area-sized, so they are for small regions and radii only.
+geodesics, the boundary pair condition checked pair by pair, the height
+function a tiling induces, and a walk of the boundary word in Python
+tuples for parsing and boundary heights.  All of them are exponential or
+area-sized, so they are for small regions and radii only.  Around them
+sit the point-wise lattice rules the oracles are written in: cell and
+vertex colours, edge increments, and closure tests.
 """
 
 from __future__ import annotations
 
+import enum
 import heapq
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
 
-from tiler.errors import InternalInconsistency, RadiusExceeded
-from tiler.lattice import Point, alpha, cheb, edge_max_delta, edge_step
-from tiler.lozenge import STEPS, TriPoint, tri_alpha, tri_axial
+from tiler.errors import InternalInconsistency, TilerError
+from tiler.lattice import Point, alpha
+from tiler.lozenge import (_FLANKS, STEPS, LozengeBoundary, TriPoint, tri_alpha,
+                           tri_axial, tri_point)
 from tiler.reference import Tiling, domino
-from tiler.region import RegionBoundary, boundary_height
+from tiler.region import INVERSE, MOVES, RegionBoundary, boundary_height
+from tiler.subdivision import Key, Subdivision
 
 _AXIS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _KING = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+class NotAdjacent(TilerError):
+    """Two lattice points that were expected to be unit-edge neighbours are not."""
+
+
+class RadiusExceeded(TilerError):
+    """A brute-force lattice oracle was queried beyond its supported radius."""
+
+
+# ---------------------------------------------------------------------------
+# Point-wise lattice rules.
+
+
+class Color(enum.Enum):
+    WHITE = "white"
+    BLACK = "black"
+
+
+class EdgeDeltas(NamedTuple):
+    """The two admissible height increments along a directed lattice edge.
+
+    ``step`` applies when the edge belongs to the tiling (no domino crosses
+    it), ``crossed`` when a domino straddles it.  One is always positive and
+    the other negative, and they differ by 4.
+    """
+
+    step: int
+    crossed: int
+
+
+def cell_color(cell: Point) -> Color:
+    return Color.WHITE if (cell[0] + cell[1]) % 2 == 0 else Color.BLACK
+
+
+def left_cell(tail: Point, head: Point) -> Point:
+    """The cell lying to the left when travelling from ``tail`` to ``head``."""
+    dx = head[0] - tail[0]
+    dy = head[1] - tail[1]
+    if dx * dx + dy * dy != 1:
+        raise NotAdjacent(f"{tail} -> {head} is not a unit lattice edge")
+    return (
+        (2 * tail[0] + dx - dy - 1) // 2,
+        (2 * tail[1] + dy + dx - 1) // 2,
+    )
+
+
+def edge_deltas(tail: Point, head: Point) -> EdgeDeltas:
+    cx, cy = left_cell(tail, head)
+    step = -1 if (cx + cy) % 2 == 0 else 1
+    return EdgeDeltas(step, step - 4 * (1 if step > 0 else -1))
+
+
+def edge_step(tail: Point, head: Point) -> int:
+    """``edge_deltas(tail, head).step`` without the tuple allocation."""
+    dx = head[0] - tail[0]
+    # Parity of the left cell's coordinate sum: tx + ty + dx - 1.
+    return 1 if (tail[0] + tail[1] + dx) % 2 == 0 else -1
+
+
+def edge_max_delta(tail: Point, head: Point) -> int:
+    """The larger admissible increment from ``tail`` to ``head`` (1 or 3)."""
+    return 3 if edge_step(tail, head) < 0 else 1
+
+
+def cheb(a: Point, b: Point) -> int:
+    """Chebyshev (king-move) distance."""
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
+class TriColor(enum.IntEnum):
+    BLACK = 0
+    RED = 1
+    BLUE = 2
+
+
+def tri_color(p: TriPoint) -> TriColor:
+    return TriColor((p[0] + p[1] + p[2]) % 3)
+
+
+def vertex_in_closure(b: LozengeBoundary, v: TriPoint) -> bool:
+    if v in b.vertices:
+        return True
+    q, r = tri_axial(v)
+    return any(b.face_inside(f) for f in (
+        (q, r, True), (q - 1, r, True), (q - 1, r - 1, True),
+        (q, r, False), (q - 1, r - 1, False), (q, r - 1, False)))
+
+
+def edge_in_region(b: LozengeBoundary, u: TriPoint, w: TriPoint) -> bool:
+    """Whether the unit edge borders at least one region face."""
+    ua, wa = tri_axial(u), tri_axial(w)
+    d = (wa[0] - ua[0], wa[1] - ua[1])
+    if d not in _FLANKS:
+        ua, d = wa, (-d[0], -d[1])
+    return any(b.face_inside((ua[0] + dq, ua[1] + dr, up))
+               for (dq, dr), up in zip(_FLANKS[d], (True, False)))
+
+
+def center_xy(sub: Subdivision, level: int, key: Key) -> Point:
+    umin, vmin = sub.uv_min(level, key)
+    s = sub.side(level)
+    uc, vc = umin + s // 2, vmin + s // 2
+    return ((uc + vc) // 2, (uc - vc) // 2)
+
+
+# ---------------------------------------------------------------------------
+# Boundary walks, one vertex tuple at a time.
+
+
+class Walk(NamedTuple):
+    """A boundary word walked counterclockwise from the origin."""
+
+    moves: Union[str, Tuple[int, ...]]  # the word, reversed if clockwise
+    vertices: list  # (x, y) or normalised (a, b, c), in walk order
+    area: int  # cells or triangles
+    heights: dict  # forced boundary height of each vertex, 0 at the origin
+    valid: bool  # whether the heights close up
+
+
+def square_walk(word: str) -> Walk:
+    """The walk of a closed, simple word over R, U, L and D."""
+    verts = [(0, 0)]
+    area2 = 0
+    for m in word:
+        dx, dy = MOVES[m]
+        x, y = verts[-1]
+        area2 += x * dy - y * dx  # shoelace term of the edge
+        verts.append((x + dx, y + dy))
+    assert verts.pop() == (0, 0) and area2 != 0, word
+    if area2 < 0:
+        return square_walk("".join(INVERSE[m] for m in reversed(word)))
+    heights: Dict[Point, int] = {}
+    h = 0
+    for u, w in zip(verts, verts[1:] + verts[:1]):
+        heights[u] = h
+        h += edge_step(u, w)
+    return Walk(word, verts, area2 // 2, heights, h == 0)
+
+
+def lozenge_walk(word: str) -> Walk:
+    """The walk of a closed, simple word of comma-separated moves; each
+    step raises the height by 1 when it advances the colour cycle, else
+    lowers it by 1."""
+    moves = tuple(int(t) for t in word.split(","))
+    axial = [(0, 0)]
+    count = 0
+    for t in moves:
+        dq, dr = STEPS[t]
+        q, r = axial[-1]
+        count += q * dr - r * dq
+        axial.append((q + dq, r + dr))
+    assert axial.pop() == (0, 0) and count != 0, word
+    if count < 0:
+        return lozenge_walk(",".join(str(-t) for t in reversed(moves)))
+    verts = [tri_point(q, r) for q, r in axial]
+    heights: Dict[TriPoint, int] = {}
+    h = 0
+    for u, w in zip(verts, verts[1:] + verts[:1]):
+        heights[u] = h
+        h += 1 if (tri_color(w) - tri_color(u)) % 3 == 1 else -1
+    return Walk(moves, verts, count, heights, h == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +355,9 @@ def pairs_condition_decide(b: RegionBoundary) -> bool:
     bh = boundary_height(b)
     if not bh.valid:
         return False
+    h = dict(zip(b.vertices, bh.heights.tolist()))
     for x, y in valid_pairs_brute(b, b.vertices):
-        if bh[y] - bh[x] > alpha(x, y):
+        if h[y] - h[x] > alpha(x, y):
             return False
     return True
 

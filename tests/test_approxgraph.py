@@ -1,12 +1,11 @@
 import random
 
 from tiler.approxgraph import build_graph
-from tiler.lattice import cheb
 from tiler.reference import enumerate_simply_connected, random_region
 from tiler.region import parse_boundary
 from tiler.subdivision import build_subdivision
 
-from brute import pair_connected_brute, valid_pairs_brute
+from brute import cheb, pair_connected_brute, valid_pairs_brute
 
 
 def _graph(word):

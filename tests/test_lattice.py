@@ -11,19 +11,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tiler.errors import NotAdjacent, RadiusExceeded
-from tiler.lattice import (
-    Color,
-    alpha,
-    alpha_array,
-    cell_color,
-    edge_deltas,
-    edge_max_delta,
-    edge_step,
-    left_cell,
-)
+from tiler.lattice import alpha, alpha_array
 
-from brute import alpha_oracle
+from brute import (Color, NotAdjacent, RadiusExceeded, alpha_oracle, cell_color,
+                   edge_deltas, edge_max_delta, edge_step, left_cell)
 
 BOX = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
 AXIS = [(1, 0), (-1, 0), (0, 1), (0, -1)]

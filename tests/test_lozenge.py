@@ -11,17 +11,17 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tiler.errors import (EmptyInterior, NotClosed, RadiusExceeded,
-                          SelfIntersecting)
-from tiler.lozenge import (STEPS, LozengeBoundary, TriColor, _piece_corners,
-                           build_tri_graph, build_tri_subdivision, decide_lozenge,
+from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
+from tiler.lozenge import (STEPS, _piece_corners, build_tri_graph,
+                           build_tri_subdivision, decide_lozenge,
                            lozenge_boundary_height, lozenge_matching_decide,
                            parse_lozenge, tri_alpha, tri_alpha_array, tri_axial,
-                           tri_color, tri_point)
+                           tri_point)
 from tiler.reference import (enumerate_lozenge_regions, faces_to_lozenge_word,
                              random_lozenge_region)
 
-from brute import tri_alpha_oracle, tri_geodesic_points_brute
+from brute import (RadiusExceeded, TriColor, edge_in_region, tri_alpha_oracle,
+                   tri_color, tri_geodesic_points_brute, vertex_in_closure)
 
 HEXAGON = "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2"  # H(2,2,2), 24 triangles
 
@@ -159,8 +159,9 @@ def test_clockwise_words_are_reversed():
 
 def test_boundary_heights_anchor_color_and_closure():
     b = parse_lozenge(HEXAGON)
-    lh = lozenge_boundary_height(b)
-    assert lh.valid
+    bh = lozenge_boundary_height(b)
+    assert bh.valid
+    lh = dict(zip(b.vertices, bh.heights.tolist()))
     assert lh[b.vertices[0]] == 0
     for u, w in zip(b.vertices, b.vertices[1:] + b.vertices[:1]):
         assert abs(lh[u] - lh[w]) == 1
@@ -204,7 +205,7 @@ def test_graph_degree_bound_and_sites_cover_boundary():
         sub = build_tri_subdivision(b)
         graph = build_tri_graph(b, sub)
         assert max(len(nb) for nb in graph.adj.values()) <= 6
-        assert set(b.vertex_set) <= set(graph.sites)
+        assert set(b.vertices) <= set(graph.sites)
         # Pieces are perimeter-sized, not area-sized.
         assert len(sub.pieces) <= 6 * b.p
 
@@ -272,7 +273,7 @@ def test_lines_reentering_across_a_notch():
             cur = ua
             for _ in range(gap):
                 nxt = (cur[0] + sq, cur[1] + sr)
-                assert b.edge_in_region(tri_point(*cur), tri_point(*nxt)), (u, w)
+                assert edge_in_region(b, tri_point(*cur), tri_point(*nxt)), (u, w)
                 cur = nxt
 
 
@@ -328,8 +329,8 @@ def test_array_form_agrees_with_views():
         g = build_tri_graph(b, sub)
         sites = g.sites
         assert sites == sorted(set(sites)) == [tuple(c) for c in g.coords.tolist()]
-        assert set(sites) == b.vertex_set | {tri_point(*c) for piece in pieces
-                                             for c in _piece_corners(piece)}
+        assert set(sites) == set(b.vertices) | {tri_point(*c) for piece in pieces
+                                                 for c in _piece_corners(piece)}
         pairs = list(zip(g.src.tolist(), g.dst.tolist()))
         assert all(i < j for i, j in pairs) and pairs == sorted(set(pairs))
         assert [sites[i] for i in g.boundary_ids.tolist()] == b.vertices
@@ -375,8 +376,8 @@ def test_word_round_trip_through_faces():
 
 def test_vertex_closure_and_edge_membership():
     b = parse_lozenge(HEXAGON)
-    assert b.vertex_in_closure(tri_point(1, 1))      # interior
-    assert b.vertex_in_closure(b.vertices[0])        # on the walk
-    assert not b.vertex_in_closure(tri_point(-3, -3))
-    assert b.edge_in_region(tri_point(1, 1), tri_point(2, 1))
-    assert not b.edge_in_region(tri_point(-3, -3), tri_point(-2, -3))
+    assert vertex_in_closure(b, tri_point(1, 1))      # interior
+    assert vertex_in_closure(b, b.vertices[0])        # on the walk
+    assert not vertex_in_closure(b, tri_point(-3, -3))
+    assert edge_in_region(b, tri_point(1, 1), tri_point(2, 1))
+    assert not edge_in_region(b, tri_point(-3, -3), tri_point(-2, -3))

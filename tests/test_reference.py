@@ -9,7 +9,6 @@ import random
 import pytest
 
 from tiler.errors import CapExceeded
-from tiler.lattice import edge_step
 from tiler.reference import (
     cells_to_boundary,
     domino,
@@ -23,7 +22,7 @@ from tiler.reference import (
 )
 from tiler.region import boundary_height, parse_boundary
 
-from brute import (height_from_tiling, pairs_condition_decide,
+from brute import (edge_step, height_from_tiling, pairs_condition_decide,
                    valid_pairs_brute, verify_tiling)
 
 
@@ -82,8 +81,8 @@ def test_thurston_square_heights_frozen():
     res = thurston_full(b)
     assert res.tileable
     bh = boundary_height(b)
-    for v in b.vertices:
-        assert res.heights[v] == bh[v]
+    for v, h in zip(b.vertices, bh.heights.tolist()):
+        assert res.heights[v] == h
     assert res.heights[(1, 1)] == 2
 
     # The two tilings of the square induce centre heights -2 and +2; the

@@ -107,7 +107,7 @@ def test_unreached_site_is_an_internal_inconsistency():
     # Two boundary sites joined by an edge and a third site with none.
     coords = np.array([(0, 0), (0, 1), (5, 5)], dtype=np.int64)
     graph = ApproxGraph(coords, np.array([0]), np.array([1]), np.array([0, 1]))
-    bh = BoundaryHeight({(0, 0): 0, (0, 1): 1}, True)
+    bh = BoundaryHeight(np.array([0, 1]), True)
     with pytest.raises(InternalInconsistency, match="1 sites unreached"):
         compute_gmax(graph, bh)
     # Two more sites joined only to each other: the rounds must not lower
@@ -176,3 +176,35 @@ def test_decide_path_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# The stages each driver looks up by module-level name, so that a layer
+# can be timed by wrapping the name.
+STAGES = {
+    tiler.solver: ("parse_boundary", "boundary_height", "build_subdivision",
+                   "build_graph", "compute_gmax"),
+    tiler.oracle: ("parse_boundary", "boundary_height", "build_subdivision",
+                   "build_graph", "compute_gmax"),
+    tiler.lozenge: ("parse_lozenge", "lozenge_boundary_height", "build_tri_subdivision",
+                    "build_tri_graph", "compute_gmax"),
+}
+
+
+def test_every_stage_is_called_by_its_module_level_name(monkeypatch):
+    calls = {}
+
+    def counted(key, stage):
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for module, names in STAGES.items():
+        for name in names:
+            key = (module.__name__, name)
+            monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    assert decide_tileable("RRUULLDD").tileable
+    tiler.TilingOracle("RRUULLDD")
+    assert decide_lozenge("1,1,-3,-3,2,2,-1,-1,3,3,-2,-2").tileable
+    assert calls == {(module.__name__, name): 1
+                     for module, names in STAGES.items() for name in names}

@@ -10,6 +10,8 @@ from tiler.reference import enumerate_simply_connected, random_region
 from tiler.region import parse_boundary
 from tiler.subdivision import build_subdivision
 
+from brute import center_xy
+
 
 def cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
@@ -21,10 +23,10 @@ def test_square_2x2_structure():
     assert sub.n0 == 16 and sub.t == 4
     assert sub.si_census[0] == 1
     (root,) = sub.crossed[0]
-    assert sub.center_xy(0, root) == (1, 1) and sub.side(0) // 2 == 16
+    assert center_xy(sub, 0, root) == (1, 1) and sub.side(0) // 2 == 16
     # Last level: one diamond per side of the square, two kept triangles
     # in each.
-    centers = sorted(sub.center_xy(sub.t, k) for k in sub.crossed[sub.t])
+    centers = sorted(center_xy(sub, sub.t, k) for k in sub.crossed[sub.t])
     assert centers == [(0, 1), (1, 0), (1, 2), (2, 1)]
     assert len(sub.triangles) == 8
     assert sorted({tri.cell for tri in sub.triangles}) == [(0, 0), (0, 1), (1, 0), (1, 1)]
