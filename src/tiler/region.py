@@ -128,12 +128,6 @@ class RegionBoundary:
         xs, ys = self.xy
         return list(zip(xs.tolist(), ys.tolist()))
 
-    def edges(self) -> Iterator[Tuple[Point, Point]]:
-        verts = self.vertices
-        for i in range(len(verts) - 1):
-            yield verts[i], verts[i + 1]
-        yield verts[-1], verts[0]
-
     @cached_property
     def bbox(self) -> Tuple[int, int, int, int]:
         """(min x, min y, max x, max y) over the vertices."""
@@ -290,5 +284,5 @@ def boundary_height(b: RegionBoundary) -> BoundaryHeight:
     """The step along an edge is +1 when the cell on its left is black,
     that is when tail x + y + dx is even, else -1."""
     xs, ys = b.xy
-    dx = np.diff(xs, append=0)
+    dx = _STEP_X[np.frombuffer(b.moves.encode("ascii"), dtype=np.uint8)]
     return BoundaryHeight.of_steps(1 - 2 * ((xs + ys + dx) & 1))

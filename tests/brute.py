@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
 
 from tiler.errors import InternalInconsistency, TilerError
 from tiler.lattice import Point, alpha
@@ -124,6 +124,13 @@ def edge_in_region(b: LozengeBoundary, u: TriPoint, w: TriPoint) -> bool:
         ua, d = wa, (-d[0], -d[1])
     return any(b.face_inside((ua[0] + dq, ua[1] + dr, up))
                for (dq, dr), up in zip(_FLANKS[d], (True, False)))
+
+
+def edges(b: RegionBoundary) -> Iterator[Tuple[Point, Point]]:
+    verts = b.vertices
+    for i in range(len(verts) - 1):
+        yield verts[i], verts[i + 1]
+    yield verts[-1], verts[0]
 
 
 def center_xy(sub: Subdivision, level: int, key: Key) -> Point:

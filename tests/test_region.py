@@ -9,7 +9,7 @@ from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.reference import random_region
 from tiler.region import boundary_height, parse_boundary
 
-from brute import edge_step
+from brute import edge_step, edges
 
 
 def test_square_2x2():
@@ -107,7 +107,7 @@ def test_boundary_height_closure_tracks_colour_balance():
         bh = boundary_height(b)
         assert bh.valid == (whites == blacks)
         # Walking the boundary accumulates -4 per excess white cell.
-        total = sum(edge_step(u, v) for u, v in b.edges())
+        total = sum(edge_step(u, v) for u, v in edges(b))
         assert total == -4 * (whites - blacks)
 
 
