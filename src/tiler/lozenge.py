@@ -126,12 +126,10 @@ _FLANKS: Dict[Axial, Tuple[Axial, Axial]] = {
 class LozengeBoundary:
     """Simple closed walk on the triangular grid, region on the left.
 
-    ``tokens`` is the int64 array of the moves and ``qr`` the axial
-    coordinates of the boundary vertices in walk order, as two int64
-    arrays.  ``moves`` (the tokens as a tuple), ``axial`` (the vertices
-    as (q, r) pairs) and ``vertices`` (as normalised triples) are built
-    on first access for rendering and the tests; the decision never
-    builds them.
+    ``tokens`` holds the moves and ``qr`` the axial coordinates of the
+    boundary vertices in walk order, as int64 arrays.  ``moves`` (a
+    tuple), ``axial`` ((q, r) pairs) and ``vertices`` (normalised
+    triples) are built on first access; the decision never builds them.
 
     Boundary edges cut the horizontal strips of faces; within strip r the
     faces in scan order are ..., D(q,r), U(q,r), D(q+1,r), ... at

@@ -6,11 +6,9 @@ vertex (this also rejects pinch points), and encloses a nonzero area.  The
 walk is then normalised: counterclockwise orientation, first vertex at the
 origin.
 
-Both lattices check their walks with ``closed_walk``, which works on
-int64 arrays: the vertices are a ``cumsum`` of the unit steps, the area a
-shoelace sum, and a revisit shows as fewer distinct packed vertex keys
-than vertices.  The boundary heights are an int64 array in walk order,
-the ``cumsum`` of one forced step per edge.
+Both lattices check their walks on int64 arrays with ``closed_walk``.
+Boundary heights are an int64 array in walk order: the ``cumsum`` of
+one forced step per edge.
 """
 
 from __future__ import annotations
@@ -104,12 +102,10 @@ class RegionBoundary:
       moves: the normalised move word, one character per edge.
       xy: the p boundary vertices in walk order, starting at (0, 0), as
         two int64 arrays x and y.
+      vertices: the same as (x, y) tuples, built on first access; the
+        decision never builds them.
       area: number of cells enclosed.
       name: optional label carried through from the input.
-
-    ``vertices`` lists the same vertices as tuples, built on first access
-    for the references, rendering and the tests; the decision never
-    builds it.
     """
 
     def __init__(self, moves: str, xy: Tuple[np.ndarray, np.ndarray], area: int,

@@ -106,10 +106,10 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     Returns the heights indexed by site id and the violated edge
     constraint whose endpoints come first in sorted site order, if any.
     ``bh.heights`` is the int64 array of the boundary heights in walk
-    order, the order of ``graph.boundary_ids``.  ``metric(x, y)`` is the array form of
-    the directed per-pair height bound over (m, d) coordinate arrays; the
-    default is the square-lattice one, the lozenge pipeline passes its
-    own.
+    order, the order of ``graph.boundary_ids``.  ``metric(x, y)`` is the
+    array form of the directed per-pair height bound over (m, d)
+    coordinate arrays; the default is the square-lattice one, the lozenge
+    pipeline passes its own.
 
     The arcs are sorted by head once.  Round k takes the arcs out of the
     sites whose label fell in round k - 1 (the boundary sites for k = 1),
