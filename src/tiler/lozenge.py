@@ -31,14 +31,19 @@ order.  Degrees are at most six (two per family).
 Region membership comes from one index, the strip cuts: the boundary
 edges that cross a horizontal strip of faces, held as one sorted array
 of packed (row, position) keys.  A face is inside when an odd number of
-its row's cuts sit at or left of it, so a batch of faces costs two
-``np.searchsorted`` calls.  The quadtree is built in one batch over all
-levels: the triangles around every boundary vertex at every level are
-one sort-unique of packed (level, orientation, i, j) keys, their
-uncrossed children one ``np.searchsorted`` against those keys, and the
-kept pieces one membership test.  The site graph takes its ids from one
-``np.unique`` and each line family from one sort, as on the square
-lattice.
+its row's cuts sit at or left of it, so a batch of faces costs one
+``np.searchsorted`` call.  The quadtree is built bottom-up from one sort:
+the six unit faces around each boundary vertex, keyed by the Z-order
+code of their rhombus cell with two bits for the cell's crossed
+triangles.  A triangle is crossed when a boundary vertex lies in its
+closure, so the crossed triangles of a level are the parents of those
+of the level below.  Shifting the sorted keys right by two gives the
+parent cells still sorted, and one table lookup and one
+``np.bitwise_or.reduceat`` per level give each parent's crossed flags and
+which of its children are crossed; the rest are the uncrossed children,
+and one membership test over them keeps the pieces.  The site graph
+takes its ids from one ``np.unique`` and each line family from one
+sort, as on the square lattice.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import numpy as np
 from tiler.errors import CapExceeded, InternalInconsistency
 from tiler.approxgraph import ApproxGraph, make_graph
 from tiler.region import (BoundaryHeight, closed_walk, odd_at_or_left, pack,
-                          row_lists, sorted_unique, walk_back)
+                          row_lists, walk_back)
 from tiler.solver import TileabilityVerdict, compute_gmax
 
 TriPoint = Tuple[int, int, int]
@@ -61,8 +66,24 @@ Face = Tuple[int, int, bool]  # axial anchor q, anchor r, points-up
 
 STEPS: Dict[int, Axial] = {1: (1, 0), 2: (0, 1), 3: (-1, -1),
                            -1: (-1, 0), -2: (0, -1), -3: (1, 1)}
-# The only accepted spelling of each move.
-_MOVE_OF = {str(k): k for k in STEPS}
+# Character classes of move words, indexed by code point; code points
+# past the table read its last entry, _OTHER, by clipping.  _WHITESPACE
+# is what ``str.strip`` removes.
+_WS, _COMMA, _MINUS, _DIGIT, _OTHER = range(5)
+_WHITESPACE = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
+               8232, 8233, 8239, 8287, 12288)
+_CLASS = np.full(_WHITESPACE[-1] + 2, _OTHER, dtype=np.uint8)
+_CLASS[list(_WHITESPACE)] = _WS
+_CLASS[[ord(","), ord("-"), ord("1"), ord("2"), ord("3")]] = _COMMA, _MINUS, _DIGIT, _DIGIT, _DIGIT
+# Whether a character breaks its token, by its class and the class of the
+# character after it: any other character, a minus not followed by a
+# digit, a digit followed by neither whitespace nor a comma.  A token
+# with no breaking character is moves with whitespace around them, and
+# it is one move when it holds exactly one digit.
+_BREAKS = np.zeros((5, 5), dtype=bool)
+_BREAKS[_OTHER] = True
+_BREAKS[_MINUS, [_WS, _COMMA, _MINUS, _OTHER]] = True
+_BREAKS[_DIGIT, [_MINUS, _DIGIT, _OTHER]] = True
 
 # Packed key of a normalised vertex (a, b, c), which orders the site
 # graph: sorting keys sorts the triples lexicographically.  On a closed
@@ -206,14 +227,23 @@ def parse_lozenge(text: str) -> LozengeBoundary:
     does a word of more than 2**21 - 1 moves, without an index."""
     if text.count(",") >= _SITE_MASK:
         raise ValueError(f"boundary word has more than {_SITE_MASK} moves")
-    raw = text.split(",")
-    try:
-        moves = [_MOVE_OF[tok.strip()] for tok in raw]
-    except KeyError:
-        i = next(i for i, tok in enumerate(raw) if tok.strip() not in _MOVE_OF)
-        raise ValueError(f"invalid move {raw[i].strip()!r} at index {i}", i) from None
+    # One code point per character, so array indices are string indices;
+    # the appended comma ends the last token.
+    codes = np.frombuffer((text + ",").encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    kind = _CLASS.take(codes, mode="clip")
+    end = np.flatnonzero(kind == _COMMA)
+    digit = np.flatnonzero(kind == _DIGIT)
+    breaks = np.flatnonzero(_BREAKS[kind[:-1], kind[1:]])
+    # Every token holds one digit when the digits and the token ends
+    # alternate, a digit first.
+    if (len(breaks) or len(digit) != len(end) or (digit > end).any()
+            or (digit[1:] < end[:-1]).any()):
+        count = np.bincount(np.searchsorted(end, digit), minlength=len(end))
+        i = int(np.concatenate([np.searchsorted(end, breaks), np.flatnonzero(count != 1)]).min())
+        raise ValueError(f"invalid move {text.split(',')[i].strip()!r} at index {i}", i)
 
-    tokens = np.array(moves, dtype=np.int64)
+    value = codes[digit].astype(np.int64) - ord("0")
+    tokens = np.where(kind[digit - 1] == _MINUS, -value, value)
     index = tokens + 3
     q, r, count = closed_walk(_STEP_Q[index], _STEP_R[index])
     if count < 0:
@@ -233,11 +263,47 @@ def lozenge_boundary_height(b: LozengeBoundary) -> BoundaryHeight:
 
 Piece = Tuple[int, int, int, bool]  # axial anchor q, anchor r, side, points-up
 
-# Children of a quadtree triangle (i, j) as (points-up, di, dj): the child
-# one level down is (2i + di, 2j + dj).  Row 0 is for a downward parent,
-# row 1 for an upward one.
-_KIDS = np.array([[(0, 0, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1)],
-                  [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0)]], dtype=np.int64)
+# The quadtree is held as rhombus cells.  Cell (i, j) of level L is the
+# parallelogram of side s = N >> L anchored at (Q0 + i*s, R0 + j*s); it
+# holds the upward triangle (i, j) and the downward triangle (i, j).  A
+# cell's key is its Z-order code, the bits of i and j interleaved with i
+# on the even places, shifted left by two for its flags: _UP when its
+# upward triangle is crossed, _DOWN when its downward one is.  The code of
+# the parent cell (i >> 1, j >> 1) is the code shifted right by two, and
+# the low four bits of a key are the cell's quadrant in its parent,
+# (i & 1) | (j & 1) << 1, above its flags.
+_UP, _DOWN = 2, 1
+
+# A child triangle sits in slot 2 * quadrant + up of its parent cell.  An
+# upward parent splits into the upward children of quadrants 0, 1 and 3
+# and the central downward one of quadrant 1; a downward parent into the
+# downward children of quadrants 0, 2 and 3 and the upward one of
+# quadrant 2.  Indexed by a parent's flags: the slots of its children.
+_CHILD_SLOTS = np.array([0, 0b01110001, 0b10001110, 0b11111111], dtype=np.int64)
+
+
+def _parent_entry(quadrant: int, flags: int) -> int:
+    """The flags a child cell's crossed triangles set on its parent, with
+    their slot bits above them."""
+    up_parent = _DOWN if quadrant == 2 else _UP
+    down_parent = _UP if quadrant == 1 else _DOWN
+    crossed = (up_parent if flags & _UP else 0) | (down_parent if flags & _DOWN else 0)
+    return flags << (2 * quadrant + 2) | crossed
+
+
+# Indexed by the low four bits of a cell key, its quadrant and flags.
+_PARENT = np.array([_parent_entry(k >> 2, k & 3) for k in range(16)], dtype=np.int64)
+
+_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+           (2, 0x3333333333333333), (1, 0x5555555555555555))
+
+
+def _spread(x: np.ndarray) -> np.ndarray:
+    """The bits of a nonnegative int64 array below 2**32, moved to the
+    even places."""
+    for shift, mask in _SPREAD:
+        x = (x | (x << shift)) & mask
+    return x
 
 
 class TriSubdivision:
@@ -275,21 +341,8 @@ def _piece_corners(piece: Piece) -> Tuple[Axial, Axial, Axial]:
     return ((a, b), (a + s, b + s), (a, b + s))
 
 
-def _tri_key(level, up, i, j, bits: int):
-    """Packed key of the quadtree triangle (level, up, i, j): sorting keys
-    groups the triangles by level.  Ints or int64 arrays."""
-    return (level << (2 * bits + 1)) | (up << 2 * bits) | (i << bits) | j
-
-
-def _tri_unpack(keys: np.ndarray, bits: int):
-    """Inverse of ``_tri_key``: the arrays level, up, i and j."""
-    mask = (1 << bits) - 1
-    return (keys >> (2 * bits + 1), (keys >> 2 * bits) & 1,
-            (keys >> bits) & mask, keys & mask)
-
-
 def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
-    """Quadtree cover rooted at one big upward triangle.
+    """Quadtree cover rooted at one big upward triangle, built bottom-up.
 
     An upward triangle splits into three upward corners and a central
     downward one, and vice versa.  A triangle is crossed when a boundary
@@ -299,6 +352,17 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     and at unit side the crossed faces themselves are kept when inside.
     A level-L triangle (i, j) has side s = N >> L and anchor
     (Q0 + i*s, R0 + j*s).
+
+    A vertex in a triangle's closure is in the closure of one of its
+    children, so the crossed triangles of each level are the parents of
+    the crossed triangles of the level below, and the unit level holds
+    the six faces around each boundary vertex.  The build sorts those
+    faces' cell keys once and climbs: a level's keys shifted right by
+    two, grouped, are the parent cells in sorted order, and one
+    ``_PARENT`` lookup and one ``np.bitwise_or.reduceat`` per level give
+    each parent's crossed flags and the slots of its crossed children.
+    The uncrossed children are the parent's slots minus those; one
+    membership test over them all keeps the pieces.
     """
     q, r = b.qr
     R0 = int(r.min()) - 1
@@ -308,40 +372,48 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     while N < need:
         N *= 2
     t = N.bit_length() - 1
-    bits = t + 1
 
-    # Every boundary vertex at every level, one row per level: the
-    # triangles whose closure holds a vertex have its floor indices or one
-    # less, so the vertex is never left of nor below their anchors.
-    levels = np.arange(t + 1, dtype=np.int64)[:, None]
-    s = N >> levels
+    # Vertex (x, y) lies strictly inside the root.  Its six unit faces are
+    # both triangles of cells (x, y) and (x - 1, y - 1), the upward one of
+    # (x - 1, y) and the downward one of (x, y - 1).
     x, y = q - Q0, r - R0
-    found = []
-    for di in (0, -1):
-        for dj in (0, -1):
-            i, j = x // s + di, y // s + dj
-            ok = (i >= 0) & (j >= 0)
-            d = x - y - (i - j) * s
-            up = ok & (j <= i) & (x <= (i + 1) * s) & (d >= 0)
-            down = ok & (j < i) & (y <= (j + 1) * s) & (d <= 0)
-            found += [_tri_key(levels, 1, i, j, bits)[up],
-                      _tri_key(levels, 0, i, j, bits)[down]]
-    keys = sorted_unique(np.concatenate(found))
-    if keys[0] != _tri_key(0, 1, 0, 0, bits):
+    x0, x1, y0, y1 = _spread(x), _spread(x - 1), _spread(y) << 1, _spread(y - 1) << 1
+    keys = np.concatenate([(x0 | y0) << 2 | _UP | _DOWN, (x1 | y1) << 2 | _UP | _DOWN,
+                           (x1 | y0) << 2 | _UP, (x0 | y1) << 2 | _DOWN])
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys >> 2, prepend=-1))
+    keys = np.bitwise_or.reduceat(keys, first)
+    i = np.concatenate([x, x - 1, x - 1, x])[order[first]]
+    j = np.concatenate([y, y - 1, y, y - 1])[order[first]]
+
+    # What to keep when inside, as slot bits over a cell whose quadrant-0
+    # child is (i, j) one level down: the crossed unit faces, in slots 0
+    # and 1 of the unit cells themselves, then each parent's uncrossed
+    # children, level by level.
+    slots, base_i, base_j, level = [keys & 3], [i], [j], [t]
+    for L in range(t - 1, -1, -1):
+        parent = keys >> 4
+        first = np.flatnonzero(np.diff(parent, prepend=-1))
+        entry = np.bitwise_or.reduceat(_PARENT[keys & 15], first)
+        crossed = entry & 3
+        keys = parent[first] << 2 | crossed
+        i, j = i[first] >> 1, j[first] >> 1
+        slots.append(_CHILD_SLOTS[crossed] & ~(entry >> 2))
+        base_i.append(2 * i)
+        base_j.append(2 * j)
+        level.append(L + 1)
+    if keys.tolist() != [_UP]:
         raise InternalInconsistency("root triangle misses the boundary")
 
-    # The uncrossed children of the crossed triangles above the last
-    # level, then the crossed unit faces of the last level.
-    last = int(np.searchsorted(keys, _tri_key(t, 0, 0, 0, bits)))
-    level, up, i, j = _tri_unpack(keys[:last, None], bits)
-    kid = _KIDS[up[:, 0]]
-    kids = _tri_key(level + 1, kid[..., 0], 2 * i + kid[..., 1],
-                    2 * j + kid[..., 2], bits)
-    pos = np.minimum(np.searchsorted(keys, kids), len(keys) - 1)
-    level, up, i, j = _tri_unpack(
-        np.concatenate([kids[keys[pos] != kids], keys[last:]]), bits)
-    side = N >> level
-    cq, cr = Q0 + i * side, R0 + j * side
+    counts = [len(s) for s in slots]
+    bits = np.unpackbits(np.concatenate(slots).astype(np.uint8)[:, None], axis=1,
+                         bitorder="little")
+    row, slot = np.nonzero(bits)
+    side = np.repeat(N >> np.array(level), counts)[row]
+    quadrant, up = slot >> 1, slot & 1
+    cq = Q0 + (np.concatenate(base_i)[row] + (quadrant & 1)) * side
+    cr = R0 + (np.concatenate(base_j)[row] + (quadrant >> 1)) * side
     kept = b.faces_inside(cq, cr, up)
     return TriSubdivision(Q0, R0, N, t, cq[kept], cr[kept], side[kept], up[kept] == 1)
 
@@ -407,7 +479,7 @@ def decide_lozenge(source) -> TileabilityVerdict:
                                   b.p, b.n, graph.site_count, graph.edge_count)
     return TileabilityVerdict(True, "ok", None,
                               b.p, b.n, graph.site_count, graph.edge_count,
-                              heights=dict(zip(graph.sites, g)))
+                              site_heights=(graph.coords, g))
 
 
 # ---------------------------------------------------------------------------

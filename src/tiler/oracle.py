@@ -60,7 +60,7 @@ class TilingOracle:
         self.b = b
         self.sub = sub
         self._inside = sub.inside
-        self._base: Dict[Point, int] = dict(zip(graph.sites, g))
+        self._base: Dict[Point, int] = dict(zip(graph.sites, g.tolist()))
         self._base_v: Dict[int, List[int]] = {}
         self._base_u: Dict[int, List[int]] = {}
         for x, y in self._base:

@@ -80,10 +80,14 @@ def first_repeat(items):
 def odd_at_or_left(keys: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Whether an odd number of the sorted ``pack(row, x)`` keys share the
     row and sit at or left of the position, for int64 arrays of rows and
-    positions: two ``np.searchsorted`` calls and a parity test."""
-    right = np.searchsorted(keys, pack(rows, pos), "right")
-    left = np.searchsorted(keys, pack(rows, -_HALF), "left")
-    return (right - left) & 1 == 1
+    positions.
+
+    The keys are the crossings of a closed walk with the rows, and a
+    closed walk crosses every row an even number of times.  So the keys
+    of the rows below always number an even count, and the parity of all
+    keys at or below ``pack(row, pos)`` is the answer: one
+    ``np.searchsorted`` call and a parity test."""
+    return np.searchsorted(keys, pack(rows, pos), "right") & 1 == 1
 
 
 def row_lists(keys: np.ndarray) -> Dict[int, List[int]]:

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +61,11 @@ class ViolatedPair(NamedTuple):
 
 @dataclass
 class TileabilityVerdict:
+    """The answer of a decision.  A tileable verdict carries the site
+    coordinate rows and the maximal heights as arrays, ``site_heights``;
+    ``heights``, the dict from site tuple to height, is built from them on
+    first read, and is None on an untileable verdict."""
+
     tileable: bool
     reason: str  # "ok" | "unbalanced-boundary" | "bad-pair"
     witness: Optional[ViolatedPair]
@@ -67,7 +73,15 @@ class TileabilityVerdict:
     n: int
     sites: int
     edges: int
-    heights: Optional[Dict[Point, int]] = None
+    site_heights: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def heights(self) -> Optional[Dict[Tuple[int, ...], int]]:
+        if self.site_heights is None:
+            return None
+        coords, g = self.site_heights
+        return dict(zip(zip(*coords.T.tolist()), g.tolist()))
 
     def to_json(self) -> str:
         w = None
@@ -100,11 +114,12 @@ def _round_cap(n: int) -> int:
 
 
 def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
-                 ) -> Tuple[List[int], Optional[ViolatedPair]]:
+                 ) -> Tuple[np.ndarray, Optional[ViolatedPair]]:
     """Relax the maximal height over the site graph.
 
-    Returns the heights indexed by site id and the violated edge
-    constraint whose endpoints come first in sorted site order, if any.
+    Returns the int64 array of heights indexed by site id and the
+    violated edge constraint whose endpoints come first in sorted site
+    order, if any.
     ``bh.heights`` is the int64 array of the boundary heights in walk
     order, the order of ``graph.boundary_ids``.  ``metric(x, y)`` is the
     array form of the directed per-pair height bound over (m, d)
@@ -169,11 +184,11 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     gap = g[dst] - g[src]
     bad = np.flatnonzero((gap > rise) | (-gap > fall))
     if not len(bad):
-        return g.tolist(), None
+        return g, None
     e = bad[0]
     x, y = int(src[e]), int(dst[e])
-    return g.tolist(), ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),
-                                    int(rise[e]), int(fall[e]))
+    return g, ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),
+                           int(rise[e]), int(fall[e]))
 
 
 def _finish(g: np.ndarray, fell: np.ndarray, tail: np.ndarray, head: np.ndarray,
@@ -223,4 +238,4 @@ def decide_tileable(source: Union[str, RegionBoundary]) -> TileabilityVerdict:
                                   b.p, b.area, graph.site_count, graph.edge_count)
     return TileabilityVerdict(True, "ok", None,
                               b.p, b.area, graph.site_count, graph.edge_count,
-                              heights=dict(zip(graph.sites, g)))
+                              site_heights=(graph.coords, g))

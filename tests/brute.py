@@ -8,7 +8,9 @@ function a tiling induces, and a walk of the boundary word in Python
 tuples for parsing and boundary heights.  All of them are exponential or
 area-sized, so they are for small regions and radii only.  Around them
 sit the point-wise lattice rules the oracles are written in: cell and
-vertex colours, edge increments, and closure tests.
+vertex colours, edge increments, and closure tests.  The triangle
+quadtree built in one batch over all levels is the reference for the
+bottom-up build.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import enum
 import heapq
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
 
+import numpy as np
+
 from tiler.errors import InternalInconsistency, TilerError
 from tiler.lattice import Point, alpha
-from tiler.lozenge import (_FLANKS, STEPS, LozengeBoundary, TriPoint, tri_alpha,
-                           tri_axial, tri_point)
+from tiler.lozenge import (_FLANKS, STEPS, LozengeBoundary, TriPoint, TriSubdivision,
+                           tri_alpha, tri_axial, tri_point)
 from tiler.reference import Tiling, domino
-from tiler.region import INVERSE, MOVES, RegionBoundary, boundary_height
+from tiler.region import INVERSE, MOVES, RegionBoundary, boundary_height, sorted_unique
 from tiler.subdivision import Key, Subdivision
 
 _AXIS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -138,6 +142,90 @@ def center_xy(sub: Subdivision, level: int, key: Key) -> Point:
     s = sub.side(level)
     uc, vc = umin + s // 2, vmin + s // 2
     return ((uc + vc) // 2, (uc - vc) // 2)
+
+
+# ---------------------------------------------------------------------------
+# The triangle quadtree in one batch: every triangle around every boundary
+# vertex at every level, found by masks over (t + 1) x p candidates.
+
+# Children of a quadtree triangle (i, j) as (points-up, di, dj): the child
+# one level down is (2i + di, 2j + dj).  Row 0 is for a downward parent,
+# row 1 for an upward one.
+_KIDS = np.array([[(0, 0, 0), (0, 1, 1), (0, 0, 1), (1, 0, 1)],
+                  [(1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0)]], dtype=np.int64)
+
+
+def _tri_key(level, up, i, j, bits: int):
+    """Packed key of the quadtree triangle (level, up, i, j): sorting keys
+    groups the triangles by level.  Ints or int64 arrays."""
+    return (level << (2 * bits + 1)) | (up << 2 * bits) | (i << bits) | j
+
+
+def _tri_unpack(keys: np.ndarray, bits: int):
+    """Inverse of ``_tri_key``: the arrays level, up, i and j."""
+    mask = (1 << bits) - 1
+    return (keys >> (2 * bits + 1), (keys >> 2 * bits) & 1,
+            (keys >> bits) & mask, keys & mask)
+
+
+def batch_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
+    """``tiler.lozenge.build_tri_subdivision`` as it was built in one
+    batch over all levels, kept as the reference the bottom-up build must
+    match.  Quadtree cover rooted at one big upward triangle.
+
+    An upward triangle splits into three upward corners and a central
+    downward one, and vice versa.  A triangle is crossed when a boundary
+    vertex lies in its closure (a unit edge cannot enter a lattice
+    triangle without an endpoint in it); crossed triangles split, their
+    uncrossed children are kept when their anchor face is in the region,
+    and at unit side the crossed faces themselves are kept when inside.
+    A level-L triangle (i, j) has side s = N >> L and anchor
+    (Q0 + i*s, R0 + j*s).
+    """
+    q, r = b.qr
+    R0 = int(r.min()) - 1
+    Q0 = int((q - r).min()) - 1 + R0
+    need = int(q.max()) + 1 - Q0
+    N = 2
+    while N < need:
+        N *= 2
+    t = N.bit_length() - 1
+    bits = t + 1
+
+    # Every boundary vertex at every level, one row per level: the
+    # triangles whose closure holds a vertex have its floor indices or one
+    # less, so the vertex is never left of nor below their anchors.
+    levels = np.arange(t + 1, dtype=np.int64)[:, None]
+    s = N >> levels
+    x, y = q - Q0, r - R0
+    found = []
+    for di in (0, -1):
+        for dj in (0, -1):
+            i, j = x // s + di, y // s + dj
+            ok = (i >= 0) & (j >= 0)
+            d = x - y - (i - j) * s
+            up = ok & (j <= i) & (x <= (i + 1) * s) & (d >= 0)
+            down = ok & (j < i) & (y <= (j + 1) * s) & (d <= 0)
+            found += [_tri_key(levels, 1, i, j, bits)[up],
+                      _tri_key(levels, 0, i, j, bits)[down]]
+    keys = sorted_unique(np.concatenate(found))
+    if keys[0] != _tri_key(0, 1, 0, 0, bits):
+        raise InternalInconsistency("root triangle misses the boundary")
+
+    # The uncrossed children of the crossed triangles above the last
+    # level, then the crossed unit faces of the last level.
+    last = int(np.searchsorted(keys, _tri_key(t, 0, 0, 0, bits)))
+    level, up, i, j = _tri_unpack(keys[:last, None], bits)
+    kid = _KIDS[up[:, 0]]
+    kids = _tri_key(level + 1, kid[..., 0], 2 * i + kid[..., 1],
+                    2 * j + kid[..., 2], bits)
+    pos = np.minimum(np.searchsorted(keys, kids), len(keys) - 1)
+    level, up, i, j = _tri_unpack(
+        np.concatenate([kids[keys[pos] != kids], keys[last:]]), bits)
+    side = N >> level
+    cq, cr = Q0 + i * side, R0 + j * side
+    kept = b.faces_inside(cq, cr, up)
+    return TriSubdivision(Q0, R0, N, t, cq[kept], cr[kept], side[kept], up[kept] == 1)
 
 
 # ---------------------------------------------------------------------------

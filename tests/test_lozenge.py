@@ -20,8 +20,9 @@ from tiler.lozenge import (STEPS, _piece_corners, build_tri_graph,
 from tiler.reference import (enumerate_lozenge_regions, faces_to_lozenge_word,
                              random_lozenge_region)
 
-from brute import (RadiusExceeded, TriColor, edge_in_region, tri_alpha_oracle,
-                   tri_color, tri_geodesic_points_brute, vertex_in_closure)
+from brute import (RadiusExceeded, TriColor, batch_tri_subdivision, edge_in_region,
+                   tri_alpha_oracle, tri_color, tri_geodesic_points_brute,
+                   vertex_in_closure)
 
 HEXAGON = "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2"  # H(2,2,2), 24 triangles
 
@@ -363,6 +364,30 @@ def test_pieces_are_the_maximal_uncrossed_triangles():
             parent, = (t for t in ((pa, pc, 2 * s, True), (pa, pc, 2 * s, False))
                        if all(_in_closure(t, v) for v in _piece_corners(piece)))
             assert any(_in_closure(parent, v) for v in walk)
+
+
+def _restarted(word):
+    """The word and the same walk restarted a third of the way round."""
+    toks = word.split(",")
+    k = len(toks) // 3
+    return [word, ",".join(toks[k:] + toks[:k])]
+
+
+def _dilated(base, k):
+    return ",".join(",".join([t] * k) for t in base.split(","))
+
+
+def test_bottom_up_quadtree_matches_the_batch_build():
+    rng = random.Random(909)
+    words = [b.word for b in enumerate_lozenge_regions(9)]
+    words += [random_lozenge_region(rng, rng.randrange(5, 400)).word for _ in range(200)]
+    words += [_dilated(base, k) for base in ("1,-3,2,-1,3,-2", "1,2,3",
+                                             "1,-2,1,-3,-1,-3,-1,2,3,3")
+              for k in range(1, 41)]
+    for word in words:
+        for w in _restarted(word):
+            b = parse_lozenge(w)
+            assert build_tri_subdivision(b).pieces == batch_tri_subdivision(b).pieces, w
 
 
 def test_word_round_trip_through_faces():

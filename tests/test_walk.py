@@ -1,6 +1,6 @@
 """Both parsers and their boundary heights against the Python walk of
-``brute.py``, the exact messages of malformed words, and the views a
-decision must not build."""
+``brute.py``, the exact messages of malformed words, the views a decision
+must not build, and the even row counts the membership index relies on."""
 
 import random
 import re
@@ -8,12 +8,14 @@ import re
 import numpy as np
 import pytest
 
+import tiler.lozenge
+import tiler.solver
 from tiler import decide_lozenge, decide_tileable
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.lozenge import lozenge_boundary_height, parse_lozenge, tri_axial
 from tiler.reference import (enumerate_lozenge_regions, enumerate_simply_connected,
                              random_lozenge_region, random_region)
-from tiler.region import INVERSE, boundary_height, parse_boundary
+from tiler.region import INVERSE, boundary_height, parse_boundary, unpack
 
 from brute import lozenge_walk, square_walk
 
@@ -79,6 +81,12 @@ MALFORMED = [
     (parse_lozenge, "-1,1,3,1,-1,2,1", SelfIntersecting, "vertex (0, 0) visited twice"),
     (parse_lozenge, "1,2,x,-2", ValueError, "invalid move 'x' at index 2"),
     (parse_lozenge, "", ValueError, "invalid move '' at index 0"),
+    # Whitespace around a token is accepted, inside one it is not.
+    (parse_lozenge, " 1 ,\t2\n", NotClosed, "walk ends at (1, 1), not at the origin"),
+    (parse_lozenge, "1,- 1", ValueError, "invalid move '- 1' at index 1"),
+    (parse_lozenge, "+1,-1", ValueError, "invalid move '+1' at index 0"),
+    (parse_lozenge, "1, 4 ,-1,-2", ValueError, "invalid move '4' at index 1"),
+    (parse_lozenge, "1,2, ,-1,-2", ValueError, "invalid move '' at index 2"),
 ]
 
 
@@ -87,6 +95,8 @@ def test_malformed_words_give_exact_messages(parse, word, error, message):
     with pytest.raises(error, match=re.escape(message)) as err:
         parse(word)
     assert err.value.args[0] == message
+    if " at index " in message:
+        assert err.value.args[1] == int(message.rsplit(" ", 1)[1])
 
 
 def test_deciding_builds_no_vertex_views():
@@ -99,3 +109,36 @@ def test_deciding_builds_no_vertex_views():
         b = parse_lozenge(word)
         decide_lozenge(b)
         assert not {"vertices", "axial", "moves"} & set(vars(b)), word
+
+
+def test_tileable_verdicts_build_heights_on_first_read(monkeypatch):
+    graphs = []
+
+    def keep(module, name):
+        build = getattr(module, name)
+
+        def kept(*args):
+            graphs.append(build(*args))
+            return graphs[-1]
+        monkeypatch.setattr(module, name, kept)
+
+    keep(tiler.solver, "build_graph")
+    keep(tiler.lozenge, "build_tri_graph")
+    verdicts = [decide_tileable("RRUULLDD"), decide_lozenge("1,1,-3,-3,2,2,-1,-1,3,3,-2,-2")]
+    assert len(graphs) == 2
+    for v, graph in zip(verdicts, graphs):
+        assert v.tileable
+        assert "sites" not in vars(graph) and "heights" not in vars(v)
+        assert v.heights == dict(zip(graph.sites, v.site_heights[1].tolist()))
+        assert all(type(h) is int for h in v.heights.values())
+
+
+def test_closed_walks_cross_every_row_an_even_number_of_times():
+    # odd_at_or_left counts every key at or below a position, so each row
+    # of the membership index must hold an even number of keys.
+    rng = random.Random(1212)
+    for _ in range(100):
+        for keys in (random_region(rng, rng.randrange(3, 300))._edge_keys,
+                     random_lozenge_region(rng, rng.randrange(3, 300))._cut_keys):
+            rows, counts = np.unique(unpack(keys)[0], return_counts=True)
+            assert len(rows) and (counts % 2 == 0).all()
