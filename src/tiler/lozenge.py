@@ -193,8 +193,7 @@ class LozengeBoundary:
         q, r = self.qr
         dq, dr = np.roll(q, -1) - q, np.roll(r, -1) - r
         cut = dr != 0
-        keys = pack(r[cut] - (dr[cut] < 0), 2 * q[cut] + dq[cut])
-        return keys[np.argsort(keys)]
+        return np.sort(pack(r[cut] - (dr[cut] < 0), 2 * q[cut] + dq[cut]))
 
     @cached_property
     def _rows(self) -> Dict[int, List[int]]:

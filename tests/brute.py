@@ -10,7 +10,8 @@ area-sized, so they are for small regions and radii only.  Around them
 sit the point-wise lattice rules the oracles are written in: cell and
 vertex colours, edge increments, and closure tests.  The triangle
 quadtree built in one batch over all levels is the reference for the
-bottom-up build.
+bottom-up build, and the relaxation by rounds that scan every arc is the
+reference for the frontier rounds over the tail-sorted arc index.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from tiler.approxgraph import ApproxGraph
 from tiler.errors import InternalInconsistency, TilerError
-from tiler.lattice import Point, alpha
+from tiler.lattice import Point, alpha, alpha_array
 from tiler.lozenge import (_FLANKS, STEPS, LozengeBoundary, TriPoint, TriSubdivision,
                            tri_alpha, tri_axial, tri_point)
 from tiler.reference import Tiling, domino
 from tiler.region import INVERSE, MOVES, RegionBoundary, boundary_height, sorted_unique
+from tiler.solver import _UNREACHED, ViolatedPair, _round_cap
 from tiler.subdivision import Key, Subdivision
 
 _AXIS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -226,6 +229,85 @@ def batch_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     cq, cr = Q0 + i * side, R0 + j * side
     kept = b.faces_inside(cq, cr, up)
     return TriSubdivision(Q0, R0, N, t, cq[kept], cr[kept], side[kept], up[kept] == 1)
+
+
+# ---------------------------------------------------------------------------
+# Relaxation by masked rounds: every round scans all arcs, sorted by head,
+# for those out of the frontier.
+
+
+def masked_round_gmax(graph: ApproxGraph, bh, metric=alpha_array, cap=None):
+    """``compute_gmax`` as it was before the tail-sorted arc index: the
+    same rounds, each found by masking every arc with the frontier and
+    reducing per head, and the same heap finish after ``cap`` rounds
+    (default ``solver._round_cap``).  Returns the heights, the witness and
+    what the finish was handed, ``(labels, fell)``, or None."""
+    coords, src, dst = graph.coords, graph.src, graph.dst
+    n = len(coords)
+    x, y = coords[src], coords[dst]
+    rise, fall = metric(x, y), metric(y, x)
+
+    tail = np.concatenate([src, dst])
+    head = np.concatenate([dst, src])
+    weight = np.concatenate([rise, fall])
+    fixed = np.zeros(n, dtype=bool)
+    fixed[graph.boundary_ids] = True
+    keep = np.flatnonzero(~fixed[head])
+    order = keep[np.argsort(head[keep])]
+    tail, head, weight = tail[order], head[order], weight[order]
+
+    g = np.full(n, _UNREACHED, dtype=np.int64)
+    g[graph.boundary_ids] = bh.heights
+    fell = graph.boundary_ids
+    active = np.zeros(n, dtype=bool)
+    for _ in range(_round_cap(n) if cap is None else cap):
+        if not len(fell):
+            break
+        active[:] = False
+        active[fell] = True
+        arcs = np.flatnonzero(active[tail])  # still sorted by head
+        to = head[arcs]
+        first = np.flatnonzero(np.diff(to, prepend=-1))
+        best = np.minimum.reduceat(g[tail[arcs]] + weight[arcs], first)
+        to = to[first]
+        lower = best < g[to]
+        fell = to[lower]
+        g[fell] = best[lower]
+    handoff = None
+    if len(fell):
+        handoff = (g.copy(), fell)
+        g = _heap_finish(g, fell, tail, head, weight)
+
+    gap = g[dst] - g[src]
+    bad = np.flatnonzero((gap > rise) | (-gap > fall))
+    if not len(bad):
+        return g, None, handoff
+    e = bad[0]
+    x, y = int(src[e]), int(dst[e])
+    return g, ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),
+                           int(rise[e]), int(fall[e])), handoff
+
+
+def _heap_finish(g, fell, tail, head, weight):
+    """Label-correcting heap loop from the labels ``g``, seeded with
+    ``fell``, over arcs in any order."""
+    order = np.argsort(tail, kind="stable")
+    start = np.zeros(len(g) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=len(g)), out=start[1:])
+    heads, weights, start = head[order].tolist(), weight[order].tolist(), start.tolist()
+    labels = g.tolist()
+    heap = [(labels[u], u) for u in fell.tolist()]
+    heapq.heapify(heap)
+    while heap:
+        h, u = heapq.heappop(heap)
+        if h > labels[u]:
+            continue
+        for k in range(start[u], start[u + 1]):
+            v, hv = heads[k], h + weights[k]
+            if hv < labels[v]:
+                labels[v] = hv
+                heapq.heappush(heap, (hv, v))
+    return np.array(labels, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.reference import random_region
-from tiler.region import boundary_height, parse_boundary
+from tiler.region import boundary_height, pack, parse_boundary, sorted_unique
 
 from brute import edge_step, edges
 
@@ -118,3 +119,20 @@ def test_area_matches_cell_count():
         assert b.area == len(list(b.cells()))
         assert b.p == len(b.vertices) == len(b.moves)
         assert len(set(b.vertices)) == b.p
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(20261019)
+    dup = rng.integers(-50, 50, size=400)
+    cases = [
+        np.zeros(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(33, -4, dtype=np.int64),
+        rng.integers(-(1 << 62), -1, size=500),
+        pack(dup, rng.integers(-(1 << 31), 1 << 31, size=400) % 5),
+        pack(np.repeat(dup, 3), np.tile([-(1 << 31), 0, (1 << 31) - 1], 400)),
+        rng.integers(0, 1 << 40, size=(30, 40)),
+    ]
+    for keys in cases:
+        got = sorted_unique(keys)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(keys))

@@ -11,18 +11,24 @@ import pytest
 
 import tiler
 from tiler import decide_lozenge, decide_tileable, solver
-from tiler.approxgraph import ApproxGraph
+from tiler.approxgraph import ApproxGraph, build_graph
 from tiler.errors import InternalInconsistency
 from tiler.generators import dilate, spiral
 from tiler.lattice import alpha, alpha_array
+from tiler.lozenge import (build_tri_graph, build_tri_subdivision, lozenge_boundary_height,
+                           parse_lozenge, tri_alpha_array)
 from tiler.reference import (
     enumerate_simply_connected,
     matching_decide,
+    random_lozenge_region,
     random_region,
     thurston_full,
 )
 from tiler.region import BoundaryHeight, boundary_height, parse_boundary
 from tiler.solver import compute_gmax
+from tiler.subdivision import build_subdivision
+
+from brute import masked_round_gmax
 
 
 def test_two_by_two():
@@ -130,12 +136,16 @@ def _lozenge_dilate(base, k):
     return ",".join(",".join([t] * k) for t in base.split(","))
 
 
-@pytest.mark.parametrize("decide, word, reason", [
+HEAP_FINISH_WORDS = [
     (decide_tileable, dilate(spiral(2), 20), "ok"),
     (decide_tileable, _dumbbell(25), "bad-pair"),
     (decide_lozenge, _lozenge_dilate("1,-3,2,-1,3,-2", 40), "ok"),
     (decide_lozenge, _lozenge_dilate("1,-2,1,-3,-1,-3,-1,2,3,3", 30), "bad-pair"),
-], ids=["spiral", "dumbbell", "hexagon", "lozenge-bad-pair"])
+]
+HEAP_FINISH_IDS = ["spiral", "dumbbell", "hexagon", "lozenge-bad-pair"]
+
+
+@pytest.mark.parametrize("decide, word, reason", HEAP_FINISH_WORDS, ids=HEAP_FINISH_IDS)
 def test_heap_finish_gives_the_round_result(monkeypatch, decide, word, reason):
     seeds = []
     finish = solver._finish
@@ -153,6 +163,100 @@ def test_heap_finish_gives_the_round_result(monkeypatch, decide, word, reason):
         assert (got.reason, got.witness, got.heights) == (want.reason, want.witness, want.heights)
         assert (got.sites, got.edges) == (want.sites, want.edges)
     assert len(seeds) == 2 and all(seeds)
+
+
+def _solver_input(decide, region):
+    """The site graph, boundary heights and metric that ``decide`` hands
+    the solver, for a square word or a lozenge word or boundary."""
+    if decide is decide_tileable:
+        b = parse_boundary(region) if isinstance(region, str) else region
+        return build_graph(b, build_subdivision(b)), boundary_height(b), alpha_array
+    b = parse_lozenge(region) if isinstance(region, str) else region
+    return (build_tri_graph(b, build_tri_subdivision(b)), lozenge_boundary_height(b),
+            tri_alpha_array)
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """The (labels, frontier) pairs handed to the heap finish."""
+    handed = []
+    finish = solver._finish
+
+    def recorded(g, fell, *arcs):
+        handed.append((g.copy(), fell.copy()))
+        return finish(g, fell, *arcs)
+
+    monkeypatch.setattr(solver, "_finish", recorded)
+    return handed
+
+
+def _assert_same_relaxation(handed, graph, bh, metric, cap=None):
+    """``compute_gmax`` and the masked rounds give equal heights and
+    witnesses, and hand the heap finish the same labels and frontier, if
+    either runs it."""
+    handed.clear()
+    g, bad = compute_gmax(graph, bh, metric)
+    want_g, want_bad, want_handoff = masked_round_gmax(graph, bh, metric, cap)
+    assert np.array_equal(g, want_g) and g.dtype == want_g.dtype
+    assert bad == want_bad
+    assert len(handed) == (want_handoff is not None)
+    if handed:
+        (labels, fell), (want_labels, want_fell) = handed[0], want_handoff
+        assert np.array_equal(labels, want_labels) and np.array_equal(fell, want_fell)
+
+
+@pytest.mark.parametrize("decide, word, reason", HEAP_FINISH_WORDS, ids=HEAP_FINISH_IDS)
+def test_frontier_rounds_match_the_masked_rounds_at_every_cap(monkeypatch, handed, decide,
+                                                              word, reason):
+    graph, bh, metric = _solver_input(decide, word)
+    _assert_same_relaxation(handed, graph, bh, metric)
+    assert not handed
+    for cap in (0, 1, 2):
+        monkeypatch.setattr(solver, "_round_cap", lambda n: cap)
+        _assert_same_relaxation(handed, graph, bh, metric, cap)
+        assert len(handed) == 1
+
+
+@pytest.mark.parametrize("decide", [decide_tileable, decide_lozenge], ids=["square", "lozenge"])
+def test_frontier_rounds_match_the_masked_rounds_on_random_regions(handed, decide):
+    # Half the draws are dilated by 2, so tileable regions come up; the
+    # rest are mostly unbalanced, whose boundary heights still seed the
+    # same relaxation.  Up to 3,000 cells or triangles.
+    rng = random.Random(20261019)
+    verdicts = set()
+    for k in range(100):
+        if decide is decide_tileable:
+            b = random_region(rng, rng.randrange(5, 3000) >> 2 * (k & 1))
+            region = dilate(b.moves, 2) if k & 1 else b
+        else:
+            b = random_lozenge_region(rng, rng.randrange(5, 2900) >> 2 * (k & 1))
+            region = _lozenge_dilate(b.word, 2) if k & 1 else b
+        _assert_same_relaxation(handed, *_solver_input(decide, region))
+        verdicts.add(decide(region).reason)
+    assert verdicts == {"ok", "bad-pair", "unbalanced-boundary"}
+
+
+def test_agreement_with_the_whole_region_sweep_at_scale():
+    # Area 10^4 to 10^5: two dilated random regions (tileable), a
+    # dumbbell (bad pair) and a balanced random region.
+    rng = random.Random(20261019)
+    words = [dilate(random_region(rng, k).moves, 2) for k in (2500, 25000)]
+    words += [_dumbbell(99), random_region(random.Random(15), 10000).moves]
+    reasons = []
+    for word in words:
+        b = parse_boundary(word)
+        assert b.area >= 10 ** 4
+        v = decide_tileable(b)
+        ref = thurston_full(b)
+        reason = ("ok" if ref.tileable else
+                  "bad-pair" if boundary_height(b).valid else "unbalanced-boundary")
+        assert (v.tileable, v.reason) == (ref.tileable, reason), b.area
+        if v.tileable:
+            coords, g = v.site_heights
+            want = [ref.heights[s] for s in zip(*coords.T.tolist())]
+            assert g.tolist() == want, b.area
+        reasons.append(v.reason)
+    assert reasons == ["ok", "ok", "bad-pair", "bad-pair"]
 
 
 def test_decide_path_loads_no_scipy():
