@@ -1,9 +1,9 @@
-"""Sparse graph of sites over the region subdivision.
+"""Sparse graph of sites over the region subdivision, for both lattices.
 
-Sites are the boundary vertices, the vertices of the kept triangles, and
-the corners of the maximal inside squares.  Edges join sites that see
-each other along a straight king path staying strongly inside the region
-with no other site in between:
+On the square lattice, sites are the boundary vertices, the vertices of
+the kept triangles, and the corners of the maximal inside squares.
+Edges join sites that see each other along a straight king path staying
+strongly inside the region with no other site in between:
 
 * the three sides of every kept triangle (two axis legs and a diagonal
   hypotenuse), which are inside the region by construction, and
@@ -13,15 +13,15 @@ with no other site in between:
   boundary only at lattice vertices, so the open segment lies wholly on
   one side of the boundary, and that cell tells which.
 
-The graph is held in arrays: site ids are the rows of the sorted
-coordinate array, and each edge is one (src, dst) pair of ids with
-src < dst.  Sites come from one ``np.unique`` over packed coordinate
-keys, each diagonal family from one sort of packed (line, x) keys, and
-every gap test from one vector lookup in the region's edge index.  The maximal
-height difference ``alpha`` between the endpoints is what the solver
-relaxes over; it comes from the closed form, so edges store no weights.
-Degrees are bounded by construction: at most two neighbours per diagonal
-line plus at most four axis legs, and one diagonal is always missing at a
+``join_sites`` builds the graph of either lattice in arrays: site ids
+are the rows of the sorted coordinate array, from one ``np.unique`` over
+the lattice's packed coordinate keys, and each edge is one (src, dst)
+pair of ids with src < dst.  Each line family comes from one sort of
+packed (line, position) keys, and its gap tests from one vector lookup
+in the region's membership index.  Edges store no weights: the solver
+takes the bound on the height difference from the closed form.  Degrees
+are bounded by construction, on squares by two neighbours per diagonal
+line plus four axis legs, with one diagonal always missing at a
 boundary vertex.
 """
 
@@ -87,12 +87,59 @@ class ApproxGraph:
                 for i, nb in enumerate(nbrs)}
 
 
-def make_graph(coords: np.ndarray, i: np.ndarray, j: np.ndarray,
-               boundary_ids: np.ndarray) -> ApproxGraph:
-    """The graph over sorted ``coords`` with edges i--j, each kept once."""
-    n = len(coords)
-    keys = sorted_unique(np.minimum(i, j) * n + np.maximum(i, j))
-    return ApproxGraph(coords, keys // n, keys % n, boundary_ids)
+def join_sites(keys: np.ndarray, p: int, triangles: int, decode, families, inside,
+               bounds: Tuple[int, int]) -> ApproxGraph:
+    """The site graph of either lattice over the packed candidate keys:
+    the p boundary vertices in walk order, the three corners of each of
+    ``triangles`` kept triangles, then the rest.  ``decode`` maps the
+    sorted distinct keys to the site coordinates and their plane
+    coordinates (u, v).  Each family is a direction (du, dv) along which
+    u grows, or v when du = 0, and the flanks of its unit step, each an
+    offset (fu, fv) plus any further arguments of the membership test
+    ``inside(u, v, ...)``.  Consecutive sites on a line are joined when a
+    flank of the first step is inside.
+    Degrees are at most ``bounds[0]``, ``bounds[1]`` on the boundary."""
+    site_keys, ids = np.unique(keys, return_inverse=True)
+    coords, u, v = decode(site_keys)
+    tri = ids[p:p + 3 * triangles].reshape(-1, 3)
+    i = [tri[:, 0], tri[:, 0], tri[:, 1]]
+    j = [tri[:, 1], tri[:, 2], tri[:, 2]]
+    for (du, dv), flanks in families:
+        line = dv * u - du * v
+        order = np.argsort(pack(line, u if du else v))
+        a, c = order[:-1], order[1:]
+        same = line[a] == line[c]
+        a, c = a[same], c[same]
+        ua, va = u[a], v[a]
+        joined = False
+        for fu, fv, *rest in flanks:
+            joined = joined | inside(ua + fu, va + fv, *rest)
+        i.append(a[joined])
+        j.append(c[joined])
+
+    i, j, n = np.concatenate(i), np.concatenate(j), len(coords)
+    edges = sorted_unique(np.minimum(i, j) * n + np.maximum(i, j))
+    boundary_ids = ids[:p]
+    graph = ApproxGraph(coords, edges // n, edges % n, boundary_ids)
+    deg = graph.degrees()
+    limit = np.full(len(deg), bounds[0])
+    limit[boundary_ids] = bounds[1]
+    over = np.flatnonzero(deg > limit)
+    if len(over):
+        s = over[0]
+        raise InternalInconsistency(f"site {graph.site(s)} has degree {deg[s]}, "
+                                    f"bound is {limit[s]}")
+    return graph
+
+
+def _decode_xy(site_keys: np.ndarray):
+    xs, ys = unpack(site_keys)
+    return np.stack([xs, ys], axis=1), xs, ys
+
+
+# The diagonal line families: the first step from (x, y) along (1, 1)
+# cuts cell (x, y), and along (1, -1) cell (x, y - 1).
+_DIAGONALS = (((1, 1), ((0, 0),)), ((1, -1), ((0, -1),)))
 
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
@@ -100,33 +147,5 @@ def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
     cx, cy = sub.inside_corners()
     keys = pack(np.concatenate([bx, sub.tri_x.ravel(), cx.ravel()]),
                 np.concatenate([by, sub.tri_y.ravel(), cy.ravel()]))
-    site_keys, ids = np.unique(keys, return_inverse=True)
-    xs, ys = unpack(site_keys)
-    p = len(bx)
-    tri = ids[p:p + sub.tri_x.size].reshape(-1, 3)
-
-    i = [tri[:, 0], tri[:, 0], tri[:, 1]]
-    j = [tri[:, 1], tri[:, 2], tri[:, 2]]
-    # Sorted by (line, x), sites run along (1, 1) on x - y lines and
-    # along (1, -1) on x + y lines.  The first step from (x, y) cuts cell
-    # (x, y) or (x, y - 1).
-    for line, dy in ((xs - ys, 0), (xs + ys, -1)):
-        order = np.argsort(pack(line, xs))
-        a, c = order[:-1], order[1:]
-        same = line[a] == line[c]
-        a, c = a[same], c[same]
-        joined = b.contains_cells(xs[a], ys[a] + dy)
-        i.append(a[joined])
-        j.append(c[joined])
-
-    boundary_ids = ids[:p]
-    graph = make_graph(np.stack([xs, ys], axis=1), np.concatenate(i),
-                       np.concatenate(j), boundary_ids)
-    deg = graph.degrees()
-    limit = np.full(len(deg), 8)
-    limit[boundary_ids] = 7
-    over = np.flatnonzero(deg > limit)
-    if len(over):
-        s = over[0]
-        raise InternalInconsistency(f"site {graph.site(s)} has degree {deg[s]}")
-    return graph
+    return join_sites(keys, len(bx), len(sub.tri_x), _decode_xy, _DIAGONALS,
+                      b.contains_cells, (8, 7))

@@ -3,36 +3,38 @@
 Vertices are points a*v1 + b*v2 + c*v3 for the three unit directions
 v1, v2, v3 at 120 degrees apart (v1 + v2 + v3 = 0).  Since adding
 (1, 1, 1) does not move the point, each vertex is stored uniquely as the
-triple (a, b, c) of nonnegative integers with min{a, b, c} = 0; see
-``tri_point`` and ``tri_axial`` for conversion from and to the axial
-pair (q, r) = q*v1 + r*v2 used internally for face bookkeeping.
+triple (a, b, c) of nonnegative integers with min{a, b, c} = 0;
+``tri_point`` converts from the axial pair (q, r) = q*v1 + r*v2 used
+internally for face bookkeeping, and (a - c, b - c) converts back.
 
 Vertices are 3-colored by (a + b + c) mod 3; every edge changes the
 color.  A lozenge tiling induces integer heights on the vertices of the
 region: stepping along an edge that advances the color cycle changes the
 height by +1 when the edge lies on a lozenge edge and by -2 when a
 lozenge covers it, and the reverse signs hold against the cycle.  The
-maximal plane height vanishing at x is ``tri_alpha(x, y)``: the
+maximal plane height vanishing at x is ``tri_alpha_array(x, y)``: the
 coordinate sum of y - x in canonical form.
 
-The decision pipeline mirrors the square-lattice one.  Parsing checks
+The decision is ``solver.run_pipeline``, the one pipeline of both
+lattices; this module supplies the triangular stages.  Parsing checks
 the walk with the same array check, ``region.closed_walk``, on axial
 coordinates, where the shoelace sum counts the triangles.  Along the
 boundary the color rises by 1 exactly on the moves 1, 2 and 3, so the
 boundary heights are the ``cumsum`` of the move signs, an int64 array in
-walk order.  Then the pipeline covers the region by a quadtree of
-upward and downward lattice-aligned triangles whose side halves until
-it clears the boundary, takes the piece corners plus the boundary as
-sites, joins consecutive sites along the three line families, and
-relaxes the maximal height over that graph.  An untileable verdict's
-witness is the violated edge whose endpoints come first in sorted site
-order.  Degrees are at most six (two per family).
+walk order.  The subdivision covers the region by a quadtree of upward
+and downward lattice-aligned triangles whose side halves until it
+clears the boundary.  The site graph is ``approxgraph.join_sites`` over
+the piece corners plus the boundary, with the three line families and
+the two faces flanking each unit step (``_FAMILIES``); degrees are at
+most six (two per family).  An untileable verdict's witness is the
+violated edge whose endpoints come first in sorted site order.
 
 Region membership comes from one index, the strip cuts: the boundary
 edges that cross a horizontal strip of faces, held as one sorted array
 of packed (row, position) keys.  A face is inside when an odd number of
 its row's cuts sit at or left of it, so a batch of faces costs one
-``np.searchsorted`` call.  The quadtree is built bottom-up from one sort:
+``np.searchsorted`` call, and the region's faces are the runs between
+consecutive cuts.  The quadtree is built bottom-up from one sort:
 the six unit faces around each boundary vertex, keyed by the Z-order
 code of their rhombus cell with two bits for the cell's crossed
 triangles.  A triangle is crossed when a boundary vertex lies in its
@@ -41,24 +43,20 @@ of the level below.  Shifting the sorted keys right by two gives the
 parent cells still sorted, and one table lookup and one
 ``np.bitwise_or.reduceat`` per level give each parent's crossed flags and
 which of its children are crossed; the rest are the uncrossed children,
-and one membership test over them keeps the pieces.  The site graph
-takes its ids from one ``np.unique`` and each line family from one
-sort, as on the square lattice.
+and one membership test over them keeps the pieces.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from tiler.errors import CapExceeded, InternalInconsistency
-from tiler.approxgraph import ApproxGraph, make_graph
-from tiler.region import (BoundaryHeight, closed_walk, odd_at_or_left, pack,
-                          row_lists, walk_back)
-from tiler.solver import TileabilityVerdict, compute_gmax
+from tiler.approxgraph import ApproxGraph, join_sites
+from tiler.region import BoundaryHeight, closed_walk, odd_at_or_left, pack, spans, walk_back
+from tiler.solver import TileabilityVerdict, compute_gmax, run_pipeline
 
 TriPoint = Tuple[int, int, int]
 Axial = Tuple[int, int]
@@ -103,19 +101,10 @@ def tri_point(q: int, r: int) -> TriPoint:
     return (q - m, r - m, -m)
 
 
-def tri_axial(p: TriPoint) -> Axial:
-    return (p[0] - p[2], p[1] - p[2])
-
-
-def tri_alpha(x: TriPoint, y: TriPoint) -> int:
-    """Coordinate sum of y - x in canonical form: the maximum height of
-    y over plane height functions vanishing at x."""
-    da, db, dc = y[0] - x[0], y[1] - x[1], y[2] - x[2]
-    return da + db + dc - 3 * min(da, db, dc)
-
-
 def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``tri_alpha`` row by row over (m, 3) int64 arrays of vertices."""
+    """The coordinate sum of y - x in canonical form, the maximum height
+    of y over plane height functions vanishing at x, row by row over
+    (m, 3) int64 arrays of vertices."""
     d = y - x
     a, b, c = d[:, 0], d[:, 1], d[:, 2]
     return a + b + c - 3 * np.minimum(np.minimum(a, b), c)
@@ -135,13 +124,12 @@ def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
     return ((q, r, True), (q - 1, r, True), (q, r + 1, True))
 
 
-# The two faces flanking the unit edge from (q, r) along each of the
-# steps v1, v2 and -v3: the offsets of the upward and of the downward one.
-_FLANKS: Dict[Axial, Tuple[Axial, Axial]] = {
-    (1, 0): ((0, 0), (0, -1)),
-    (0, 1): ((-1, 0), (0, 0)),
-    (1, 1): ((0, 0), (0, 0)),
-}
+# The three line families: the directions v1, v2 and -v3, each with the
+# upward and the downward face flanking the unit edge from (q, r) along
+# it, as offsets from (q, r).
+_FAMILIES = (((1, 0), ((0, 0, True), (0, -1, False))),
+             ((0, 1), ((-1, 0, True), (0, 0, False))),
+             ((1, 1), ((0, 0, True), (0, 0, False))))
 
 
 class LozengeBoundary:
@@ -195,27 +183,16 @@ class LozengeBoundary:
         cut = dr != 0
         return np.sort(pack(r[cut] - (dr[cut] < 0), 2 * q[cut] + dq[cut]))
 
-    @cached_property
-    def _rows(self) -> Dict[int, List[int]]:
-        """The same cuts as sorted per-row lists, for scalar lookups."""
-        return row_lists(self._cut_keys)
-
-    def face_inside(self, f: Face) -> bool:
-        arr = self._rows.get(f[1])
-        if not arr:
-            return False
-        return bisect_right(arr, 2 * f[0] + (1 if f[2] else 0)) % 2 == 1
-
     def faces_inside(self, q: np.ndarray, r: np.ndarray, up) -> np.ndarray:
-        """``face_inside`` over int64 arrays q, r and a bool array (or
-        bool) up, as a bool array."""
+        """Whether the faces (q, r, up) are in the region, over int64 arrays
+        q, r and a bool array (or bool) up, as a bool array."""
         return odd_at_or_left(self._cut_keys, r, 2 * q + up)
 
     def faces(self) -> Iterator[Face]:
-        for r, arr in self._rows.items():
-            for k in range(0, len(arr), 2):
-                for pos in range(arr[k], arr[k + 1]):
-                    yield (pos // 2, r, pos % 2 == 1)
+        """All faces of the region, row by row.  Costs O(area)."""
+        for r, lo, hi in spans(self._cut_keys):
+            for pos in range(lo, hi):
+                yield (pos // 2, r, pos % 2 == 1)
 
 
 def parse_lozenge(text: str) -> LozengeBoundary:
@@ -417,6 +394,12 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     return TriSubdivision(Q0, R0, N, t, cq[kept], cr[kept], side[kept], up[kept] == 1)
 
 
+def _decode_tri(site_keys: np.ndarray):
+    coords = np.stack([site_keys >> 2 * _SITE_BITS, (site_keys >> _SITE_BITS) & _SITE_MASK,
+                       site_keys & _SITE_MASK], axis=1)
+    return coords, coords[:, 0] - coords[:, 2], coords[:, 1] - coords[:, 2]
+
+
 def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     """Sites joined along the three line families.
 
@@ -434,51 +417,13 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     ar = np.concatenate([r, pr, pr + ps, pr + ps * ~pup])
     m = np.minimum(np.minimum(aq, ar), 0)
     keys = ((aq - m) << 2 * _SITE_BITS) | ((ar - m) << _SITE_BITS) | -m
-    site_keys, ids = np.unique(keys, return_inverse=True)
-    coords = np.stack([site_keys >> 2 * _SITE_BITS,
-                       (site_keys >> _SITE_BITS) & _SITE_MASK,
-                       site_keys & _SITE_MASK], axis=1)
-    sq, sr = coords[:, 0] - coords[:, 2], coords[:, 1] - coords[:, 2]
-
-    # Sorted by (line, position), sites run along v1 on lines of fixed r,
-    # along v2 on lines of fixed q and along -v3 on lines of fixed q - r.
-    src, dst = [], []
-    for line, pos, d in ((sr, sq, (1, 0)), (sq, sr, (0, 1)), (sq - sr, sq, (1, 1))):
-        order = np.argsort(pack(line, pos))
-        a, c = order[:-1], order[1:]
-        same = line[a] == line[c]
-        a, c = a[same], c[same]
-        (uq, ur), (dq, dr) = _FLANKS[d]
-        joined = (b.faces_inside(sq[a] + uq, sr[a] + ur, True)
-                  | b.faces_inside(sq[a] + dq, sr[a] + dr, False))
-        src.append(a[joined])
-        dst.append(c[joined])
-
-    graph = make_graph(coords, np.concatenate(src), np.concatenate(dst),
-                       ids[:len(q)])
-    deg = graph.degrees()
-    if deg.max() > 6:
-        i = int(deg.argmax())
-        raise InternalInconsistency(
-            f"site {graph.site(i)} has {deg[i]} neighbours, bound is 6")
-    return graph
+    return join_sites(keys, len(q), 0, _decode_tri, _FAMILIES, b.faces_inside, (6, 6))
 
 
 def decide_lozenge(source) -> TileabilityVerdict:
     b = parse_lozenge(source) if isinstance(source, str) else source
-    lh = lozenge_boundary_height(b)
-    if not lh.valid:
-        return TileabilityVerdict(False, "unbalanced-boundary", None,
-                                  b.p, b.n, 0, 0)
-    sub = build_tri_subdivision(b)
-    graph = build_tri_graph(b, sub)
-    g, bad = compute_gmax(graph, lh, metric=tri_alpha_array)
-    if bad is not None:
-        return TileabilityVerdict(False, "bad-pair", bad,
-                                  b.p, b.n, graph.site_count, graph.edge_count)
-    return TileabilityVerdict(True, "ok", None,
-                              b.p, b.n, graph.site_count, graph.edge_count,
-                              site_heights=(graph.coords, g))
+    return run_pipeline(b, b.n, lozenge_boundary_height(b), build_tri_subdivision,
+                        build_tri_graph, compute_gmax, tri_alpha_array)[0]
 
 
 # ---------------------------------------------------------------------------

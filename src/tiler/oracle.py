@@ -1,7 +1,9 @@
 """Incremental queries against the maximum tiling of a region.
 
-Preprocessing runs the boundary-only pipeline (subdivision, site graph,
-height relaxation) and keeps the per-line sorted arrays of valued points.
+Preprocessing runs the boundary-only pipeline (``solver.run_pipeline``:
+subdivision, site graph, height relaxation), takes the maximal heights on
+the sites from the verdict, and keeps the per-line sorted arrays of
+valued points.
 A height query for a vertex that is not a site descends into the inside
 squares covering it, splitting them dyadically: each split adds the four
 side midpoints and the centre of the square, and each new point is valued
@@ -26,9 +28,9 @@ from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
 
 from tiler.approxgraph import build_graph
 from tiler.errors import InternalInconsistency, NotTileable, OutsideRegion
-from tiler.lattice import Point, alpha
+from tiler.lattice import Point, alpha, alpha_array
 from tiler.region import RegionBoundary, boundary_height, parse_boundary
-from tiler.solver import compute_gmax
+from tiler.solver import compute_gmax, run_pipeline
 from tiler.subdivision import build_subdivision
 
 Box = Tuple[int, int, int]  # umin, vmin, side
@@ -47,12 +49,11 @@ class DominoPlacement(NamedTuple):
 class TilingOracle:
     def __init__(self, source: Union[str, RegionBoundary]):
         b = parse_boundary(source) if isinstance(source, str) else source
-        bh = boundary_height(b)
-        if not bh.valid:
+        verdict, sub = run_pipeline(b, b.area, boundary_height(b), build_subdivision,
+                                    build_graph, compute_gmax, alpha_array)
+        if verdict.reason == "unbalanced-boundary":
             raise NotTileable("boundary height walk does not close up")
-        sub = build_subdivision(b)
-        graph = build_graph(b, sub)
-        g, bad = compute_gmax(graph, bh)
+        bad = verdict.witness
         if bad is not None:
             raise NotTileable(
                 f"sites {bad.x} and {bad.y} have height gap {bad.gy - bad.gx}, "
@@ -60,7 +61,7 @@ class TilingOracle:
         self.b = b
         self.sub = sub
         self._inside = sub.inside
-        self._base: Dict[Point, int] = dict(zip(graph.sites, g.tolist()))
+        self._base: Dict[Point, int] = verdict.heights
         self._base_v: Dict[int, List[int]] = {}
         self._base_u: Dict[int, List[int]] = {}
         for x, y in self._base:

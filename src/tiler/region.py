@@ -88,13 +88,12 @@ def odd_at_or_left(keys: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.nd
     return np.searchsorted(keys, pack(rows, pos), "right") & 1 == 1
 
 
-def row_lists(keys: np.ndarray) -> Dict[int, List[int]]:
-    """Sorted ``pack(row, x)`` keys as sorted per-row lists of x."""
-    rows: Dict[int, List[int]] = {}
-    row_of, x_of = unpack(keys)
-    for row, x in zip(row_of.tolist(), x_of.tolist()):
-        rows.setdefault(row, []).append(x)
-    return rows
+def spans(keys: np.ndarray) -> Iterator[Tuple[int, int, int]]:
+    """The inside runs (row, start, stop) of the sorted ``pack(row, x)``
+    crossing keys of a closed walk, row by row.  Every row holds an even
+    number of crossings, so consecutive keys pair up within a row."""
+    rows, xs = unpack(keys)
+    return zip(rows[::2].tolist(), xs[::2].tolist(), xs[1::2].tolist())
 
 
 class RegionBoundary:
@@ -149,7 +148,11 @@ class RegionBoundary:
     @cached_property
     def _rows(self) -> Dict[int, List[int]]:
         """The same edges as sorted per-row lists, for scalar lookups."""
-        return row_lists(self._edge_keys)
+        rows: Dict[int, List[int]] = {}
+        row_of, x_of = unpack(self._edge_keys)
+        for row, x in zip(row_of.tolist(), x_of.tolist()):
+            rows.setdefault(row, []).append(x)
+        return rows
 
     def contains_cell(self, cell: Point) -> bool:
         xs = self._rows.get(cell[1])
@@ -172,10 +175,9 @@ class RegionBoundary:
 
     def cells(self) -> Iterator[Point]:
         """All cells of the region, row by row.  Costs O(area)."""
-        for row, xs in sorted(self._rows.items()):
-            for k in range(0, len(xs), 2):
-                for x in range(xs[k], xs[k + 1]):
-                    yield (x, row)
+        for row, lo, hi in spans(self._edge_keys):
+            for x in range(lo, hi):
+                yield (x, row)
 
     def to_json(self) -> str:
         payload = {"moves": self.moves}

@@ -20,9 +20,10 @@ than the cap.  Then every edge constraint
     -alpha(y, x) <= g(y) - g(x) <= alpha(x, y)
 
 is checked in one vector pass, and the region is untileable exactly when
-one fails.  An unbalanced boundary word (closure defect in the height
-walk) is rejected before any graph is built.  Both lattices use this
-solver; each passes the array form of its metric.
+one fails.  ``run_pipeline`` decides for both lattices and the oracle:
+an unbalanced boundary (closure defect in the height walk) exits before
+any graph is built, and each lattice passes its stages and the array
+form of its metric.
 """
 
 from __future__ import annotations
@@ -227,18 +228,24 @@ def _finish(g: np.ndarray, fell: np.ndarray, start: np.ndarray, head: np.ndarray
     return np.array(labels, dtype=np.int64)
 
 
+def run_pipeline(b, area: int, bh, subdivide, build, relax, metric):
+    """Decide from a parsed boundary ``b`` with ``area`` faces and its
+    boundary heights ``bh`` through the stages ``subdivide(b)``,
+    ``build(b, sub)`` and ``relax(graph, bh, metric)``.  Returns the
+    verdict and the subdivision, None on an unbalanced boundary.  Entry
+    points pass the stages under their own module-level names."""
+    if not bh.valid:
+        return TileabilityVerdict(False, "unbalanced-boundary", None, b.p, area, 0, 0), None
+    sub = subdivide(b)
+    graph = build(b, sub)
+    g, bad = relax(graph, bh, metric)
+    size = (b.p, area, graph.site_count, graph.edge_count)
+    if bad is not None:
+        return TileabilityVerdict(False, "bad-pair", bad, *size), sub
+    return TileabilityVerdict(True, "ok", None, *size, site_heights=(graph.coords, g)), sub
+
+
 def decide_tileable(source: Union[str, RegionBoundary]) -> TileabilityVerdict:
     b = parse_boundary(source) if isinstance(source, str) else source
-    bh = boundary_height(b)
-    if not bh.valid:
-        return TileabilityVerdict(False, "unbalanced-boundary", None,
-                                  b.p, b.area, 0, 0)
-    sub = build_subdivision(b)
-    graph = build_graph(b, sub)
-    g, bad = compute_gmax(graph, bh)
-    if bad is not None:
-        return TileabilityVerdict(False, "bad-pair", bad,
-                                  b.p, b.area, graph.site_count, graph.edge_count)
-    return TileabilityVerdict(True, "ok", None,
-                              b.p, b.area, graph.site_count, graph.edge_count,
-                              site_heights=(graph.coords, g))
+    return run_pipeline(b, b.area, boundary_height(b), build_subdivision, build_graph,
+                        compute_gmax, alpha_array)[0]

@@ -26,7 +26,7 @@ int64 key holding its level in the high bits above its two indices, so
 the crossed squares of every level come from one sort of the edge
 midpoint keys, the uncrossed children from one ``np.searchsorted``
 against them, and each membership test is one vector lookup in the
-region's edge index.  The tuple-keyed views (``crossed``, ``inside``,
+region's edge index.  The tuple-keyed views (``inside``,
 ``inside_squares()``, ``triangles``) are derived on first access for
 rendering, the oracle and the tests; the decision never builds them.
 """
@@ -133,12 +133,6 @@ class Subdivision:
         for level, iu, iv in zip(*(a.tolist() for a in self._unpack(keys))):
             out[level].add((iu, iv))
         return out
-
-    @cached_property
-    def crossed(self) -> List[Set[Key]]:
-        """``crossed[i]``: the (iu, iv) keys of the level-i squares holding
-        a boundary edge."""
-        return self._by_level(self.keys)
 
     @cached_property
     def inside(self) -> List[Set[Key]]:

@@ -3,15 +3,17 @@
 Each oracle answers a question the library answers fast, by a route that
 shares nothing with it: explicit shortest paths for the free-space
 metrics ``alpha`` and ``tri_alpha``, walk enumeration for the triangular
-geodesics, the boundary pair condition checked pair by pair, the height
-function a tiling induces, and a walk of the boundary word in Python
-tuples for parsing and boundary heights.  All of them are exponential or
-area-sized, so they are for small regions and radii only.  Around them
-sit the point-wise lattice rules the oracles are written in: cell and
-vertex colours, edge increments, and closure tests.  The triangle
-quadtree built in one batch over all levels is the reference for the
-bottom-up build, and the relaxation by rounds that scan every arc is the
-reference for the frontier rounds over the tail-sorted arc index.
+geodesics, face membership by ray casting, the boundary pair condition
+checked pair by pair, the height function a tiling induces, and a walk
+of the boundary word in Python tuples for parsing and boundary heights.
+All of them are exponential or area-sized, so they are for small regions
+and radii only.  Around them sit the point-wise lattice rules the
+oracles are written in: cell and vertex colours, edge increments, axial
+coordinates, the scalar ``tri_alpha``, closure tests and the crossed
+squares of a quadtree by level.  The triangle quadtree built in one
+batch over all levels is the reference for the bottom-up build, and the
+relaxation by rounds that scan every arc is the reference for the
+frontier rounds over the tail-sorted arc index.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from tiler.approxgraph import ApproxGraph
 from tiler.errors import InternalInconsistency, TilerError
 from tiler.lattice import Point, alpha, alpha_array
-from tiler.lozenge import (_FLANKS, STEPS, LozengeBoundary, TriPoint, TriSubdivision,
-                           tri_alpha, tri_axial, tri_point)
+from tiler.lozenge import (_FAMILIES, STEPS, Axial, Face, LozengeBoundary, TriPoint,
+                           TriSubdivision, tri_point)
 from tiler.reference import Tiling, domino
 from tiler.region import INVERSE, MOVES, RegionBoundary, boundary_height, sorted_unique
 from tiler.solver import _UNREACHED, ViolatedPair, _round_cap
@@ -114,23 +116,53 @@ def tri_color(p: TriPoint) -> TriColor:
     return TriColor((p[0] + p[1] + p[2]) % 3)
 
 
+def tri_axial(p: TriPoint) -> Axial:
+    """Axial pair (q, r) of a normalised vertex; inverse of ``tri_point``."""
+    return (p[0] - p[2], p[1] - p[2])
+
+
+def tri_alpha(x: TriPoint, y: TriPoint) -> int:
+    """Coordinate sum of y - x in canonical form: the maximum height of
+    y over plane height functions vanishing at x."""
+    da, db, dc = y[0] - x[0], y[1] - x[1], y[2] - x[2]
+    return da + db + dc - 3 * min(da, db, dc)
+
+
+def face_inside(b: LozengeBoundary, f: Face) -> bool:
+    """Whether face f is in the region, by the parity of the boundary
+    edges that cross the ray from its centroid along v1.  The centroid of
+    an upward face sits at q + 2/3, a third of the way up row r, and an
+    edge from (lo, r) to (hi, r + 1) crosses that height at
+    lo + (hi - lo)/3; for a downward face the thirds are 1 and 2.  Counted
+    in thirds, the comparison stays in integers."""
+    q, r, up = f
+    cq, rise = (3 * q + 2, 1) if up else (3 * q + 1, 2)
+    walk = b.axial
+    crossings = 0
+    for (q1, r1), (q2, r2) in zip(walk, walk[1:] + walk[:1]):
+        if min(r1, r2) == r and r1 != r2:
+            lo, hi = (q1, q2) if r1 < r2 else (q2, q1)
+            crossings += 3 * lo + rise * (hi - lo) > cq
+    return crossings % 2 == 1
+
+
 def vertex_in_closure(b: LozengeBoundary, v: TriPoint) -> bool:
     if v in b.vertices:
         return True
     q, r = tri_axial(v)
-    return any(b.face_inside(f) for f in (
+    return any(face_inside(b, f) for f in (
         (q, r, True), (q - 1, r, True), (q - 1, r - 1, True),
         (q, r, False), (q - 1, r - 1, False), (q, r - 1, False)))
 
 
 def edge_in_region(b: LozengeBoundary, u: TriPoint, w: TriPoint) -> bool:
     """Whether the unit edge borders at least one region face."""
+    flanks = dict(_FAMILIES)
     ua, wa = tri_axial(u), tri_axial(w)
     d = (wa[0] - ua[0], wa[1] - ua[1])
-    if d not in _FLANKS:
+    if d not in flanks:
         ua, d = wa, (-d[0], -d[1])
-    return any(b.face_inside((ua[0] + dq, ua[1] + dr, up))
-               for (dq, dr), up in zip(_FLANKS[d], (True, False)))
+    return any(face_inside(b, (ua[0] + dq, ua[1] + dr, up)) for dq, dr, up in flanks[d])
 
 
 def edges(b: RegionBoundary) -> Iterator[Tuple[Point, Point]]:
@@ -138,6 +170,12 @@ def edges(b: RegionBoundary) -> Iterator[Tuple[Point, Point]]:
     for i in range(len(verts) - 1):
         yield verts[i], verts[i + 1]
     yield verts[-1], verts[0]
+
+
+def crossed(sub: Subdivision) -> List[Set[Key]]:
+    """``crossed(sub)[i]``: the (iu, iv) keys of the level-i squares
+    holding a boundary edge."""
+    return sub._by_level(sub.keys)
 
 
 def center_xy(sub: Subdivision, level: int, key: Key) -> Point:

@@ -91,6 +91,15 @@ def test_tile_untileable_region(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("word, message", [
+    ("RULD", "boundary height walk does not close up"),
+    ("RDRURRULULDLLD", "sites (1, 1) and (2, 0) have height gap -6, bounds are -2..2"),
+], ids=["unbalanced", "bad-pair"])
+def test_query_refuses_an_untileable_region(capsys, word, message):
+    code, out, err = run(capsys, "query", word, "--cell", "0,0")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_gen_families(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "rect", "2", "2")
     assert code == 0 and out.strip() == "RRUULLDD"

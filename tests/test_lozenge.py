@@ -15,14 +15,13 @@ from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.lozenge import (STEPS, _piece_corners, build_tri_graph,
                            build_tri_subdivision, decide_lozenge,
                            lozenge_boundary_height, lozenge_matching_decide,
-                           parse_lozenge, tri_alpha, tri_alpha_array, tri_axial,
-                           tri_point)
+                           parse_lozenge, tri_alpha_array, tri_point)
 from tiler.reference import (enumerate_lozenge_regions, faces_to_lozenge_word,
                              random_lozenge_region)
 
 from brute import (RadiusExceeded, TriColor, batch_tri_subdivision, edge_in_region,
-                   tri_alpha_oracle, tri_color, tri_geodesic_points_brute,
-                   vertex_in_closure)
+                   face_inside, tri_alpha, tri_alpha_oracle, tri_axial, tri_color,
+                   tri_geodesic_points_brute, vertex_in_closure)
 
 HEXAGON = "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2"  # H(2,2,2), 24 triangles
 
@@ -311,7 +310,7 @@ def test_faces_inside_matches_face_inside():
         box = [(q, r, up) for q in range(qs.min() - 2, qs.max() + 3)
                for r in range(rs.min() - 2, rs.max() + 3) for up in (False, True)]
         q, r, up = (np.array(a) for a in zip(*box))
-        assert b.faces_inside(q, r, up).tolist() == [b.face_inside(f) for f in box]
+        assert b.faces_inside(q, r, up).tolist() == [face_inside(b, f) for f in box]
         assert sum(b.faces_inside(q, r, up)) == b.n
     assert negative >= 10
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import random
@@ -282,19 +283,27 @@ def test_decide_path_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-# The stages each driver looks up by module-level name, so that a layer
-# can be timed by wrapping the name.
-STAGES = {
-    tiler.solver: ("parse_boundary", "boundary_height", "build_subdivision",
-                   "build_graph", "compute_gmax"),
-    tiler.oracle: ("parse_boundary", "boundary_height", "build_subdivision",
-                   "build_graph", "compute_gmax"),
-    tiler.lozenge: ("parse_lozenge", "lozenge_boundary_height", "build_tri_subdivision",
-                    "build_tri_graph", "compute_gmax"),
-}
+def _wrapped_stages():
+    """{module: stage names} of the module-level functions that the
+    benchmark's tracer wraps, read from ``perfbench/tracing.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    stages = {}
+    for module, name, _ in tracing.WRAPPED:
+        if "." not in name:
+            stages.setdefault(importlib.import_module(module), []).append(name)
+    return stages
+
+
+# The stages each entry point looks up by module-level name, so that a
+# layer can be timed by wrapping the name.
+STAGES = _wrapped_stages()
 
 
 def test_every_stage_is_called_by_its_module_level_name(monkeypatch):
+    assert set(STAGES) == {tiler.solver, tiler.oracle, tiler.lozenge}
     calls = {}
 
     def counted(key, stage):

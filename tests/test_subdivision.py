@@ -10,7 +10,7 @@ from tiler.reference import enumerate_simply_connected, random_region
 from tiler.region import parse_boundary
 from tiler.subdivision import build_subdivision
 
-from brute import center_xy, edges
+from brute import center_xy, crossed, edges
 
 
 def cross2(a, b):
@@ -22,11 +22,11 @@ def test_square_2x2_structure():
     sub = build_subdivision(b)
     assert sub.n0 == 16 and sub.t == 4
     assert sub.si_census[0] == 1
-    (root,) = sub.crossed[0]
+    (root,) = crossed(sub)[0]
     assert center_xy(sub, 0, root) == (1, 1) and sub.side(0) // 2 == 16
     # Last level: one diamond per side of the square, two kept triangles
     # in each.
-    centers = sorted(center_xy(sub, sub.t, k) for k in sub.crossed[sub.t])
+    centers = sorted(center_xy(sub, sub.t, k) for k in crossed(sub)[sub.t])
     assert centers == [(0, 1), (1, 0), (1, 2), (2, 1)]
     assert len(sub.triangles) == 8
     assert sorted({tri.cell for tri in sub.triangles}) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -72,6 +72,7 @@ def test_boundary_edges_live_in_crossed_squares_at_every_level():
     rng = random.Random(4)
     b = random_region(rng, 60)
     sub = build_subdivision(b)
+    by_level = crossed(sub)
     for level in range(sub.t + 1):
         keys = set()
         for tail, head in edges(b):
@@ -79,7 +80,7 @@ def test_boundary_edges_live_in_crossed_squares_at_every_level():
             v2 = (tail[0] - tail[1]) + (head[0] - head[1])
             s2 = 2 * sub.side(level)
             keys.add(((u2 - 2 * sub.U0) // s2, (v2 - 2 * sub.V0) // s2))
-        assert sub.crossed[level] == keys
+        assert by_level[level] == keys
         assert sub.si_census[level] == len(keys)
 
 
@@ -87,7 +88,7 @@ def test_array_form_agrees_with_views():
     rng = random.Random(8)
     for b in [parse_boundary("RRUULLDD")] + [random_region(rng, a) for a in (20, 90)]:
         sub = build_subdivision(b)
-        assert len(sub.keys) == sum(sub.si_census) == sum(map(len, sub.crossed))
+        assert len(sub.keys) == sum(sub.si_census) == sum(map(len, crossed(sub)))
         assert list(sub.keys) == sorted(set(sub.keys.tolist()))
         assert len(sub.inside_keys) == len(sub.inside_squares())
         cx, cy = sub.inside_corners()
@@ -112,10 +113,11 @@ def _intersecting_cells(sub, level, key, bbox):
 
 
 def _uncrossed_children(sub, level):
-    for piu, piv in sub.crossed[level - 1]:
+    by_level = crossed(sub)
+    for piu, piv in by_level[level - 1]:
         for key in ((2 * piu, 2 * piv), (2 * piu + 1, 2 * piv),
                     (2 * piu, 2 * piv + 1), (2 * piu + 1, 2 * piv + 1)):
-            if key not in sub.crossed[level]:
+            if key not in by_level[level]:
                 yield key
 
 

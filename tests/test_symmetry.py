@@ -8,18 +8,23 @@ every form.  Starting the word at the region's top-right bounding-box
 corner puts every normalised vertex in the quadrant x, y <= 0, which
 exercises the packed keys on negative coordinates.  Random triangular
 regions get the same treatment under the twelve symmetries of the
-triangular lattice, through ``decide_lozenge``.
+triangular lattice, through ``decide_lozenge``.  On both lattices,
+starting the word at another boundary vertex translates the sites and
+shifts every maximal height by one constant.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiler import decide_tileable
 from tiler.lattice import alpha
-from tiler.lozenge import decide_lozenge, random_lozenge_region, tri_alpha
+from tiler.lozenge import decide_lozenge, random_lozenge_region
 from tiler.reference import random_region
 from tiler.region import INVERSE, MOVES, parse_boundary
+
+from brute import tri_alpha
 
 # The eight linear maps of the lattice onto itself, as (dx, dy) -> (dx', dy').
 SYMMETRIES = (
@@ -162,3 +167,46 @@ def test_lozenge_verdict_is_invariant_under_rewriting(b, data):
         other = decide_lozenge(form)
         assert (other.tileable, other.reason) == (v.tileable, v.reason), form
         check_tri_witness(other)
+
+
+def _plane_heights(v, plane):
+    """A tileable verdict's heights keyed by plane coordinates: (x, y) on
+    the square lattice, axial (q, r) on the triangular one."""
+    coords, g = v.site_heights
+    return dict(zip(map(tuple, plane(coords).tolist()), g.tolist()))
+
+
+LATTICES = {
+    "square": (random_region, decide_tileable, lambda b: b.xy, lambda c: c,
+               lambda moves: "".join(moves), 2),
+    "lozenge": (random_lozenge_region, decide_lozenge, lambda b: b.qr,
+                lambda c: c[:, :2] - c[:, 2:], tri_word, 1),
+}
+
+
+@pytest.mark.parametrize("lattice", LATTICES)
+def test_reanchoring_translates_the_sites_and_shifts_every_height(lattice):
+    # Starting the word at boundary vertex k moves the origin there.  The
+    # sites translate with it and the maximal heights drop by the old
+    # height of vertex k.  On the square lattice an odd k swaps the cell
+    # colours, so only even offsets keep the heights.
+    draw, decide, vertices, plane, word, step = LATTICES[lattice]
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 40:
+        b = draw(rng, 200)
+        v = decide(b)
+        if not v.tileable:
+            continue
+        moves = list(b.moves)
+        k = step * rng.randrange(1, len(moves) // step)
+        other = decide(word(moves[k:] + moves[:k]))
+        assert (other.reason, other.sites, other.edges) == (v.reason, v.sites, v.edges)
+        us, vs = vertices(b)
+        origin = (int(us[k]), int(vs[k]))
+        heights = _plane_heights(v, plane)
+        moved = {(a - origin[0], c - origin[1]): h for (a, c), h in heights.items()}
+        got = _plane_heights(other, plane)
+        assert got.keys() == moved.keys()
+        assert {got[s] - h for s, h in moved.items()} == {-heights[origin]}
+        checked += 1

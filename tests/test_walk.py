@@ -12,12 +12,12 @@ import tiler.lozenge
 import tiler.solver
 from tiler import decide_lozenge, decide_tileable
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
-from tiler.lozenge import lozenge_boundary_height, parse_lozenge, tri_axial
+from tiler.lozenge import lozenge_boundary_height, parse_lozenge
 from tiler.reference import (enumerate_lozenge_regions, enumerate_simply_connected,
                              random_lozenge_region, random_region)
 from tiler.region import INVERSE, boundary_height, parse_boundary, unpack
 
-from brute import lozenge_walk, square_walk
+from brute import lozenge_walk, square_walk, tri_axial
 
 def square_variants(word):
     """The word, its clockwise reversal, and the word restarted a third
