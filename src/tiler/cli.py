@@ -32,7 +32,7 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from tiler import generators
-from tiler.errors import (CapExceeded, EmptyInterior, NotClosed, NotTileable,
+from tiler.errors import (EmptyInterior, NotClosed, NotTileable,
                           OutsideRegion, SelfIntersecting, TilerError)
 from tiler.lozenge import decide_lozenge, parse_lozenge
 from tiler.oracle import TilingOracle
@@ -41,7 +41,8 @@ from tiler.region import parse_boundary
 from tiler.render import render_lozenge, render_square
 from tiler.solver import decide_tileable
 
-_PARSE_ERRORS = (ValueError, NotClosed, SelfIntersecting, EmptyInterior)
+# Bad input, exit code 2; every other TilerError exits with 1.
+_INPUT_ERRORS = (ValueError, NotClosed, SelfIntersecting, EmptyInterior, OutsideRegion)
 
 
 def _read_word(args: argparse.Namespace) -> str:
@@ -330,15 +331,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _PARSE_ERRORS as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except OutsideRegion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotTileable, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TilerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,16 +34,15 @@ edges that cross a horizontal strip of faces, held as one sorted array
 of packed (row, position) keys.  A face is inside when an odd number of
 its row's cuts sit at or left of it, so a batch of faces costs one
 ``np.searchsorted`` call, and the region's faces are the runs between
-consecutive cuts.  The quadtree is built bottom-up from one sort:
-the six unit faces around each boundary vertex, keyed by the Z-order
-code of their rhombus cell with two bits for the cell's crossed
-triangles.  A triangle is crossed when a boundary vertex lies in its
-closure, so the crossed triangles of a level are the parents of those
-of the level below.  Shifting the sorted keys right by two gives the
-parent cells still sorted, and one table lookup and one
-``np.bitwise_or.reduceat`` per level give each parent's crossed flags and
-which of its children are crossed; the rest are the uncrossed children,
-and one membership test over them keeps the pieces.
+consecutive cuts.  The quadtree is built by the square subdivision's
+climb, ``subdivision.climb``, on rhombus cells that each hold an upward
+and a downward triangle, from one sort of the Z-order keys of the six
+unit faces around each boundary vertex.  A triangle is crossed when a
+boundary vertex lies in its closure, so the crossed triangles of a level
+are the parents of those of the level below; this module supplies the
+tables of which parent triangle a child sits in and which children a
+parent has, and one membership test over the candidates keeps the
+pieces.
 """
 
 from __future__ import annotations
@@ -57,6 +56,7 @@ from tiler.errors import CapExceeded, InternalInconsistency
 from tiler.approxgraph import ApproxGraph, join_sites
 from tiler.region import BoundaryHeight, closed_walk, odd_at_or_left, pack, spans, walk_back
 from tiler.solver import TileabilityVerdict, compute_gmax, run_pipeline
+from tiler.subdivision import climb, zorder
 
 TriPoint = Tuple[int, int, int]
 Axial = Tuple[int, int]
@@ -64,24 +64,7 @@ Face = Tuple[int, int, bool]  # axial anchor q, anchor r, points-up
 
 STEPS: Dict[int, Axial] = {1: (1, 0), 2: (0, 1), 3: (-1, -1),
                            -1: (-1, 0), -2: (0, -1), -3: (1, 1)}
-# Character classes of move words, indexed by code point; code points
-# past the table read its last entry, _OTHER, by clipping.  _WHITESPACE
-# is what ``str.strip`` removes.
-_WS, _COMMA, _MINUS, _DIGIT, _OTHER = range(5)
-_WHITESPACE = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 133, 160, 5760, *range(8192, 8203),
-               8232, 8233, 8239, 8287, 12288)
-_CLASS = np.full(_WHITESPACE[-1] + 2, _OTHER, dtype=np.uint8)
-_CLASS[list(_WHITESPACE)] = _WS
-_CLASS[[ord(","), ord("-"), ord("1"), ord("2"), ord("3")]] = _COMMA, _MINUS, _DIGIT, _DIGIT, _DIGIT
-# Whether a character breaks its token, by its class and the class of the
-# character after it: any other character, a minus not followed by a
-# digit, a digit followed by neither whitespace nor a comma.  A token
-# with no breaking character is moves with whitespace around them, and
-# it is one move when it holds exactly one digit.
-_BREAKS = np.zeros((5, 5), dtype=bool)
-_BREAKS[_OTHER] = True
-_BREAKS[_MINUS, [_WS, _COMMA, _MINUS, _OTHER]] = True
-_BREAKS[_DIGIT, [_MINUS, _DIGIT, _OTHER]] = True
+_MOVE_OF = {str(k): k for k in STEPS}
 
 # Packed key of a normalised vertex (a, b, c), which orders the site
 # graph: sorting keys sorts the triples lexicographically.  On a closed
@@ -203,23 +186,13 @@ def parse_lozenge(text: str) -> LozengeBoundary:
     does a word of more than 2**21 - 1 moves, without an index."""
     if text.count(",") >= _SITE_MASK:
         raise ValueError(f"boundary word has more than {_SITE_MASK} moves")
-    # One code point per character, so array indices are string indices;
-    # the appended comma ends the last token.
-    codes = np.frombuffer((text + ",").encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    kind = _CLASS.take(codes, mode="clip")
-    end = np.flatnonzero(kind == _COMMA)
-    digit = np.flatnonzero(kind == _DIGIT)
-    breaks = np.flatnonzero(_BREAKS[kind[:-1], kind[1:]])
-    # Every token holds one digit when the digits and the token ends
-    # alternate, a digit first.
-    if (len(breaks) or len(digit) != len(end) or (digit > end).any()
-            or (digit[1:] < end[:-1]).any()):
-        count = np.bincount(np.searchsorted(end, digit), minlength=len(end))
-        i = int(np.concatenate([np.searchsorted(end, breaks), np.flatnonzero(count != 1)]).min())
-        raise ValueError(f"invalid move {text.split(',')[i].strip()!r} at index {i}", i)
+    raw = text.split(",")
+    try:
+        tokens = np.array([_MOVE_OF[tok.strip()] for tok in raw], dtype=np.int64)
+    except KeyError:
+        i = next(i for i, tok in enumerate(raw) if tok.strip() not in _MOVE_OF)
+        raise ValueError(f"invalid move {raw[i].strip()!r} at index {i}", i) from None
 
-    value = codes[digit].astype(np.int64) - ord("0")
-    tokens = np.where(kind[digit - 1] == _MINUS, -value, value)
     index = tokens + 3
     q, r, count = closed_walk(_STEP_Q[index], _STEP_R[index])
     if count < 0:
@@ -239,20 +212,16 @@ def lozenge_boundary_height(b: LozengeBoundary) -> BoundaryHeight:
 
 Piece = Tuple[int, int, int, bool]  # axial anchor q, anchor r, side, points-up
 
-# The quadtree is held as rhombus cells.  Cell (i, j) of level L is the
-# parallelogram of side s = N >> L anchored at (Q0 + i*s, R0 + j*s); it
-# holds the upward triangle (i, j) and the downward triangle (i, j).  A
-# cell's key is its Z-order code, the bits of i and j interleaved with i
-# on the even places, shifted left by two for its flags: _UP when its
-# upward triangle is crossed, _DOWN when its downward one is.  The code of
-# the parent cell (i >> 1, j >> 1) is the code shifted right by two, and
-# the low four bits of a key are the cell's quadrant in its parent,
-# (i & 1) | (j & 1) << 1, above its flags.
+# The quadtree is held as rhombus cells, keyed for ``climb``.  Cell (i, j)
+# of level L is the parallelogram of side s = N >> L anchored at
+# (Q0 + i*s, R0 + j*s); it holds the downward triangle (i, j) in slot 0
+# and the upward one in slot 1, so its flags are _UP when its upward
+# triangle is crossed and _DOWN when its downward one is.  A cell's
+# quadrant in its parent is (i & 1) | (j & 1) << 1.
 _UP, _DOWN = 2, 1
 
-# A child triangle sits in slot 2 * quadrant + up of its parent cell.  An
-# upward parent splits into the upward children of quadrants 0, 1 and 3
-# and the central downward one of quadrant 1; a downward parent into the
+# An upward parent splits into the upward children of quadrants 0, 1 and
+# 3 and the central downward one of quadrant 1; a downward parent into the
 # downward children of quadrants 0, 2 and 3 and the upward one of
 # quadrant 2.  Indexed by a parent's flags: the slots of its children.
 _CHILD_SLOTS = np.array([0, 0b01110001, 0b10001110, 0b11111111], dtype=np.int64)
@@ -270,16 +239,8 @@ def _parent_entry(quadrant: int, flags: int) -> int:
 # Indexed by the low four bits of a cell key, its quadrant and flags.
 _PARENT = np.array([_parent_entry(k >> 2, k & 3) for k in range(16)], dtype=np.int64)
 
-_SPREAD = ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
-           (2, 0x3333333333333333), (1, 0x5555555555555555))
-
-
-def _spread(x: np.ndarray) -> np.ndarray:
-    """The bits of a nonnegative int64 array below 2**32, moved to the
-    even places."""
-    for shift, mask in _SPREAD:
-        x = (x | (x << shift)) & mask
-    return x
+# The crossed faces of the unit cells around a boundary vertex.
+_UNIT_FLAGS = np.array([_UP | _DOWN, _UP | _DOWN, _UP, _DOWN], dtype=np.int64)
 
 
 class TriSubdivision:
@@ -333,12 +294,9 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     children, so the crossed triangles of each level are the parents of
     the crossed triangles of the level below, and the unit level holds
     the six faces around each boundary vertex.  The build sorts those
-    faces' cell keys once and climbs: a level's keys shifted right by
-    two, grouped, are the parent cells in sorted order, and one
-    ``_PARENT`` lookup and one ``np.bitwise_or.reduceat`` per level give
-    each parent's crossed flags and the slots of its crossed children.
-    The uncrossed children are the parent's slots minus those; one
-    membership test over them all keeps the pieces.
+    faces' cell keys once and climbs with ``climb``; one membership test
+    over the crossed unit faces and the uncrossed children keeps the
+    pieces.
     """
     q, r = b.qr
     R0 = int(r.min()) - 1
@@ -353,43 +311,14 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     # both triangles of cells (x, y) and (x - 1, y - 1), the upward one of
     # (x - 1, y) and the downward one of (x, y - 1).
     x, y = q - Q0, r - R0
-    x0, x1, y0, y1 = _spread(x), _spread(x - 1), _spread(y) << 1, _spread(y - 1) << 1
-    keys = np.concatenate([(x0 | y0) << 2 | _UP | _DOWN, (x1 | y1) << 2 | _UP | _DOWN,
-                           (x1 | y0) << 2 | _UP, (x0 | y1) << 2 | _DOWN])
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys >> 2, prepend=-1))
-    keys = np.bitwise_or.reduceat(keys, first)
-    i = np.concatenate([x, x - 1, x - 1, x])[order[first]]
-    j = np.concatenate([y, y - 1, y, y - 1])[order[first]]
-
-    # What to keep when inside, as slot bits over a cell whose quadrant-0
-    # child is (i, j) one level down: the crossed unit faces, in slots 0
-    # and 1 of the unit cells themselves, then each parent's uncrossed
-    # children, level by level.
-    slots, base_i, base_j, level = [keys & 3], [i], [j], [t]
-    for L in range(t - 1, -1, -1):
-        parent = keys >> 4
-        first = np.flatnonzero(np.diff(parent, prepend=-1))
-        entry = np.bitwise_or.reduceat(_PARENT[keys & 15], first)
-        crossed = entry & 3
-        keys = parent[first] << 2 | crossed
-        i, j = i[first] >> 1, j[first] >> 1
-        slots.append(_CHILD_SLOTS[crossed] & ~(entry >> 2))
-        base_i.append(2 * i)
-        base_j.append(2 * j)
-        level.append(L + 1)
-    if keys.tolist() != [_UP]:
+    keys = zorder(np.concatenate([x, x - 1, x - 1, x]), np.concatenate([y, y - 1, y, y - 1]), t)
+    crossed, (level, i, j, up) = climb(np.sort(keys << 2 | np.repeat(_UNIT_FLAGS, len(x))),
+                                       t, _PARENT, _CHILD_SLOTS)
+    if crossed[0].tolist() != [_UP]:
         raise InternalInconsistency("root triangle misses the boundary")
 
-    counts = [len(s) for s in slots]
-    bits = np.unpackbits(np.concatenate(slots).astype(np.uint8)[:, None], axis=1,
-                         bitorder="little")
-    row, slot = np.nonzero(bits)
-    side = np.repeat(N >> np.array(level), counts)[row]
-    quadrant, up = slot >> 1, slot & 1
-    cq = Q0 + (np.concatenate(base_i)[row] + (quadrant & 1)) * side
-    cr = R0 + (np.concatenate(base_j)[row] + (quadrant >> 1)) * side
+    side = N >> level
+    cq, cr = Q0 + i * side, R0 + j * side
     kept = b.faces_inside(cq, cr, up)
     return TriSubdivision(Q0, R0, N, t, cq[kept], cr[kept], side[kept], up[kept] == 1)
 

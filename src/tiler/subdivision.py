@@ -21,14 +21,15 @@ of the region are kept; these triangles tile a thin sleeve along the
 boundary and their vertices become the sites of the sparse tileability
 graph.
 
-All levels are built in one batch of array operations.  A square is an
-int64 key holding its level in the high bits above its two indices, so
-the crossed squares of every level come from one sort of the edge
-midpoint keys, the uncrossed children from one ``np.searchsorted``
-against them, and each membership test is one vector lookup in the
-region's edge index.  The tuple-keyed views (``inside``,
-``inside_squares()``, ``triangles``) are derived on first access for
-rendering, the oracle and the tests; the decision never builds them.
+The quadtree is built bottom-up by ``climb``, which the triangle
+quadtree of ``tiler.lozenge`` shares.  Cells are keyed by their Z-order
+(Morton) code, so one sort of the last-level keys of the edge midpoints
+gives every level: shifting sorted codes right by two gives the parent
+cells still sorted, and a few array operations per level group them and
+find the uncrossed children.  One membership test over those classifies
+them.  The tuple-keyed views (``inside``, ``inside_squares()``,
+``triangles``) are derived on first access for rendering, the oracle and
+the tests; the decision never builds them.
 """
 
 from __future__ import annotations
@@ -40,9 +41,94 @@ import numpy as np
 
 from tiler.errors import InternalInconsistency
 from tiler.lattice import Point
-from tiler.region import RegionBoundary, sorted_unique
+from tiler.region import RegionBoundary
 
 Key = Tuple[int, int]
+
+# Z-order codes: the code of cell (i, j) holds the bits of i on the even
+# places and those of j on the odd ones.  _MASKS[m] keeps the low 2**m
+# bits of every 2**(m + 1).
+_MASKS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+          0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
+
+
+def zorder(i: np.ndarray, j: np.ndarray, t: int) -> np.ndarray:
+    """Z-order codes of the cells (i, j), over int64 arrays of values in
+    [0, 2**t), t <= 31."""
+    x = np.concatenate([i, j])
+    for m in range((t - 1).bit_length() - 1, -1, -1):
+        x = (x | x << (1 << m)) & _MASKS[m]
+    return x[:len(i)] | x[len(i):] << 1
+
+
+def unzorder(code: np.ndarray, t: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``zorder``: the arrays i and j."""
+    x = np.concatenate([code, code >> 1]) & _MASKS[0]
+    for m in range((t - 1).bit_length()):
+        x = (x | x >> (1 << m)) & _MASKS[m + 1]
+    return x[:len(code)], x[len(code):]
+
+
+def _groups(keys: np.ndarray, shift: int):
+    """The distinct values of ``keys >> shift`` over sorted keys, and the
+    index of the first key with each."""
+    c = np.empty(len(keys) + 1, dtype=np.int64)
+    c[0] = -1
+    code = np.right_shift(keys, shift, out=c[1:])
+    first = (code != c[:-1]).nonzero()[0]
+    return code[first], first
+
+
+def climb(keys: np.ndarray, t: int, parent: np.ndarray, child_slots: np.ndarray):
+    """The crossed cells of every level of a quadtree and its candidate
+    pieces, climbed from the sorted keys of its level-t crossed cells.
+
+    A cell holds up to two quadtree pieces, in slots 0 and 1, and its key
+    is ``code << 2 | flags``: its Z-order code and the bits of its crossed
+    slots.  Keys of equal code are merged first.  The parent cell's code
+    is the code shifted right by two, so shifted sorted codes stay
+    sorted, and the low four bits of a key are the cell's quadrant in its
+    parent above its flags; a child's slot in its parent is
+    2 * quadrant + slot.  ``parent[key & 15]`` gives the flags a cell's
+    crossed pieces set on its parent, with their slot bits above them,
+    and ``child_slots[flags]`` the slots of the children of a cell's
+    crossed pieces.  So each level up is one grouping of the keys by
+    parent code and one ``np.bitwise_or.reduceat``.
+
+    Returns the keys of each level's crossed cells, ``crossed[L]`` for
+    level L, and the candidate pieces as arrays (level, i, j, slot): the
+    crossed pieces of level t in key order, then the uncrossed children
+    of crossed pieces, level by level up to level 1.
+    """
+    code, first = _groups(keys, 2)
+    keys = np.bitwise_or.reduceat(keys, first)
+    crossed, entries, codes = [keys], [keys], [code]
+    for _ in range(t):
+        code, first = _groups(keys, 4)
+        entry = np.bitwise_or.reduceat(parent[keys & 15], first)
+        keys = code << 2 | entry & 3
+        crossed.append(keys)
+        entries.append(entry)
+        codes.append(code)
+    # The slot bits of each row over the code of its quadrant-0 piece: a
+    # level-t cell's own flags and code first, then each crossed parent's
+    # uncrossed children over its code shifted left by two.
+    counts = [len(c) for c in codes]
+    entry, base = np.concatenate(entries), np.concatenate(codes) << 2
+    slots = child_slots[entry & 3] ^ entry >> 2
+    slots[:counts[0]], base[:counts[0]] = entry[:counts[0]] & 3, codes[0]
+    where = np.unpackbits(slots.astype(np.uint8), bitorder="little").nonzero()[0]
+    row, slot = where >> 3, where & 7
+    level = np.minimum(np.repeat(np.arange(t + 1, 0, -1), counts), t)[row]
+    i, j = unzorder(base[row] | slot >> 1, t)
+    return crossed[::-1], (level, i, j, slot & 1)
+
+
+# A square cell holds one piece, in slot 0, so every square key has flag
+# 1.  Indexed by a key's quadrant and flags: its slot bit over its
+# parent's flag.
+_PARENT = np.array([1 << 2 * (k >> 2) + 2 | 1 for k in range(16)], dtype=np.int64)
+_CHILD_SLOTS = np.array([0, 0b01010101], dtype=np.int64)
 
 # Offsets from the centre c of a last-level square: the cell of candidate
 # triangle k, and its corner after c in counterclockwise order.  The next
@@ -62,11 +148,14 @@ class Triangle(NamedTuple):
 class Subdivision:
     """Quadtree of crossed squares plus the inside squares among the rest.
 
-    Array form, used by the site graph:
+    Square (iu, iv) of level i has side ``side(i)`` and its low corner at
+    (U0 + iu * side, V0 + iv * side) in (u, v).  Array form, used by the
+    site graph:
 
-    * ``keys``: sorted packed keys (level, iu, iv) of the crossed squares;
-    * ``inside_keys``: packed keys of the uncrossed children of crossed
-      squares that lie inside the region;
+    * ``keys[i]``: the sorted keys ``code << 2 | 1`` of the crossed
+      squares of level i, by Z-order code (see ``climb``);
+    * ``inside_at``: (level, iu, iv) arrays of the uncrossed children of
+      crossed squares that lie inside the region;
     * ``tri_x``, ``tri_y``: (T, 3) coordinates of the kept triangles'
       apex and two corners.
 
@@ -81,7 +170,6 @@ class Subdivision:
             n0 *= 2
         self.n0 = n0
         self.t = n0.bit_length() - 1
-        self._bits = self.t + 1
         x0, y0, x1, y1 = b.bbox
         cx, cy = (x0 + x1) // 2, (y0 + y1) // 2
         self.U0 = (cx + cy) - n0
@@ -105,40 +193,28 @@ class Subdivision:
                      for u, v in ((umin, vmin), (umin + s, vmin),
                                   (umin + s, vmin + s), (umin, vmin + s)))
 
-    # -- packed keys --------------------------------------------------------
-
-    def _unpack(self, keys: np.ndarray):
-        """Level, iu and iv arrays of packed square keys."""
-        bits = self._bits
-        mask = (1 << bits) - 1
-        return keys >> (2 * bits), (keys >> bits) & mask, keys & mask
-
-    def _uv_corner(self, keys: np.ndarray):
+    def _uv_corner(self, level: np.ndarray, iu: np.ndarray, iv: np.ndarray):
         """Side and (u, v) of the low corner of each square, as arrays."""
-        level, iu, iv = self._unpack(keys)
         s = (2 * self.n0) >> level
         return s, self.U0 + iu * s, self.V0 + iv * s
 
     def inside_corners(self) -> Tuple[np.ndarray, np.ndarray]:
         """(I, 4) arrays x and y of the corners of the inside squares."""
-        s, umin, vmin = self._uv_corner(self.inside_keys)
+        s, umin, vmin = self._uv_corner(*self.inside_at)
         u = umin[:, None] + s[:, None] * np.array([0, 1, 1, 0])
         v = vmin[:, None] + s[:, None] * np.array([0, 0, 1, 1])
         return (u + v) // 2, (u - v) // 2
 
     # -- tuple-keyed views --------------------------------------------------
 
-    def _by_level(self, keys: np.ndarray) -> List[Set[Key]]:
-        out: List[Set[Key]] = [set() for _ in range(self.t + 1)]
-        for level, iu, iv in zip(*(a.tolist() for a in self._unpack(keys))):
-            out[level].add((iu, iv))
-        return out
-
     @cached_property
     def inside(self) -> List[Set[Key]]:
         """``inside[i]``: the uncrossed level-i children of crossed squares
         that lie inside the region."""
-        return self._by_level(self.inside_keys)
+        out: List[Set[Key]] = [set() for _ in range(self.t + 1)]
+        for level, iu, iv in zip(*(a.tolist() for a in self.inside_at)):
+            out[level].add((iu, iv))
+        return out
 
     def inside_squares(self) -> List[Tuple[int, Key]]:
         """The maximal squares wholly inside the region, as (level, key).
@@ -148,54 +224,46 @@ class Subdivision:
 
     @cached_property
     def triangles(self) -> List[Triangle]:
-        """The kept half-cells, by square key and then counterclockwise.
-        A triangle's cell is the low corner of its bounding box."""
+        """The kept half-cells, by the Z-order code of their square and
+        then counterclockwise.  A triangle's cell is the low corner of its
+        bounding box."""
         return [Triangle((min(xs), min(ys)), tuple(zip(xs, ys)))
                 for xs, ys in zip(self.tri_x.tolist(), self.tri_y.tolist())]
 
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
-        b, t, bits = self.b, self.t, self._bits
-        xs, ys = b.xy
-        us, vs = xs + ys, xs - ys
+        b, t = self.b, self.t
         # Doubled midpoints of the p boundary edges (edge j runs from
         # vertex j to vertex j+1, cyclically), from the root's low corner.
-        # A level-i square has side 2 * n0 >> i, so the midpoint's level-i
-        # index is mu2 >> (t + 2 - i).
-        mu2 = us + np.roll(us, -1) - 2 * self.U0
-        mv2 = vs + np.roll(vs, -1) - 2 * self.V0
-        levels = np.arange(t + 1, dtype=np.int64)[:, None]
-        shift = t + 2 - levels
-        self.keys = keys = sorted_unique(
-            (levels << 2 * bits) | ((mu2 >> shift) << bits) | (mv2 >> shift))
+        # A level-t square has side 2, so the midpoint's level-t index is
+        # mu2 >> 2.
+        xs, ys = b.xy
+        x2, y2 = xs + np.concatenate([xs[1:], xs[:1]]), ys + np.concatenate([ys[1:], ys[:1]])
+        mu2 = x2 + y2 - 2 * self.U0
+        mv2 = x2 - y2 - 2 * self.V0
+        self.keys, (level, iu, iv, _) = climb(
+            np.sort(zorder(mu2 >> 2, mv2 >> 2, t) << 2 | 1), t, _PARENT, _CHILD_SLOTS)
 
-        census = np.bincount(keys >> 2 * bits, minlength=t + 1)
-        bound = 9 << np.arange(t, dtype=np.int64)  # 9 * 2**(i-1), i = 1..t
-        over = np.flatnonzero(census[1:] >= bound)
-        if len(over):
-            level = int(over[0]) + 1
-            raise InternalInconsistency(
-                f"{census[level]} crossed squares at level {level}, "
-                f"bound is {9 * 2 ** (level - 1)}")
-        self.si_census: List[int] = census.tolist()
+        census = [len(k) for k in self.keys]
+        for i in range(1, t + 1):
+            if census[i] >= 9 << (i - 1):
+                raise InternalInconsistency(
+                    f"{census[i]} crossed squares at level {i}, bound is {9 << (i - 1)}")
+        self.si_census: List[int] = census
 
-        # Children of the crossed squares above the last level; the ones
-        # not crossed themselves are classified by the cell north-east of
-        # their centre.
-        last = int(np.searchsorted(keys, t << 2 * bits))
-        level, iu, iv = self._unpack(keys[:last])
-        first = ((level + 1) << 2 * bits) | ((2 * iu) << bits) | (2 * iv)
-        kids = (first[:, None] + np.array([0, 1, 1 << bits, (1 << bits) + 1])).ravel()
-        pos = np.minimum(np.searchsorted(keys, kids), len(keys) - 1)
-        free = kids[keys[pos] != kids]
-        s, umin, vmin = self._uv_corner(free)
+        # The uncrossed children of crossed squares are classified by the
+        # cell north-east of their centre.
+        last = census[t]
+        level, iu, iv, cu, cv = level[last:], iu[last:], iv[last:], iu[:last], iv[:last]
+        s, umin, vmin = self._uv_corner(level, iu, iv)
         uc, vc = umin + s // 2, vmin + s // 2
-        self.inside_keys = free[b.contains_cells((uc + vc) // 2, (uc - vc) // 2)]
+        inside = b.contains_cells((uc + vc) // 2, (uc - vc) // 2)
+        self.inside_at = level[inside], iu[inside], iv[inside]
 
-        # Last level: four candidate triangles around each square's centre.
-        _, iu, iv = self._unpack(keys[last:])
-        uc, vc = self.U0 + 2 * iu + 1, self.V0 + 2 * iv + 1
+        # Last level: four candidate triangles around each crossed square's
+        # centre.
+        uc, vc = self.U0 + 2 * cu + 1, self.V0 + 2 * cv + 1
         cx, cy = (uc + vc) // 2, (uc - vc) // 2
         kept = b.contains_cells(cx[:, None] + _CELL[:, 0], cy[:, None] + _CELL[:, 1])
         count = kept.sum(axis=1)
@@ -203,7 +271,7 @@ class Subdivision:
         if len(wrong):
             j = wrong[0]
             raise InternalInconsistency(
-                f"square {(int(iu[j]), int(iv[j]))} keeps {count[j]} triangles")
+                f"square {(int(cu[j]), int(cv[j]))} keeps {count[j]} triangles")
         row, k = np.nonzero(kept)
         ax, ay = cx[row], cy[row]
         k2 = (k + 1) & 3

@@ -32,7 +32,7 @@ from tiler.lozenge import (_FAMILIES, STEPS, Axial, Face, LozengeBoundary, TriPo
 from tiler.reference import Tiling, domino
 from tiler.region import INVERSE, MOVES, RegionBoundary, boundary_height, sorted_unique
 from tiler.solver import _UNREACHED, ViolatedPair, _round_cap
-from tiler.subdivision import Key, Subdivision
+from tiler.subdivision import Key, Subdivision, unzorder
 
 _AXIS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _KING = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
@@ -175,7 +175,7 @@ def edges(b: RegionBoundary) -> Iterator[Tuple[Point, Point]]:
 def crossed(sub: Subdivision) -> List[Set[Key]]:
     """``crossed(sub)[i]``: the (iu, iv) keys of the level-i squares
     holding a boundary edge."""
-    return sub._by_level(sub.keys)
+    return [set(zip(*(a.tolist() for a in unzorder(keys >> 2, sub.t)))) for keys in sub.keys]
 
 
 def center_xy(sub: Subdivision, level: int, key: Key) -> Point:

@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import digest
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.lozenge import (STEPS, _piece_corners, build_tri_graph,
                            build_tri_subdivision, decide_lozenge,
@@ -387,6 +388,21 @@ def test_bottom_up_quadtree_matches_the_batch_build():
         for w in _restarted(word):
             b = parse_lozenge(w)
             assert build_tri_subdivision(b).pieces == batch_tri_subdivision(b).pieces, w
+
+
+def test_pieces_cover_the_region_at_benchmark_scale():
+    # A piece of side s covers s**2 unit triangles.  Inputs: the 15 large
+    # lozenge words of the benchmark and random regions dilated by 2, up
+    # to 10**5 triangles.
+    rng = random.Random(2026)
+    words = [w for _, group in digest.FAMILIES["large"]() for lattice, w in group
+             if lattice == "tri"]
+    targets = [10, 100, 1000, 10000, 25000] + [rng.randrange(10, 25001) for _ in range(5)]
+    words += [_dilated(random_lozenge_region(rng, k).word, 2) for k in targets]
+    assert len(words) == 25
+    for word in words:
+        b = parse_lozenge(word)
+        assert sum(s * s for _, _, s, _ in build_tri_subdivision(b).pieces) == b.n, (b.p, b.n)
 
 
 def test_word_round_trip_through_faces():

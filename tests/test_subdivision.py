@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+import digest
 from tiler.errors import InternalInconsistency
+from tiler.generators import dilate
 from tiler.reference import enumerate_simply_connected, random_region
 from tiler.region import parse_boundary
 from tiler.subdivision import build_subdivision
@@ -88,9 +90,10 @@ def test_array_form_agrees_with_views():
     rng = random.Random(8)
     for b in [parse_boundary("RRUULLDD")] + [random_region(rng, a) for a in (20, 90)]:
         sub = build_subdivision(b)
-        assert len(sub.keys) == sum(sub.si_census) == sum(map(len, crossed(sub)))
-        assert list(sub.keys) == sorted(set(sub.keys.tolist()))
-        assert len(sub.inside_keys) == len(sub.inside_squares())
+        assert list(map(len, sub.keys)) == sub.si_census == list(map(len, crossed(sub)))
+        for keys in sub.keys:
+            assert keys.tolist() == sorted(set(keys.tolist()))
+        assert len(sub.inside_at[0]) == len(sub.inside_squares())
         cx, cy = sub.inside_corners()
         corners = [list(zip(xr, yr)) for xr, yr in zip(cx.tolist(), cy.tolist())]
         assert sorted(map(tuple, corners)) == sorted(
@@ -159,3 +162,20 @@ def test_census_bound_on_larger_random_regions():
     for target in (50, 200, 500):
         b = random_region(rng, target)
         build_subdivision(b)
+
+
+def test_inside_squares_and_triangles_cover_the_region_at_benchmark_scale():
+    # An inside square of side s in (u, v) covers s**2 / 2 cells and a kept
+    # triangle half a cell.  Inputs: the 15 large square words of the
+    # benchmark and random regions dilated by 2, up to area 10**5.
+    rng = random.Random(2026)
+    words = [w for _, group in digest.FAMILIES["large"]() for lattice, w in group
+             if lattice == "sq"]
+    targets = [10, 100, 1000, 10000, 25000] + [rng.randrange(10, 25001) for _ in range(5)]
+    words += [dilate(random_region(rng, k).moves, 2) for k in targets]
+    assert len(words) == 25
+    for word in words:
+        b = parse_boundary(word)
+        sub = build_subdivision(b)
+        squares = sum(sub.side(level) ** 2 for level, _ in sub.inside_squares())
+        assert squares + len(sub.triangles) == 2 * b.area, (b.p, b.area)

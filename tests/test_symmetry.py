@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from tiler import decide_tileable
 from tiler.lattice import alpha
-from tiler.lozenge import decide_lozenge, random_lozenge_region
+from tiler.generators import dilate, snake, spiral
+from tiler.lozenge import decide_lozenge, parse_lozenge, random_lozenge_region
 from tiler.reference import random_region
 from tiler.region import INVERSE, MOVES, parse_boundary
 
@@ -183,30 +184,49 @@ LATTICES = {
                 lambda c: c[:, :2] - c[:, 2:], tri_word, 1),
 }
 
+# Tileable words of the benchmark's large workloads, 46,080 to 540,000
+# cells or triangles.
+LARGE = {
+    "square": lambda: [dilate(snake(6, 3), 48), dilate(spiral(2), 100)],
+    "lozenge": lambda: [tri_word(m for m in (1, -3, 2, -1, 3, -2) for _ in range(k))
+                        for k in (250, 300)],
+}
+PARSE = {"square": parse_boundary, "lozenge": parse_lozenge}
+
+
+def _check_reanchoring(lattice, b, k):
+    _, decide, vertices, plane, word, _ = LATTICES[lattice]
+    v = decide(b)
+    assert v.tileable
+    moves = list(b.moves)
+    other = decide(word(moves[k:] + moves[:k]))
+    assert (other.reason, other.sites, other.edges) == (v.reason, v.sites, v.edges)
+    us, vs = vertices(b)
+    origin = (int(us[k]), int(vs[k]))
+    heights = _plane_heights(v, plane)
+    moved = {(a - origin[0], c - origin[1]): h for (a, c), h in heights.items()}
+    got = _plane_heights(other, plane)
+    assert got.keys() == moved.keys()
+    assert {got[s] - h for s, h in moved.items()} == {-heights[origin]}
+
 
 @pytest.mark.parametrize("lattice", LATTICES)
 def test_reanchoring_translates_the_sites_and_shifts_every_height(lattice):
     # Starting the word at boundary vertex k moves the origin there.  The
     # sites translate with it and the maximal heights drop by the old
     # height of vertex k.  On the square lattice an odd k swaps the cell
-    # colours, so only even offsets keep the heights.
-    draw, decide, vertices, plane, word, step = LATTICES[lattice]
+    # colours, so only even offsets keep the heights.  Each large word is
+    # restarted at two offsets.
+    draw, decide, _, _, _, step = LATTICES[lattice]
     rng = random.Random(20261019)
     checked = 0
     while checked < 40:
         b = draw(rng, 200)
-        v = decide(b)
-        if not v.tileable:
+        if not decide(b).tileable:
             continue
-        moves = list(b.moves)
-        k = step * rng.randrange(1, len(moves) // step)
-        other = decide(word(moves[k:] + moves[:k]))
-        assert (other.reason, other.sites, other.edges) == (v.reason, v.sites, v.edges)
-        us, vs = vertices(b)
-        origin = (int(us[k]), int(vs[k]))
-        heights = _plane_heights(v, plane)
-        moved = {(a - origin[0], c - origin[1]): h for (a, c), h in heights.items()}
-        got = _plane_heights(other, plane)
-        assert got.keys() == moved.keys()
-        assert {got[s] - h for s, h in moved.items()} == {-heights[origin]}
+        _check_reanchoring(lattice, b, step * rng.randrange(1, b.p // step))
         checked += 1
+    for word in LARGE[lattice]():
+        b = PARSE[lattice](word)
+        for _ in range(2):
+            _check_reanchoring(lattice, b, step * rng.randrange(1, b.p // step))
