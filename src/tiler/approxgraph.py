@@ -6,7 +6,8 @@ Edges join sites that see each other along a straight king path staying
 strongly inside the region with no other site in between:
 
 * the three sides of every kept triangle (two axis legs and a diagonal
-  hypotenuse), which are inside the region by construction, and
+  hypotenuse), which are inside the region by construction,
+* the unit edges of the boundary walk (triangle legs already), and
 * consecutive sites along each diagonal lattice line, when the cell that
   the first unit step of the open segment between them cuts is a region
   cell.  Every boundary vertex is a site and a diagonal line meets the
@@ -14,15 +15,17 @@ strongly inside the region with no other site in between:
   one side of the boundary, and that cell tells which.
 
 ``join_sites`` builds the graph of either lattice in arrays: site ids
-are the rows of the sorted coordinate array, from one ``np.unique`` over
-the lattice's packed coordinate keys, and each edge is one (src, dst)
-pair of ids with src < dst.  Each line family comes from one sort of
-packed (line, position) keys, and its gap tests from one vector lookup
-in the region's membership index.  Edges store no weights: the solver
-takes the bound on the height difference from the closed form.  Degrees
-are bounded by construction, on squares by two neighbours per diagonal
-line plus four axis legs, with one diagonal always missing at a
-boundary vertex.
+are the ranks of the sorted distinct packed coordinate keys, and one
+``np.searchsorted`` gives those of the boundary vertices and triangle
+corners.  Each edge is one (src, dst) pair of ids with src < dst.  Each
+line family comes from one sort of packed (line, position) keys, and its
+gap tests from one vector lookup of one flank of the first step in the
+region's membership index: off the boundary both flanks of a unit step
+agree, and a step along it joins two consecutive boundary vertices.
+Edges store no weights: the solver takes the bound on the height
+difference from the closed form.  Degrees are bounded by construction,
+on squares by two neighbours per diagonal line plus four axis legs, with
+one diagonal always missing at a boundary vertex.
 """
 
 from __future__ import annotations
@@ -93,33 +96,31 @@ def join_sites(keys: np.ndarray, p: int, triangles: int, decode, families, insid
     the p boundary vertices in walk order, the three corners of each of
     ``triangles`` kept triangles, then the rest.  ``decode`` maps the
     sorted distinct keys to the site coordinates and their plane
-    coordinates (u, v).  Each family is a direction (du, dv) along which
-    u grows, or v when du = 0, and the flanks of its unit step, each an
-    offset (fu, fv) plus any further arguments of the membership test
-    ``inside(u, v, ...)``.  Consecutive sites on a line are joined when a
-    flank of the first step is inside.
+    coordinates (u, v).  Consecutive boundary vertices are joined, and so
+    are the corners of each triangle.  Each family is a direction
+    (du, dv) along which u grows, or v when du = 0, and one flank of its
+    unit step: an offset (fu, fv) plus any further arguments of the
+    membership test ``inside(u, v, ...)``.  Consecutive sites on a line
+    are joined when that flank of the first step is inside.
     Degrees are at most ``bounds[0]``, ``bounds[1]`` on the boundary."""
-    site_keys, ids = np.unique(keys, return_inverse=True)
+    site_keys = sorted_unique(keys)
     coords, u, v = decode(site_keys)
-    tri = ids[p:p + 3 * triangles].reshape(-1, 3)
-    i = [tri[:, 0], tri[:, 0], tri[:, 1]]
-    j = [tri[:, 1], tri[:, 2], tri[:, 2]]
-    for (du, dv), flanks in families:
+    ids = np.searchsorted(site_keys, keys[:p + 3 * triangles])
+    boundary_ids, tri = ids[:p], ids[p:].reshape(-1, 3)
+    i = [boundary_ids, tri[:, 0], tri[:, 0], tri[:, 1]]
+    j = [np.concatenate([boundary_ids[1:], boundary_ids[:1]]), tri[:, 1], tri[:, 2], tri[:, 2]]
+    for (du, dv), (fu, fv, *rest) in families:
         line = dv * u - du * v
         order = np.argsort(pack(line, u if du else v))
         a, c = order[:-1], order[1:]
         same = line[a] == line[c]
         a, c = a[same], c[same]
-        ua, va = u[a], v[a]
-        joined = False
-        for fu, fv, *rest in flanks:
-            joined = joined | inside(ua + fu, va + fv, *rest)
+        joined = inside(u[a] + fu, v[a] + fv, *rest)
         i.append(a[joined])
         j.append(c[joined])
 
     i, j, n = np.concatenate(i), np.concatenate(j), len(coords)
     edges = sorted_unique(np.minimum(i, j) * n + np.maximum(i, j))
-    boundary_ids = ids[:p]
     graph = ApproxGraph(coords, edges // n, edges % n, boundary_ids)
     deg = graph.degrees()
     limit = np.full(len(deg), bounds[0])
@@ -139,7 +140,7 @@ def _decode_xy(site_keys: np.ndarray):
 
 # The diagonal line families: the first step from (x, y) along (1, 1)
 # cuts cell (x, y), and along (1, -1) cell (x, y - 1).
-_DIAGONALS = (((1, 1), ((0, 0),)), ((1, -1), ((0, -1),)))
+_DIAGONALS = (((1, 1), (0, 0)), ((1, -1), (0, -1)))
 
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:

@@ -25,7 +25,7 @@ walk order.  The subdivision covers the region by a quadtree of upward
 and downward lattice-aligned triangles whose side halves until it
 clears the boundary.  The site graph is ``approxgraph.join_sites`` over
 the piece corners plus the boundary, with the three line families and
-the two faces flanking each unit step (``_FAMILIES``); degrees are at
+the upward face flanking each unit step (``_FAMILIES``); degrees are at
 most six (two per family).  An untileable verdict's witness is the
 violated edge whose endpoints come first in sorted site order.
 
@@ -47,6 +47,7 @@ pieces.
 
 from __future__ import annotations
 
+import warnings
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -108,11 +109,9 @@ def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
 
 
 # The three line families: the directions v1, v2 and -v3, each with the
-# upward and the downward face flanking the unit edge from (q, r) along
-# it, as offsets from (q, r).
-_FAMILIES = (((1, 0), ((0, 0, True), (0, -1, False))),
-             ((0, 1), ((-1, 0, True), (0, 0, False))),
-             ((1, 1), ((0, 0, True), (0, 0, False))))
+# upward face flanking the unit edge from (q, r) along it, as an offset
+# from (q, r).  The downward face agrees unless the edge is on the boundary.
+_FAMILIES = (((1, 0), (0, 0, True)), ((0, 1), (-1, 0, True)), ((1, 1), (0, 0, True)))
 
 
 class LozengeBoundary:
@@ -162,7 +161,8 @@ class LozengeBoundary:
         (q, r) along (dq, dr) with dr != 0 cuts row r, or r - 1 when it
         runs down, at position 2q + dq."""
         q, r = self.qr
-        dq, dr = np.roll(q, -1) - q, np.roll(r, -1) - r
+        index = self.tokens + 3
+        dq, dr = _STEP_Q[index], _STEP_R[index]
         cut = dr != 0
         return np.sort(pack(r[cut] - (dr[cut] < 0), 2 * q[cut] + dq[cut]))
 
@@ -178,21 +178,38 @@ class LozengeBoundary:
                 yield (pos // 2, r, pos % 2 == 1)
 
 
-def parse_lozenge(text: str) -> LozengeBoundary:
-    """Parse a comma-separated walk over the six unit directions
-    1, 2, 3, -1, -2, -3 (for +-v1, +-v2, +-v3), with whitespace allowed
-    around each token.  A clockwise walk is reversed; any other token
-    raises ``ValueError`` with the token index as ``args[1]``, and so
-    does a word of more than 2**21 - 1 moves, without an index."""
-    if text.count(",") >= _SITE_MASK:
-        raise ValueError(f"boundary word has more than {_SITE_MASK} moves")
+def _moves(text: str, commas: int) -> np.ndarray:
+    """The moves of a word with ``commas`` commas.  When every token is 1,
+    2, 3, -1, -2 or -3, the length counts the commas and minus signs, and
+    ``np.fromstring`` decodes the word in C; others go token by token."""
+    if text.isascii() and len(text) == 2 * commas + 1 + text.count("-"):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tokens = np.fromstring(text, dtype=np.int64, sep=",")
+            if len(tokens) == commas + 1 and ((tokens != 0) & (np.abs(tokens) <= 3)).all():
+                return tokens
+        except ValueError:
+            pass
     raw = text.split(",")
     try:
-        tokens = np.array([_MOVE_OF[tok.strip()] for tok in raw], dtype=np.int64)
+        return np.array([_MOVE_OF[tok.strip()] for tok in raw], dtype=np.int64)
     except KeyError:
         i = next(i for i, tok in enumerate(raw) if tok.strip() not in _MOVE_OF)
         raise ValueError(f"invalid move {raw[i].strip()!r} at index {i}", i) from None
 
+
+def parse_lozenge(text: str) -> LozengeBoundary:
+    """Parse a comma-separated walk over the six unit directions
+    1, 2, 3, -1, -2, -3 (for +-v1, +-v2, +-v3), with whitespace allowed
+    around each token; words without it are decoded in C.  A clockwise
+    walk is reversed; any other token raises ``ValueError`` with the token
+    index as ``args[1]``, and so does a word of more than 2**21 - 1 moves,
+    without an index."""
+    commas = text.count(",")
+    if commas >= _SITE_MASK:
+        raise ValueError(f"boundary word has more than {_SITE_MASK} moves")
+    tokens = _moves(text, commas)
     index = tokens + 3
     q, r, count = closed_walk(_STEP_Q[index], _STEP_R[index])
     if count < 0:
@@ -335,8 +352,9 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     Sites are the boundary vertices and the piece corners.  Lattice lines
     only meet the boundary at vertices, and every boundary vertex on a
     line is a site, so the open segment between consecutive sites lies
-    on one side throughout: the first unit step from the earlier site
-    borders a region face exactly when the segment is inside.
+    on one side throughout: the upward face on the first unit step from
+    the earlier site is a region face exactly when the segment is inside,
+    unless that step is a boundary edge, which is joined as one.
     """
     q, r = b.qr
     pq, pr, ps, pup = sub.piece_q, sub.piece_r, sub.piece_side, sub.piece_up

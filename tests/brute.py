@@ -13,7 +13,9 @@ coordinates, the scalar ``tri_alpha``, closure tests and the crossed
 squares of a quadtree by level.  The triangle quadtree built in one
 batch over all levels is the reference for the bottom-up build, and the
 relaxation by rounds that scan every arc is the reference for the
-frontier rounds over the tail-sorted arc index.
+frontier rounds over the tail-sorted arc index.  The site graphs joined
+in Python tuples, with both flanks of every line step and without the
+boundary edges, are the reference for the one-flank join.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import numpy as np
 from tiler.approxgraph import ApproxGraph
 from tiler.errors import InternalInconsistency, TilerError
 from tiler.lattice import Point, alpha, alpha_array
-from tiler.lozenge import (_FAMILIES, STEPS, Axial, Face, LozengeBoundary, TriPoint,
-                           TriSubdivision, tri_point)
+from tiler.lozenge import (STEPS, Axial, Face, LozengeBoundary, TriPoint, TriSubdivision,
+                           tri_point)
 from tiler.reference import Tiling, domino
 from tiler.region import INVERSE, MOVES, RegionBoundary, boundary_height, sorted_unique
 from tiler.solver import _UNREACHED, ViolatedPair, _round_cap
@@ -157,12 +159,78 @@ def vertex_in_closure(b: LozengeBoundary, v: TriPoint) -> bool:
 
 def edge_in_region(b: LozengeBoundary, u: TriPoint, w: TriPoint) -> bool:
     """Whether the unit edge borders at least one region face."""
-    flanks = dict(_FAMILIES)
+    flanks = dict(LOZENGE_FLANKS)
     ua, wa = tri_axial(u), tri_axial(w)
     d = (wa[0] - ua[0], wa[1] - ua[1])
     if d not in flanks:
         ua, d = wa, (-d[0], -d[1])
     return any(face_inside(b, (ua[0] + dq, ua[1] + dr, up)) for dq, dr, up in flanks[d])
+
+
+# The line families of both site graphs with every cell or face flanking
+# the unit step from a vertex along them, as offsets from the vertex plus,
+# for faces, the orientation.  A diagonal step cuts one cell; a step on the
+# triangular lattice has an upward and a downward face.
+SQUARE_FLANKS = (((1, 1), ((0, 0),)), ((1, -1), ((0, -1),)))
+LOZENGE_FLANKS = (((1, 0), ((0, 0, True), (0, -1, False))),
+                  ((0, 1), ((-1, 0, True), (0, 0, False))),
+                  ((1, 1), ((0, 0, True), (0, 0, False))))
+
+
+def two_flank_graph(boundary: List[Axial], corners: List[Axial], triangles, families,
+                    inside, site_of):
+    """A site graph joined with every flank of each line step and no
+    boundary-edge list, the reference for ``approxgraph.join_sites``.
+    Sites are the boundary points (u, v) in walk order, the other
+    corners and the corners of the triangles, each a triple of points
+    whose sides are edges; consecutive sites on a line of a family are
+    joined when any flank of the first step passes the vector membership
+    test ``inside(u, v, ...)``.  ``site_of(u, v)`` is a site's
+    coordinates, whose order numbers the sites.  Returns the sorted
+    sites, the sorted (i, j) id pairs with i < j, and the boundary ids."""
+    points = set(boundary) | set(corners) | {z for tri in triangles for z in tri}
+    sites = sorted(site_of(*z) for z in points)
+    index = {s: i for i, s in enumerate(sites)}
+    ids = {z: index[site_of(*z)] for z in points}
+    pairs = set()
+    for tri in triangles:
+        pairs |= {(ids[tri[0]], ids[tri[1]]), (ids[tri[0]], ids[tri[2]]),
+                  (ids[tri[1]], ids[tri[2]])}
+    for (du, dv), flanks in families:
+        lines: Dict[int, List[Tuple[int, Axial]]] = {}
+        for u, v in points:
+            lines.setdefault(dv * u - du * v, []).append((u if du else v, (u, v)))
+        steps = []
+        for line in lines.values():
+            line.sort()
+            steps += [(z, w) for (_, z), (_, w) in zip(line, line[1:])]
+        if not steps:
+            continue
+        u, v = (np.array(c, dtype=np.int64) for c in zip(*(z for z, _ in steps)))
+        joined = np.zeros(len(steps), dtype=bool)
+        for fu, fv, *rest in flanks:
+            joined |= inside(u + fu, v + fv, *rest)
+        pairs |= {(ids[z], ids[w]) for (z, w), ok in zip(steps, joined.tolist()) if ok}
+    pairs = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+    return sites, pairs, [ids[z] for z in boundary]
+
+
+def square_two_flank_graph(b: RegionBoundary, sub: Subdivision):
+    """``two_flank_graph`` over a square region's subdivision."""
+    cx, cy = sub.inside_corners()
+    triangles = [tuple(zip(x, y)) for x, y in zip(sub.tri_x.tolist(), sub.tri_y.tolist())]
+    return two_flank_graph(b.vertices, list(zip(cx.ravel().tolist(), cy.ravel().tolist())),
+                           triangles, SQUARE_FLANKS, b.contains_cells, lambda x, y: (x, y))
+
+
+def lozenge_two_flank_graph(b: LozengeBoundary, sub: TriSubdivision):
+    """``two_flank_graph`` over a lozenge region's pieces, whose corners
+    are the anchor, the corner across from it along v1 + v2, and
+    (q + s, r) for an upward piece or (q, r + s) for a downward one."""
+    corners = []
+    for q, r, s, up in sub.pieces:
+        corners += [(q, r), (q + s, r + s), (q + s, r) if up else (q, r + s)]
+    return two_flank_graph(b.axial, corners, [], LOZENGE_FLANKS, b.faces_inside, tri_point)
 
 
 def edges(b: RegionBoundary) -> Iterator[Tuple[Point, Point]]:
@@ -380,6 +448,19 @@ def square_walk(word: str) -> Walk:
         heights[u] = h
         h += edge_step(u, w)
     return Walk(word, verts, area2 // 2, heights, h == 0)
+
+
+def lozenge_moves_brute(text: str) -> Tuple[int, ...]:
+    """The moves of a comma-separated word, token by token: each token,
+    stripped of whitespace, must be one of the six spellings, or
+    ``ValueError`` names it and its index."""
+    moves = []
+    for i, tok in enumerate(text.split(",")):
+        tok = tok.strip()
+        if tok not in ("1", "2", "3", "-1", "-2", "-3"):
+            raise ValueError(f"invalid move {tok!r} at index {i}", i)
+        moves.append(int(tok))
+    return tuple(moves)
 
 
 def lozenge_walk(word: str) -> Walk:

@@ -1,11 +1,19 @@
 import random
 
+import pytest
+
+import digest
+import tiler.approxgraph
+import tiler.lozenge
 from tiler.approxgraph import build_graph
-from tiler.reference import enumerate_simply_connected, random_region
+from tiler.errors import InternalInconsistency
+from tiler.lozenge import build_tri_graph, build_tri_subdivision, parse_lozenge
+from tiler.reference import enumerate_simply_connected, random_lozenge_region, random_region
 from tiler.region import parse_boundary
 from tiler.subdivision import build_subdivision
 
-from brute import cheb, pair_connected_brute, valid_pairs_brute
+from brute import (cheb, lozenge_two_flank_graph, pair_connected_brute,
+                   square_two_flank_graph, valid_pairs_brute)
 
 
 def _graph(word):
@@ -118,3 +126,46 @@ def test_array_form_agrees_with_views():
         assert g.degrees().tolist() == [len(g.adj[s]) for s in sites]
         assert _unordered_edges(g) == {(min(s, t), max(s, t))
                                        for s, nbrs in g.adj.items() for t in nbrs}
+
+
+def _tri_graph(word):
+    b = parse_lozenge(word)
+    return b, build_tri_graph(b, build_tri_subdivision(b))
+
+
+def test_degree_bound_violations_raise(monkeypatch):
+    # With every bound one lower than its lattice's, the centre of a 2x2
+    # square (degree 8), its boundary midpoints (5 against a boundary
+    # bound of 4) and the centre of the hexagon H(2,2,2) (degree 6) fail.
+    for module, word, build, bounds, site in (
+            (tiler.approxgraph, "RRUULLDD", _graph, (7, 7), r"\(1, 1\) has degree 8, bound is 7"),
+            (tiler.approxgraph, "RRUULLDD", _graph, (8, 4), r"has degree 5, bound is 4"),
+            (tiler.lozenge, "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2", _tri_graph, (5, 5),
+             r"\(1, 1, 0\) has degree 6, bound is 5")):
+        join = module.join_sites
+        with monkeypatch.context() as m:
+            m.setattr(module, "join_sites", lambda *args: join(*args[:-1], bounds))
+            with pytest.raises(InternalInconsistency, match=site):
+                build(word)
+
+
+def test_one_flank_join_matches_the_two_flank_join():
+    # Random regions of at most 400 cells or triangles on both lattices,
+    # and the 30 large words of the benchmark.
+    rng = random.Random(4004)
+    words = [("sq", random_region(rng, rng.randrange(5, 401)).moves) for _ in range(60)]
+    words += [("tri", random_lozenge_region(rng, rng.randrange(5, 401)).word) for _ in range(60)]
+    words += [(lattice, w) for _, group in digest.FAMILIES["large"]() for lattice, w in group]
+    assert len(words) == 150
+    stages = {"sq": (parse_boundary, build_subdivision, build_graph, square_two_flank_graph),
+              "tri": (parse_lozenge, build_tri_subdivision, build_tri_graph,
+                      lozenge_two_flank_graph)}
+    for lattice, word in words:
+        parse, subdivide, build, reference = stages[lattice]
+        b = parse(word)
+        sub = subdivide(b)
+        graph = build(b, sub)
+        sites, pairs, boundary_ids = reference(b, sub)
+        assert graph.sites == sites
+        assert list(zip(graph.src.tolist(), graph.dst.tolist())) == pairs
+        assert graph.boundary_ids.tolist() == boundary_ids

@@ -6,6 +6,7 @@ up/down triangle matching decider, then pinned.
 """
 
 import random
+import warnings
 from itertools import product
 
 import numpy as np
@@ -21,8 +22,9 @@ from tiler.reference import (enumerate_lozenge_regions, faces_to_lozenge_word,
                              random_lozenge_region)
 
 from brute import (RadiusExceeded, TriColor, batch_tri_subdivision, edge_in_region,
-                   face_inside, tri_alpha, tri_alpha_oracle, tri_axial, tri_color,
-                   tri_geodesic_points_brute, vertex_in_closure)
+                   face_inside, lozenge_moves_brute, lozenge_walk, tri_alpha,
+                   tri_alpha_oracle, tri_axial, tri_color, tri_geodesic_points_brute,
+                   vertex_in_closure)
 
 HEXAGON = "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2"  # H(2,2,2), 24 triangles
 
@@ -141,6 +143,37 @@ def test_parse_reports_bad_token_index():
         parse_lozenge("1," * (1 << 21))
 
 
+def test_parse_matches_the_token_lookup_on_fuzzed_words():
+    # Canonical words (the C decode), the same words with whitespace
+    # around tokens, and words with one corrupted token, half of them
+    # clockwise: each gives the reference's moves, reversed to run
+    # counterclockwise, or its ValueError.
+    rng = random.Random(1213)
+    spaces = ("", "", " ", "  ", "\t", "\n")
+    corrupt = ("+2", "01", "\u0661", "", "-", "1-", "12", "--1", "0", "4")
+    words = []
+    for _ in range(100):
+        toks = random_lozenge_region(rng, rng.randrange(5, 400)).word.split(",")
+        if rng.random() < 0.5:
+            toks = [str(-int(t)) for t in reversed(toks)]
+        bad = toks[:]
+        bad[rng.randrange(len(bad))] = rng.choice(corrupt)
+        words += [",".join(toks), ",".join(bad), ",".join(toks) + ",",
+                  ",".join(rng.choice(spaces) + t + rng.choice(spaces) for t in toks)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for word in words:
+            try:
+                moves = lozenge_moves_brute(word)
+            except ValueError as want:
+                with pytest.raises(ValueError) as err:
+                    parse_lozenge(word)
+                assert err.value.args == want.args, word
+            else:
+                want = lozenge_walk(",".join(str(m) for m in moves)).moves
+                assert parse_lozenge(word).moves == want, word
+
+
 def test_parse_rejects_open_empty_and_crossing_walks():
     with pytest.raises(NotClosed):
         parse_lozenge("1,2")
@@ -209,6 +242,16 @@ def test_graph_degree_bound_and_sites_cover_boundary():
         assert set(b.vertices) <= set(graph.sites)
         # Pieces are perimeter-sized, not area-sized.
         assert len(sub.pieces) <= 6 * b.p
+
+
+def test_graph_makes_one_membership_search_per_family():
+    b = parse_lozenge(HEXAGON)
+    sub = build_tri_subdivision(b)
+    calls = []
+    search = b.faces_inside
+    b.faces_inside = lambda *args: calls.append(args) or search(*args)
+    build_tri_graph(b, sub)
+    assert len(calls) == 3
 
 
 def test_solved_heights_respect_edge_and_color_rules():

@@ -260,6 +260,16 @@ def test_agreement_with_the_whole_region_sweep_at_scale():
     assert reasons == ["ok", "ok", "bad-pair", "bad-pair"]
 
 
+def test_dumbbells_agree_with_the_whole_region_sweep():
+    # Every odd m from 1 to 49: balanced and untileable by construction.
+    for m in range(1, 50, 2):
+        b = parse_boundary(_dumbbell(m))
+        v = decide_tileable(b)
+        assert boundary_height(b).valid, m
+        assert not thurston_full(b, want_heights=False).tileable, m
+        assert (v.tileable, v.reason) == (False, "bad-pair"), m
+
+
 def test_decide_path_loads_no_scipy():
     # Importing scipy.sparse.csgraph costs a fresh process about as much
     # time and memory again as importing tiler; only the references use it.
