@@ -181,15 +181,16 @@ class LozengeBoundary:
 def _moves(text: str, commas: int) -> np.ndarray:
     """The moves of a word with ``commas`` commas.  When every token is 1,
     2, 3, -1, -2 or -3, the length counts the commas and minus signs, and
-    ``np.fromstring`` decodes the word in C; others go token by token."""
+    ``np.fromstring`` decodes the word in C (its unmatched-data warning made
+    an error; a trailing comma reads silently); others go token by token."""
     if text.isascii() and len(text) == 2 * commas + 1 + text.count("-"):
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")
                 tokens = np.fromstring(text, dtype=np.int64, sep=",")
             if len(tokens) == commas + 1 and ((tokens != 0) & (np.abs(tokens) <= 3)).all():
                 return tokens
-        except ValueError:
+        except (ValueError, DeprecationWarning):
             pass
     raw = text.split(",")
     try:
