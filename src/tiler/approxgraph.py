@@ -5,23 +5,22 @@ the kept triangles, and the corners of the maximal inside squares.
 Edges join sites that see each other along a straight king path staying
 strongly inside the region with no other site in between:
 
-* the three sides of every kept triangle (two axis legs and a diagonal
-  hypotenuse), which are inside the region by construction,
-* the unit edges of the boundary walk (triangle legs already), and
-* consecutive sites along each diagonal lattice line, when the cell that
-  the first unit step of the open segment between them cuts is a region
-  cell.  Every boundary vertex is a site and a diagonal line meets the
-  boundary only at lattice vertices, so the open segment lies wholly on
-  one side of the boundary, and that cell tells which.
+* the two axis legs of every kept triangle, inside the region by
+  construction, every boundary edge among them, and
+* consecutive sites along each diagonal lattice line whose open segment
+  is inside, every triangle hypotenuse among them.  A diagonal line
+  meets the boundary only at boundary vertices, all sites, so the open
+  segment lies on one side: inside when either end is interior (not a
+  boundary vertex), and otherwise when the cell that its first unit step
+  cuts is a region cell.
 
-``join_sites`` builds the graph of either lattice in arrays: site ids
-are the ranks of the sorted distinct packed coordinate keys, and one
-``np.searchsorted`` gives those of the boundary vertices and triangle
-corners.  Each edge is one (src, dst) pair of ids with src < dst.  Each
-line family comes from one sort of packed (line, position) keys, and its
-gap tests from one vector lookup of one flank of the first step in the
-region's membership index: off the boundary both flanks of a unit step
-agree, and a step along it joins two consecutive boundary vertices.
+``join_sites`` builds the graph of either lattice in arrays and makes
+each edge once, so no sort removes duplicates: site ids are the ranks of
+the sorted distinct packed coordinate keys, and one ``np.searchsorted``
+gives those of the boundary vertices and of the pairs joined outright.
+Each line family comes from one sort of packed (line, position) keys;
+only its gaps between two boundary vertices get a membership search, a
+vector lookup of one flank of the first step in the region's index.
 Edges store no weights: the solver takes the bound on the height
 difference from the closed form.  Degrees are bounded by construction,
 on squares by two neighbours per diagonal line plus four axis legs, with
@@ -46,10 +45,10 @@ class ApproxGraph:
     """Site graph over integer ids, shared by both lattices.
 
     ``coords`` is the (n, d) int64 array of site coordinates in sorted
-    order; ``src`` and ``dst`` list each edge once, sorted, with
-    ``src < dst``; ``boundary_ids`` are the ids of the boundary vertices
-    in walk order.  ``sites`` and ``adj`` are tuple-keyed views built on
-    first access.
+    order; ``src`` and ``dst`` list each edge once, with ``src < dst``,
+    in construction order; ``boundary_ids`` are the ids of the boundary
+    vertices in walk order.  ``sites`` and ``adj`` are tuple-keyed views
+    built on first access.
     """
 
     def __init__(self, coords: np.ndarray, src: np.ndarray, dst: np.ndarray,
@@ -90,41 +89,42 @@ class ApproxGraph:
                 for i, nb in enumerate(nbrs)}
 
 
-def join_sites(keys: np.ndarray, p: int, triangles: int, decode, families, inside,
+def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, families, inside,
                bounds: Tuple[int, int]) -> ApproxGraph:
-    """The site graph of either lattice over the packed candidate keys:
-    the p boundary vertices in walk order, the three corners of each of
-    ``triangles`` kept triangles, then the rest.  ``decode`` maps the
+    """The site graph of either lattice over the packed candidate keys,
+    the p boundary vertices in walk order first.  ``decode`` maps the
     sorted distinct keys to the site coordinates and their plane
-    coordinates (u, v).  Consecutive boundary vertices are joined, and so
-    are the corners of each triangle.  Each family is a direction
+    coordinates (u, v).  ``links`` is a (2, L) array of the positions in
+    ``keys`` of the pairs joined outright.  Each family is a direction
     (du, dv) along which u grows, or v when du = 0, and one flank of its
     unit step: an offset (fu, fv) plus any further arguments of the
     membership test ``inside(u, v, ...)``.  Consecutive sites on a line
-    are joined when that flank of the first step is inside.
+    are joined when either is not a boundary vertex, or else when that
+    flank of the first step is inside.
     Degrees are at most ``bounds[0]``, ``bounds[1]`` on the boundary."""
     site_keys = sorted_unique(keys)
     coords, u, v = decode(site_keys)
-    ids = np.searchsorted(site_keys, keys[:p + 3 * triangles])
-    boundary_ids, tri = ids[:p], ids[p:].reshape(-1, 3)
-    i = [boundary_ids, tri[:, 0], tri[:, 0], tri[:, 1]]
-    j = [np.concatenate([boundary_ids[1:], boundary_ids[:1]]), tri[:, 1], tri[:, 2], tri[:, 2]]
+    ids = np.searchsorted(site_keys, keys[:max(p, links.max(initial=-1) + 1)])
+    on_boundary = np.zeros(len(coords), dtype=bool)
+    on_boundary[ids[:p]] = True
+    i, j = [ids[links[0]]], [ids[links[1]]]
     for (du, dv), (fu, fv, *rest) in families:
         line = dv * u - du * v
         order = np.argsort(pack(line, u if du else v))
         a, c = order[:-1], order[1:]
         same = line[a] == line[c]
         a, c = a[same], c[same]
-        joined = inside(u[a] + fu, v[a] + fv, *rest)
+        both = on_boundary[a] & on_boundary[c]
+        joined = ~both
+        joined[both] = inside(u[a[both]] + fu, v[a[both]] + fv, *rest)
         i.append(a[joined])
         j.append(c[joined])
 
-    i, j, n = np.concatenate(i), np.concatenate(j), len(coords)
-    edges = sorted_unique(np.minimum(i, j) * n + np.maximum(i, j))
-    graph = ApproxGraph(coords, edges // n, edges % n, boundary_ids)
+    i, j = np.concatenate(i), np.concatenate(j)
+    graph = ApproxGraph(coords, np.minimum(i, j), np.maximum(i, j), ids[:p])
     deg = graph.degrees()
     limit = np.full(len(deg), bounds[0])
-    limit[boundary_ids] = bounds[1]
+    limit[on_boundary] = bounds[1]
     over = np.flatnonzero(deg > limit)
     if len(over):
         s = over[0]
@@ -145,8 +145,11 @@ _DIAGONALS = (((1, 1), (0, 0)), ((1, -1), (0, -1)))
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
     bx, by = b.xy
+    tx, ty, lone = sub.tri_x, sub.tri_y, ~sub.next_kept
     cx, cy = sub.inside_corners()
-    keys = pack(np.concatenate([bx, sub.tri_x.ravel(), cx.ravel()]),
-                np.concatenate([by, sub.tri_y.ravel(), cy.ravel()]))
-    return join_sites(keys, len(bx), len(sub.tri_x), _decode_xy, _DIAGONALS,
-                      b.contains_cells, (8, 7))
+    keys = pack(np.concatenate([bx, tx[:, 0], tx[:, 1], tx[lone, 2], cx.ravel()]),
+                np.concatenate([by, ty[:, 0], ty[:, 1], ty[lone, 2], cy.ravel()]))
+    p, t = len(bx), len(tx)
+    apex = p + np.concatenate([np.arange(t), np.flatnonzero(lone)])
+    links = np.stack([apex, np.arange(p + t, p + t + len(apex))])
+    return join_sites(keys, p, links, _decode_xy, _DIAGONALS, b.contains_cells, (8, 7))

@@ -12,8 +12,8 @@ color.  A lozenge tiling induces integer heights on the vertices of the
 region: stepping along an edge that advances the color cycle changes the
 height by +1 when the edge lies on a lozenge edge and by -2 when a
 lozenge covers it, and the reverse signs hold against the cycle.  The
-maximal plane height vanishing at x is ``tri_alpha_array(x, y)``: the
-coordinate sum of y - x in canonical form.
+maximal plane height vanishing at x is the coordinate sum of y - x in
+canonical form, the first array of ``tri_alpha_array(x, y)``.
 
 The decision is ``solver.run_pipeline``, the one pipeline of both
 lattices; this module supplies the triangular stages.  Parsing checks
@@ -85,13 +85,15 @@ def tri_point(q: int, r: int) -> TriPoint:
     return (q - m, r - m, -m)
 
 
-def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The coordinate sum of y - x in canonical form, the maximum height
-    of y over plane height functions vanishing at x, row by row over
-    (m, 3) int64 arrays of vertices."""
+def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The coordinate sums of y - x and of x - y in canonical form, the
+    maximum heights of y over plane height functions vanishing at x and
+    the reverse, row by row over (m, 3) int64 arrays of vertices."""
     d = y - x
     a, b, c = d[:, 0], d[:, 1], d[:, 2]
-    return a + b + c - 3 * np.minimum(np.minimum(a, b), c)
+    total = a + b + c
+    return (total - 3 * np.minimum(np.minimum(a, b), c),
+            3 * np.maximum(np.maximum(a, b), c) - total)
 
 
 def face_corners(f: Face) -> Tuple[Axial, Axial, Axial]:
@@ -110,7 +112,8 @@ def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
 
 # The three line families: the directions v1, v2 and -v3, each with the
 # upward face flanking the unit edge from (q, r) along it, as an offset
-# from (q, r).  The downward face agrees unless the edge is on the boundary.
+# from (q, r).  Off the boundary the downward face agrees; boundary edges
+# of moves -1, -2 and -3 have the upward one outside and are joined outright.
 _FAMILIES = (((1, 0), (0, 0, True)), ((0, 1), (-1, 0, True)), ((1, 1), (0, 0, True)))
 
 
@@ -353,9 +356,9 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     Sites are the boundary vertices and the piece corners.  Lattice lines
     only meet the boundary at vertices, and every boundary vertex on a
     line is a site, so the open segment between consecutive sites lies
-    on one side throughout: the upward face on the first unit step from
-    the earlier site is a region face exactly when the segment is inside,
-    unless that step is a boundary edge, which is joined as one.
+    on one side throughout: inside when either end is interior, else when
+    the upward face on the first unit step from the earlier site is a
+    region face or that step is the boundary edge of a negative move.
     """
     q, r = b.qr
     pq, pr, ps, pup = sub.piece_q, sub.piece_r, sub.piece_side, sub.piece_up
@@ -365,7 +368,9 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     ar = np.concatenate([r, pr, pr + ps, pr + ps * ~pup])
     m = np.minimum(np.minimum(aq, ar), 0)
     keys = ((aq - m) << 2 * _SITE_BITS) | ((ar - m) << _SITE_BITS) | -m
-    return join_sites(keys, len(q), 0, _decode_tri, _FAMILIES, b.faces_inside, (6, 6))
+    tails = np.flatnonzero(b.tokens < 0)
+    links = np.stack([tails, (tails + 1) % len(q)])
+    return join_sites(keys, len(q), links, _decode_tri, _FAMILIES, b.faces_inside, (6, 6))
 
 
 def decide_lozenge(source) -> TileabilityVerdict:

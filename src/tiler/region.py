@@ -54,8 +54,8 @@ def unpack(key):
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """The distinct values of an int64 array, in increasing order: the
-    packed vertices of ``closed_walk``'s revisit check, and the site keys
-    and the edge keys of the site graph.
+    packed vertices of ``closed_walk``'s revisit check and the site keys
+    of the site graph.
 
     ``np.unique`` without ``return_inverse`` imports ``numpy.ma`` on its
     first call (1.7 MB of resident memory), and its hash table is slower

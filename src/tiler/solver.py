@@ -120,11 +120,13 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
 
     Returns the int64 array of heights indexed by site id and the
     violated edge constraint whose endpoints come first in sorted site
-    order, if any.
+    order, if any: the least (src, dst) among the violated edges, which
+    the graph lists in construction order.
     ``bh.heights`` is the int64 array of the boundary heights in walk
     order, the order of ``graph.boundary_ids``.  ``metric(x, y)`` is the
     array form of the directed per-pair height bound over (m, d)
-    coordinate arrays; the default is the square-lattice one, the lozenge
+    coordinate arrays, both ways in one pass: the bounds from x to y and
+    from y to x.  The default is the square-lattice one, the lozenge
     pipeline passes its own.
 
     The arcs into non-boundary sites are sorted by tail once, with one
@@ -149,8 +151,7 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     n = len(coords)
     # np.take gathers rows several times faster than coords[src].
     x, y = np.take(coords, src, axis=0), np.take(coords, dst, axis=0)
-    rise = metric(x, y)  # bound on g(dst) - g(src)
-    fall = metric(y, x)  # bound on g(src) - g(dst)
+    rise, fall = metric(x, y)  # bounds on g(dst) - g(src) and g(src) - g(dst)
     del x, y  # the endpoint rows would otherwise set the call's peak memory
 
     tail = np.concatenate([src, dst])
@@ -192,7 +193,7 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     bad = np.flatnonzero((gap > rise) | (-gap > fall))
     if not len(bad):
         return g, None
-    e = bad[0]
+    e = bad[np.argmin(src[bad] * n + dst[bad])]
     x, y = int(src[e]), int(dst[e])
     return g, ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),
                            int(rise[e]), int(fall[e]))

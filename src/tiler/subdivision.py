@@ -157,7 +157,9 @@ class Subdivision:
     * ``inside_at``: (level, iu, iv) arrays of the uncrossed children of
       crossed squares that lie inside the region;
     * ``tri_x``, ``tri_y``: (T, 3) coordinates of the kept triangles'
-      apex and two corners.
+      apex and two corners;
+    * ``next_kept``: whether the next triangle counterclockwise in the
+      same square is kept, so that its first leg is this one's second.
 
     ``si_census[i]`` counts the crossed squares of level i.
     """
@@ -277,6 +279,7 @@ class Subdivision:
         k2 = (k + 1) & 3
         self.tri_x = np.stack([ax, ax + _LEG[k, 0], ax + _LEG[k2, 0]], axis=1)
         self.tri_y = np.stack([ay, ay + _LEG[k, 1], ay + _LEG[k2, 1]], axis=1)
+        self.next_kept = kept[row, k2]
 
 
 def build_subdivision(b: RegionBoundary) -> Subdivision:

@@ -177,6 +177,21 @@ LOZENGE_FLANKS = (((1, 0), ((0, 0, True), (0, -1, False))),
                   ((1, 1), ((0, 0, True), (0, 0, False))))
 
 
+def line_gaps(points, direction) -> List[Tuple[Axial, Axial]]:
+    """The pairs of consecutive points (u, v) on each lattice line along
+    ``direction`` (du, dv), earlier point first: u grows along it, or v
+    when du = 0."""
+    du, dv = direction
+    lines: Dict[int, List[Tuple[int, Axial]]] = {}
+    for u, v in points:
+        lines.setdefault(dv * u - du * v, []).append((u if du else v, (u, v)))
+    gaps = []
+    for line in lines.values():
+        line.sort()
+        gaps += [(z, w) for (_, z), (_, w) in zip(line, line[1:])]
+    return gaps
+
+
 def two_flank_graph(boundary: List[Axial], corners: List[Axial], triangles, families,
                     inside, site_of):
     """A site graph joined with every flank of each line step and no
@@ -196,14 +211,8 @@ def two_flank_graph(boundary: List[Axial], corners: List[Axial], triangles, fami
     for tri in triangles:
         pairs |= {(ids[tri[0]], ids[tri[1]]), (ids[tri[0]], ids[tri[2]]),
                   (ids[tri[1]], ids[tri[2]])}
-    for (du, dv), flanks in families:
-        lines: Dict[int, List[Tuple[int, Axial]]] = {}
-        for u, v in points:
-            lines.setdefault(dv * u - du * v, []).append((u if du else v, (u, v)))
-        steps = []
-        for line in lines.values():
-            line.sort()
-            steps += [(z, w) for (_, z), (_, w) in zip(line, line[1:])]
+    for direction, flanks in families:
+        steps = line_gaps(points, direction)
         if not steps:
             continue
         u, v = (np.array(c, dtype=np.int64) for c in zip(*(z for z, _ in steps)))
@@ -346,12 +355,13 @@ def masked_round_gmax(graph: ApproxGraph, bh, metric=alpha_array, cap=None):
     """``compute_gmax`` as it was before the tail-sorted arc index: the
     same rounds, each found by masking every arc with the frontier and
     reducing per head, and the same heap finish after ``cap`` rounds
-    (default ``solver._round_cap``).  Returns the heights, the witness and
-    what the finish was handed, ``(labels, fell)``, or None."""
+    (default ``solver._round_cap``).  Returns the heights, the witness
+    (the violated edge with the least (src, dst)) and what the finish was
+    handed, ``(labels, fell)``, or None."""
     coords, src, dst = graph.coords, graph.src, graph.dst
     n = len(coords)
     x, y = coords[src], coords[dst]
-    rise, fall = metric(x, y), metric(y, x)
+    rise, fall = metric(x, y)
 
     tail = np.concatenate([src, dst])
     head = np.concatenate([dst, src])
@@ -388,7 +398,7 @@ def masked_round_gmax(graph: ApproxGraph, bh, metric=alpha_array, cap=None):
     bad = np.flatnonzero((gap > rise) | (-gap > fall))
     if not len(bad):
         return g, None, handoff
-    e = bad[0]
+    e = min(bad.tolist(), key=lambda e: (src[e], dst[e]))
     x, y = int(src[e]), int(dst[e])
     return g, ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),
                            int(rise[e]), int(fall[e])), handoff

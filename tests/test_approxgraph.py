@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import digest
@@ -7,13 +8,13 @@ import tiler.approxgraph
 import tiler.lozenge
 from tiler.approxgraph import build_graph
 from tiler.errors import InternalInconsistency
-from tiler.lozenge import build_tri_graph, build_tri_subdivision, parse_lozenge
+from tiler.lozenge import LozengeBoundary, build_tri_graph, build_tri_subdivision, parse_lozenge
 from tiler.reference import enumerate_simply_connected, random_lozenge_region, random_region
-from tiler.region import parse_boundary
+from tiler.region import RegionBoundary, parse_boundary
 from tiler.subdivision import build_subdivision
 
-from brute import (cheb, lozenge_two_flank_graph, pair_connected_brute,
-                   square_two_flank_graph, valid_pairs_brute)
+from brute import (LOZENGE_FLANKS, SQUARE_FLANKS, cheb, line_gaps, lozenge_two_flank_graph,
+                   pair_connected_brute, square_two_flank_graph, valid_pairs_brute)
 
 
 def _graph(word):
@@ -117,11 +118,11 @@ def test_array_form_agrees_with_views():
     for b in [parse_boundary("RRULULDD")] + [random_region(rng, a) for a in (15, 80)]:
         g = build_graph(b, build_subdivision(b))
         sites = g.sites
-        # Ids follow sorted, distinct coordinates; edges are sorted
-        # (src, dst) pairs with src < dst, each listed once.
+        # Ids follow sorted, distinct coordinates; edges are (src, dst)
+        # pairs with src < dst, each listed once.
         assert sites == sorted(set(sites)) == [tuple(c) for c in g.coords.tolist()]
         pairs = list(zip(g.src.tolist(), g.dst.tolist()))
-        assert all(i < j for i, j in pairs) and pairs == sorted(set(pairs))
+        assert all(i < j for i, j in pairs) and len(set(pairs)) == g.edge_count
         assert [sites[i] for i in g.boundary_ids.tolist()] == b.vertices
         assert g.degrees().tolist() == [len(g.adj[s]) for s in sites]
         assert _unordered_edges(g) == {(min(s, t), max(s, t))
@@ -149,23 +150,101 @@ def test_degree_bound_violations_raise(monkeypatch):
                 build(word)
 
 
-def test_one_flank_join_matches_the_two_flank_join():
-    # Random regions of at most 400 cells or triangles on both lattices,
-    # and the 30 large words of the benchmark.
+def _join_words():
+    """Random regions of at most 400 cells or triangles on both lattices,
+    and the 30 large words of the benchmark."""
     rng = random.Random(4004)
     words = [("sq", random_region(rng, rng.randrange(5, 401)).moves) for _ in range(60)]
     words += [("tri", random_lozenge_region(rng, rng.randrange(5, 401)).word) for _ in range(60)]
     words += [(lattice, w) for _, group in digest.FAMILIES["large"]() for lattice, w in group]
     assert len(words) == 150
-    stages = {"sq": (parse_boundary, build_subdivision, build_graph, square_two_flank_graph),
-              "tri": (parse_lozenge, build_tri_subdivision, build_tri_graph,
-                      lozenge_two_flank_graph)}
-    for lattice, word in words:
-        parse, subdivide, build, reference = stages[lattice]
+    return words
+
+
+STAGES = {"sq": (parse_boundary, build_subdivision, build_graph),
+          "tri": (parse_lozenge, build_tri_subdivision, build_tri_graph)}
+
+
+def test_one_flank_join_matches_the_two_flank_join():
+    references = {"sq": square_two_flank_graph, "tri": lozenge_two_flank_graph}
+    for lattice, word in _join_words():
+        parse, subdivide, build = STAGES[lattice]
         b = parse(word)
         sub = subdivide(b)
         graph = build(b, sub)
-        sites, pairs, boundary_ids = reference(b, sub)
+        sites, pairs, boundary_ids = references[lattice](b, sub)
         assert graph.sites == sites
-        assert list(zip(graph.src.tolist(), graph.dst.tolist())) == pairs
+        got = list(zip(graph.src.tolist(), graph.dst.tolist()))
+        assert all(i < j for i, j in got) and len(set(got)) == graph.edge_count
+        assert sorted(got) == pairs
         assert graph.boundary_ids.tolist() == boundary_ids
+
+
+def _around(lattice, b, u, v):
+    """Whether every cell or face around each point (u, v) is inside: the
+    four cells around a square-lattice vertex, the six faces around an
+    axial vertex."""
+    if lattice == "sq":
+        return np.logical_and.reduce([b.contains_cells(u + du, v + dv)
+                                      for du in (0, -1) for dv in (0, -1)])
+    return np.logical_and.reduce([b.faces_inside(u + dq, v + dr, up) for dq, dr, up in (
+        (0, 0, True), (-1, 0, True), (-1, -1, True),
+        (0, 0, False), (-1, -1, False), (0, -1, False))])
+
+
+def test_searches_run_only_between_two_boundary_vertices(monkeypatch):
+    # What the join's shortcut rests on: a site that is not a boundary
+    # vertex is interior, so only the gaps between two boundary vertices
+    # need a membership search, and the graph makes exactly that many.
+    tests = {"sq": (RegionBoundary, "contains_cells", SQUARE_FLANKS),
+             "tri": (LozengeBoundary, "faces_inside", LOZENGE_FLANKS)}
+    for lattice, word in _join_words():
+        parse, subdivide, build = STAGES[lattice]
+        cls, name, families = tests[lattice]
+        b = parse(word)
+        sub = subdivide(b)
+        rows = []
+        test = getattr(cls, name)
+
+        def counted(self, u, v, *rest):
+            rows.append(len(u))
+            return test(self, u, v, *rest)
+
+        with monkeypatch.context() as m:
+            m.setattr(cls, name, counted)
+            graph = build(b, sub)
+
+        coords = graph.coords
+        if lattice == "tri":
+            coords = np.stack([coords[:, 0] - coords[:, 2], coords[:, 1] - coords[:, 2]], axis=1)
+        boundary = set(b.vertices if lattice == "sq" else b.axial)
+        interior = np.ones(len(coords), dtype=bool)
+        interior[graph.boundary_ids] = False
+        assert _around(lattice, b, coords[interior, 0], coords[interior, 1]).all(), word
+
+        points = list(zip(*coords.T.tolist()))
+        gaps = sum(z in boundary and w in boundary
+                   for direction, _ in families for z, w in line_gaps(points, direction))
+        assert sum(rows) == gaps, word
+
+
+def test_only_negative_lozenge_boundary_edges_fail_their_flank_test():
+    # A boundary edge of move 1, 2 or 3 has the upward face its family
+    # tests on the region side, so the line join makes it; one of move
+    # -1, -2 or -3 has it outside and is joined outright.
+    for lattice, word in _join_words():
+        if lattice != "tri":
+            continue
+        b = parse_lozenge(word)
+        q, r = b.qr
+        dq, dr = np.roll(q, -1) - q, np.roll(r, -1) - r
+        passed = np.zeros(b.p, dtype=bool)
+        tested = np.zeros(b.p, dtype=int)
+        for (fq, fr), (oq, orr, up) in tiler.lozenge._FAMILIES:
+            forward = (dq == fq) & (dr == fr)
+            edge = forward | ((dq == -fq) & (dr == -fr))
+            eq, er = np.where(forward, q, q + dq)[edge], np.where(forward, r, r + dr)[edge]
+            passed[edge] = b.faces_inside(eq + oq, er + orr, up)
+            tested += edge
+        assert (tested == 1).all()
+        assert (passed == (b.tokens > 0)).all(), word

@@ -129,4 +129,6 @@ def test_alpha_array_matches_alpha_radius_6():
              for dx, dy in product(range(-6, 7), repeat=2)]
     xs = np.array([x for x, _ in pairs], dtype=np.int64)
     ys = np.array([y for _, y in pairs], dtype=np.int64)
-    assert alpha_array(xs, ys).tolist() == [alpha(x, y) for x, y in pairs]
+    rise, fall = alpha_array(xs, ys)
+    assert rise.tolist() == [alpha(x, y) for x, y in pairs]
+    assert fall.tolist() == [alpha(y, x) for x, y in pairs]

@@ -77,7 +77,9 @@ def test_tri_alpha_array_matches_tri_alpha_radius_6():
              for dq, dr in product(range(-6, 7), repeat=2)]
     xs = np.array([x for x, _ in pairs], dtype=np.int64)
     ys = np.array([y for _, y in pairs], dtype=np.int64)
-    assert tri_alpha_array(xs, ys).tolist() == [tri_alpha(x, y) for x, y in pairs]
+    rise, fall = tri_alpha_array(xs, ys)
+    assert rise.tolist() == [tri_alpha(x, y) for x, y in pairs]
+    assert fall.tolist() == [tri_alpha(y, x) for x, y in pairs]
 
 
 def test_tri_alpha_oracle_radius_guard():
@@ -406,8 +408,9 @@ def test_array_form_agrees_with_views():
         assert sites == sorted(set(sites)) == [tuple(c) for c in g.coords.tolist()]
         assert set(sites) == set(b.vertices) | {tri_point(*c) for piece in pieces
                                                  for c in _piece_corners(piece)}
+        # Each edge is listed once, as (src, dst) with src < dst.
         pairs = list(zip(g.src.tolist(), g.dst.tolist()))
-        assert all(i < j for i, j in pairs) and pairs == sorted(set(pairs))
+        assert all(i < j for i, j in pairs) and len(set(pairs)) == g.edge_count
         assert [sites[i] for i in g.boundary_ids.tolist()] == b.vertices
         assert g.degrees().tolist() == [len(g.adj[s]) for s in sites]
         # Every boundary edge joins two consecutive sites on its line.

@@ -29,7 +29,9 @@ from tiler.region import BoundaryHeight, boundary_height, parse_boundary
 from tiler.solver import compute_gmax
 from tiler.subdivision import build_subdivision
 
-from brute import masked_round_gmax
+import digest  # noqa: F401  (puts the benchmark's workloads on the path)
+from brute import masked_round_gmax, tri_alpha
+from workloads import BAD_PAIR, LOZENGE_LARGE, SQUARE_LARGE
 
 
 def test_two_by_two():
@@ -106,8 +108,8 @@ def test_heights_satisfy_every_edge():
     h = np.array([v.heights[s] for s in g.sites])
     x, y = g.coords[g.src], g.coords[g.dst]
     gap = h[g.dst] - h[g.src]
-    assert (gap <= alpha_array(x, y)).all()
-    assert (-gap <= alpha_array(y, x)).all()
+    rise, fall = alpha_array(x, y)
+    assert (gap <= rise).all() and (-gap <= fall).all()
 
 
 def test_unreached_site_is_an_internal_inconsistency():
@@ -235,6 +237,38 @@ def test_frontier_rounds_match_the_masked_rounds_on_random_regions(handed, decid
         _assert_same_relaxation(handed, *_solver_input(decide, region))
         verdicts.add(decide(region).reason)
     assert verdicts == {"ok", "bad-pair", "unbalanced-boundary"}
+
+
+def _bad_pair_words():
+    """The five dumbbells of ``square-large``, the lozenge bad-pair base
+    dilated by 150 to 400 and the heap-finish words."""
+    words = [pytest.param(decide_tileable if lattice == "sq" else decide_lozenge, build(size),
+                          id=label.format(size).replace(" ", ""))
+             for label, lattice, build, sizes, kind in SQUARE_LARGE + LOZENGE_LARGE
+             if kind == BAD_PAIR for size in sizes]
+    assert len(words) == 10
+    return words + [pytest.param(decide, word, id=name)
+                    for (decide, word, _), name in zip(HEAP_FINISH_WORDS, HEAP_FINISH_IDS)]
+
+
+@pytest.mark.parametrize("decide, word", _bad_pair_words())
+def test_witness_is_the_least_violated_pair(decide, word):
+    # Over every edge, checked with the scalar metric: the witness is the
+    # violated edge whose endpoints come first in sorted site order.
+    graph, bh, metric = _solver_input(decide, word)
+    scalar = alpha if decide is decide_tileable else tri_alpha
+    g, bad = compute_gmax(graph, bh, metric)
+    g, sites = g.tolist(), graph.sites
+    violated = [(i, j) for i, j in zip(graph.src.tolist(), graph.dst.tolist())
+                if g[j] - g[i] > scalar(sites[i], sites[j])
+                or g[i] - g[j] > scalar(sites[j], sites[i])]
+    if not violated:
+        assert bad is None
+        return
+    i, j = min(violated)
+    x, y = sites[i], sites[j]
+    assert bad == (x, y, g[i], g[j], scalar(x, y), scalar(y, x))
+    assert decide(word).witness == bad
 
 
 def test_agreement_with_the_whole_region_sweep_at_scale():
