@@ -5,8 +5,7 @@ Subcommands:
 * ``check``  -- decide tileability, print the verdict JSON; exit 0 when
   tileable, 1 when not, 2 on invalid input.
 * ``tile``   -- print the maximum tiling as a JSON list of tile cell
-  pairs, assembled per-cell through the site oracle (default) or from
-  the full reference height function (``--via-full``).
+  pairs, assembled per cell through the site oracle.
 * ``query``  -- answer a single cell's tile through the site oracle.
 * ``gen``    -- emit boundary words for the built-in families.
 * ``bench``  -- timing sweep over generated families; CSV records plus
@@ -32,11 +31,11 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from tiler import generators
-from tiler.errors import (EmptyInterior, NotClosed, NotTileable,
-                          OutsideRegion, SelfIntersecting, TilerError)
+from tiler.errors import (EmptyInterior, NotClosed, OutsideRegion,
+                          SelfIntersecting, TilerError)
 from tiler.lozenge import decide_lozenge, parse_lozenge
 from tiler.oracle import TilingOracle
-from tiler.reference import extract_tiling, matching_decide, thurston_full
+from tiler.reference import matching_decide, thurston_full
 from tiler.region import parse_boundary
 from tiler.render import render_lozenge, render_square
 from tiler.solver import decide_tileable
@@ -91,14 +90,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_tile(args: argparse.Namespace) -> int:
     b = parse_boundary(_read_word(args))
-    if args.via_full:
-        res = thurston_full(b, want_heights=True)
-        if not res.tileable:
-            raise NotTileable("region is not tileable")
-        pairs = sorted(extract_tiling(b, res.heights))
-    else:
-        oracle = TilingOracle(b)
-        pairs = sorted({oracle.domino_at(c).as_pair() for c in b.cells()})
+    oracle = TilingOracle(b)
+    pairs = sorted({oracle.domino_at(c).as_pair() for c in b.cells()})
     print(json.dumps({"count": len(pairs),
                       "dominoes": [[list(a), list(c)] for a, c in pairs]}))
     return 0
@@ -282,12 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("tile", help="print the maximum tiling")
     _add_word_args(sp)
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--via-oracle", dest="via_full", action="store_false",
-                       help="assemble from per-cell oracle queries (default)")
-    group.add_argument("--via-full", dest="via_full", action="store_true",
-                       help="assemble from the full reference height function")
-    sp.set_defaults(fn=cmd_tile, via_full=False)
+    sp.set_defaults(fn=cmd_tile)
 
     sp = sub.add_parser("query", help="tile covering one cell")
     _add_word_args(sp)

@@ -53,9 +53,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from tiler.errors import CapExceeded, InternalInconsistency
+from tiler.errors import InternalInconsistency
 from tiler.approxgraph import ApproxGraph, join_sites
-from tiler.region import BoundaryHeight, closed_walk, odd_at_or_left, pack, spans, walk_back
+from tiler.region import (BoundaryHeight, closed_walk, crossing_keys, odd_at_or_left, spans,
+                          walk_back)
 from tiler.solver import TileabilityVerdict, compute_gmax, run_pipeline
 from tiler.subdivision import climb, zorder
 
@@ -94,13 +95,6 @@ def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     total = a + b + c
     return (total - 3 * np.minimum(np.minimum(a, b), c),
             3 * np.maximum(np.maximum(a, b), c) - total)
-
-
-def face_corners(f: Face) -> Tuple[Axial, Axial, Axial]:
-    q, r, up = f
-    if up:
-        return ((q, r), (q + 1, r), (q + 1, r + 1))
-    return ((q, r), (q + 1, r + 1), (q, r + 1))
 
 
 def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
@@ -160,14 +154,9 @@ class LozengeBoundary:
 
     @cached_property
     def _cut_keys(self) -> np.ndarray:
-        """Sorted ``pack(row, pos)`` keys of the strip cuts.  The edge from
-        (q, r) along (dq, dr) with dr != 0 cuts row r, or r - 1 when it
-        runs down, at position 2q + dq."""
-        q, r = self.qr
+        """Sorted ``pack(row, pos)`` keys of the strip cuts."""
         index = self.tokens + 3
-        dq, dr = _STEP_Q[index], _STEP_R[index]
-        cut = dr != 0
-        return np.sort(pack(r[cut] - (dr[cut] < 0), 2 * q[cut] + dq[cut]))
+        return crossing_keys(self.qr, (_STEP_Q[index], _STEP_R[index]), 2)
 
     def faces_inside(self, q: np.ndarray, r: np.ndarray, up) -> np.ndarray:
         """Whether the faces (q, r, up) are in the region, over int64 arrays
@@ -388,25 +377,9 @@ def lozenge_matching_decide(b: LozengeBoundary, cap: Optional[int] = None,
                             ) -> Optional[List[Tuple[Face, Face]]]:
     """Perfect matching between upward and downward unit triangles; a
     matching is a lozenge tiling and is returned, otherwise None."""
-    from tiler.reference import _cap, _hopcroft_karp
-    limit = _cap(cap if cap is not None else 10 ** 5)
-    if b.n > limit:
-        raise CapExceeded(f"region has {b.n} triangles, cap is {limit}")
-    if b.n % 2 != 0:
-        return None
-    faces = sorted(b.faces())
-    face_set = set(faces)
-    ups = [f for f in faces if f[2]]
-    downs = [f for f in faces if not f[2]]
-    if len(ups) != len(downs):
-        return None
-    down_index = {f: i for i, f in enumerate(downs)}
-    adj = [sorted(down_index[g] for g in face_neighbors(f) if g in face_set)
-           for f in ups]
-    match_up = _hopcroft_karp(len(ups), len(downs), adj)
-    if any(m < 0 for m in match_up):
-        return None
-    return [(f, downs[m]) for f, m in zip(ups, match_up)]
+    from tiler.reference import perfect_matching
+    pairs = perfect_matching(b.n, "triangles", cap, b.faces(), lambda f: f[2], face_neighbors)
+    return None if pairs is None else list(pairs)
 
 
 def random_lozenge_region(rng, target_triangles: int) -> LozengeBoundary:

@@ -12,8 +12,8 @@ variable) so a typo cannot freeze a test run.
 from __future__ import annotations
 
 import os
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from tiler.region import MOVES, RegionBoundary, boundary_height, parse_boundary
 
 Domino = Tuple[Point, Point]
 Tiling = Set[Domino]
-
-_AXIS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 def _cap(default: int) -> int:
@@ -167,30 +165,37 @@ def extract_tiling(b: RegionBoundary, heights: Dict[Point, int]) -> Tiling:
 def matching_decide(b: RegionBoundary, cap: Optional[int] = None) -> Optional[Tiling]:
     """Maximum matching between the two cell colours; a perfect matching is
     a tiling and is returned, otherwise None.  Deterministic."""
-    n = b.area
+    pairs = perfect_matching(b.area, "cells", cap, b.cells(),
+                             lambda c: (c[0] + c[1]) % 2 == 0, _cell_neighbours)
+    return None if pairs is None else {domino(w, c) for w, c in pairs}
+
+
+def perfect_matching(n: int, unit: str, cap: Optional[int], faces: Iterable[Face],
+                     side: Callable[[Face], bool],
+                     neighbours: Callable[[Face], Iterable[Face]],
+                     ) -> Optional[Iterator[Tuple[Face, Face]]]:
+    """A perfect matching of the n faces of a region (cells or triangles,
+    named by ``unit`` in the cap message) between those on ``side`` and
+    the others, over the faces that ``neighbours`` gives, as pairs (face on
+    the side, its partner) in sorted order of the first; None when there
+    is none.  ``faces`` is read only after the cap check."""
     limit = _cap(cap if cap is not None else 10 ** 5)
     if n > limit:
-        raise CapExceeded(f"region has {n} cells, cap is {limit}")
+        raise CapExceeded(f"region has {n} {unit}, cap is {limit}")
     if n % 2 != 0:
         return None
-    cells = sorted(b.cells())
-    cell_set = set(cells)
-    whites = [c for c in cells if (c[0] + c[1]) % 2 == 0]
-    blacks = [c for c in cells if (c[0] + c[1]) % 2 == 1]
-    if len(whites) != len(blacks):
+    faces = sorted(faces)
+    face_set = set(faces)
+    firsts = [f for f in faces if side(f)]
+    seconds = [f for f in faces if not side(f)]
+    if len(firsts) != len(seconds):
         return None
-    black_index = {c: i for i, c in enumerate(blacks)}
-    adj: List[List[int]] = []
-    for w in whites:
-        adj.append(sorted(
-            black_index[(w[0] + dx, w[1] + dy)]
-            for dx, dy in _AXIS
-            if (w[0] + dx, w[1] + dy) in cell_set
-        ))
-    match_w = _hopcroft_karp(len(whites), len(blacks), adj)
-    if any(m < 0 for m in match_w):
+    index = {f: i for i, f in enumerate(seconds)}
+    adj = [sorted(index[g] for g in neighbours(f) if g in face_set) for f in firsts]
+    match = _hopcroft_karp(len(firsts), len(seconds), adj)
+    if any(m < 0 for m in match):
         return None
-    return {domino(w, blacks[m]) for w, m in zip(whites, match_w)}
+    return zip(firsts, map(seconds.__getitem__, match))
 
 
 def _hopcroft_karp(nw: int, nb: int, adj: List[List[int]]) -> List[int]:
@@ -359,6 +364,10 @@ def _random(lat: FaceLattice, rng, target: int) -> object:
     return lat.parse(_trace(lat, faces))
 
 
+def _cell_neighbours(c: Point) -> Tuple[Point, ...]:
+    return ((c[0] + 1, c[1]), (c[0] - 1, c[1]), (c[0], c[1] + 1), (c[0], c[1] - 1))
+
+
 def _cell_sides(c: Point) -> Tuple[Tuple[Point, Point, Point], ...]:
     a, b = c
     return (((a, b), (a + 1, b), (a, b - 1)),
@@ -379,8 +388,7 @@ def _triangle_sides(f: Face) -> Tuple[Tuple[Vertex, Vertex, Face], ...]:
 
 
 SQUARE = FaceLattice(
-    neighbours=lambda c: ((c[0] + 1, c[1]), (c[0] - 1, c[1]),
-                          (c[0], c[1] + 1), (c[0], c[1] - 1)),
+    neighbours=_cell_neighbours,
     sides=_cell_sides,
     tokens={d: m for m, d in MOVES.items()},
     sep="",

@@ -90,6 +90,19 @@ def odd_at_or_left(keys: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.nd
     return np.searchsorted(keys, pack(rows, pos), "right") & 1 == 1
 
 
+def crossing_keys(xy: Tuple[np.ndarray, np.ndarray], steps: Tuple[np.ndarray, np.ndarray],
+                  scale: int) -> np.ndarray:
+    """Sorted ``pack(row, pos)`` keys of the edges of a closed walk that
+    cross a row, from its vertices (x, y) and unit steps (dx, dy): the
+    edge from (x, y) with dy != 0 cuts row y, or y - 1 when it runs down,
+    at position scale * x + dx.  Squares use scale 1 (a vertical edge sits
+    at its x); lozenges use scale 2 (two faces per anchor in a strip)."""
+    x, y = xy
+    dx, dy = steps
+    cut = dy != 0
+    return np.sort(pack(y[cut] - (dy[cut] < 0), scale * x[cut] + dx[cut]))
+
+
 def spans(keys: np.ndarray) -> Iterator[Tuple[int, int, int]]:
     """The inside runs (row, start, stop) of the sorted ``pack(row, x)``
     crossing keys of a closed walk, row by row.  Every row holds an even
@@ -105,16 +118,18 @@ class RegionBoundary:
       moves: the normalised move word, one character per edge.
       xy: the p boundary vertices in walk order, starting at (0, 0), as
         two int64 arrays x and y.
+      steps: the unit step (dx, dy) of each edge, as two int64 arrays.
       vertices: the same as (x, y) tuples, built on first access; the
         decision never builds them.
       area: number of cells enclosed.
       name: optional label carried through from the input.
     """
 
-    def __init__(self, moves: str, xy: Tuple[np.ndarray, np.ndarray], area: int,
-                 name: Optional[str] = None):
+    def __init__(self, moves: str, xy: Tuple[np.ndarray, np.ndarray],
+                 steps: Tuple[np.ndarray, np.ndarray], area: int, name: Optional[str] = None):
         self.moves = moves
         self.xy = xy
+        self.steps = steps
         self.area = area
         self.name = name
 
@@ -140,27 +155,19 @@ class RegionBoundary:
         Passing them left to right along a row alternates outside/inside,
         so a cell is inside iff an odd number of them sit at or left of it.
         """
-        codes = np.frombuffer(self.moves.encode("ascii"), dtype=np.uint8)
-        xs, ys = self.xy
-        down = codes == ord("D")
-        vertical = down | (codes == ord("U"))
-        rows = ys[vertical] - down[vertical]
-        return np.sort(pack(rows, xs[vertical]))
+        return crossing_keys(self.xy, self.steps, 1)
 
     @cached_property
-    def _rows(self) -> Dict[int, List[int]]:
-        """The same edges as sorted per-row lists, for scalar lookups."""
-        rows: Dict[int, List[int]] = {}
-        row_of, x_of = unpack(self._edge_keys)
-        for row, x in zip(row_of.tolist(), x_of.tolist()):
-            rows.setdefault(row, []).append(x)
-        return rows
+    def _edge_list(self) -> List[int]:
+        """The same keys as a list, for scalar lookups."""
+        return self._edge_keys.tolist()
 
     def contains_cell(self, cell: Point) -> bool:
-        xs = self._rows.get(cell[1])
-        if not xs:
-            return False
-        return bisect_right(xs, cell[0]) % 2 == 1
+        """Whether the cell is in the region, by the argument of
+        ``odd_at_or_left``; an x outside [-2**31, 2**31) would alias
+        another row's key, and no region cell has one."""
+        x, y = cell
+        return -_HALF <= x < _HALF and bisect_right(self._edge_list, pack(y, x)) & 1 == 1
 
     def contains_cells(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``contains_cell`` over int64 coordinate arrays, as a bool array."""
@@ -249,11 +256,13 @@ def parse_boundary(text: str) -> RegionBoundary:
         i = int(bad.argmax())
         raise ValueError(f"invalid move {cleaned[i]!r} at index {i}", i)
 
-    xs, ys, twice = closed_walk(_STEP_X[codes], _STEP_Y[codes])
+    dx, dy = _STEP_X[codes], _STEP_Y[codes]
+    xs, ys, twice = closed_walk(dx, dy)
     if twice < 0:
         cleaned = cleaned[::-1].translate(_INVERSE)
         xs, ys, twice = walk_back(xs), walk_back(ys), -twice
-    return RegionBoundary(cleaned, (xs, ys), twice // 2, name)
+        dx, dy = -dx[::-1], -dy[::-1]
+    return RegionBoundary(cleaned, (xs, ys), (dx, dy), twice // 2, name)
 
 
 class BoundaryHeight:
@@ -285,5 +294,5 @@ def boundary_height(b: RegionBoundary) -> BoundaryHeight:
     """The step along an edge is +1 when the cell on its left is black,
     that is when tail x + y + dx is even, else -1."""
     xs, ys = b.xy
-    dx = _STEP_X[np.frombuffer(b.moves.encode("ascii"), dtype=np.uint8)]
+    dx, _ = b.steps
     return BoundaryHeight.of_steps(1 - 2 * ((xs + ys + dx) & 1))

@@ -4,11 +4,13 @@ Layers (drawn in this fixed order regardless of how they are listed):
 
 * ``subdivision`` -- the inside squares/triangles of the quadtree cover
   and, on the square lattice, the unit-level sleeve triangles;
-* ``tiling`` -- the maximum tiling (dominoes) or a lozenge tiling from
-  the matching reference;
+* ``tiling`` -- the maximum tiling, its dominoes read cell by cell from
+  ``TilingOracle``, or a lozenge tiling from the matching reference;
 * ``boundary`` -- the region outline;
-* ``heights`` -- height labels on the vertices (full heights when the
-  region is tileable, otherwise the boundary heights).
+* ``heights`` -- height labels on the vertices: on the square lattice the
+  oracle's maximum heights on every corner of every cell when the region
+  is tileable, otherwise (and on the triangular grid) the boundary
+  heights.
 
 Output is byte-identical for a fixed region, layer set, and scale: all
 collections are sorted before drawing and floats are printed with a
@@ -23,10 +25,9 @@ import math
 from typing import Dict, Iterable, List, Tuple
 
 from tiler.errors import NotTileable
-from tiler.lozenge import (LozengeBoundary, build_tri_subdivision, face_corners,
-                           lozenge_boundary_height, lozenge_matching_decide,
-                           _piece_corners)
-from tiler.reference import extract_tiling, thurston_full
+from tiler.lozenge import (LozengeBoundary, build_tri_subdivision, lozenge_boundary_height,
+                           lozenge_matching_decide, _piece_corners)
+from tiler.oracle import TilingOracle
 from tiler.region import RegionBoundary, boundary_height
 from tiler.subdivision import build_subdivision
 
@@ -95,9 +96,13 @@ def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
         return (margin + (x - xmin) * scale, margin + (ymax - y) * scale)
 
     body: List[str] = []
-    thurston = None
+    oracle = None
     if "tiling" in layers or "heights" in layers:
-        thurston = thurston_full(b, want_heights=True)
+        try:
+            oracle = TilingOracle(b)
+        except NotTileable:
+            if "tiling" in layers:
+                raise NotTileable("tiling layer requested for an untileable region") from None
 
     if "subdivision" in layers:
         sub = build_subdivision(b)
@@ -111,10 +116,8 @@ def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
                               _STYLE["subdivision-stroke"], 0.5))
 
     if "tiling" in layers:
-        if not thurston.tileable:
-            raise NotTileable("tiling layer requested for an untileable region")
         inset = 0.12
-        for a, c in sorted(extract_tiling(b, thurston.heights)):
+        for a, c in sorted({oracle.domino_at(cell).as_pair() for cell in b.cells()}):
             x0, y0 = min(a[0], c[0]), min(a[1], c[1])
             x1, y1 = max(a[0], c[0]) + 1, max(a[1], c[1]) + 1
             left, top = pt(x0 + inset, y1 - inset)
@@ -134,8 +137,10 @@ def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
                     f'stroke-width="{_f(scale / 10)}"/>')
 
     if "heights" in layers:
-        if thurston.tileable:
-            labels: Dict[Tuple[int, int], int] = dict(thurston.heights)
+        if oracle is not None:
+            labels: Dict[Tuple[int, int], int] = {
+                v: oracle.height_at(v) for x, y in b.cells()
+                for v in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))}
         else:
             bh = boundary_height(b)
             if not bh.valid:
@@ -187,8 +192,9 @@ def render_lozenge(b: LozengeBoundary, layers: Iterable[str] = ("boundary",),
         tiling = lozenge_matching_decide(b)
         if tiling is None:
             raise NotTileable("tiling layer requested for an untileable region")
-        for up, down in sorted(tiling):
-            cu, cd = set(face_corners(up)), set(face_corners(down))
+        for (uq, ur, _), (dq, dr, _) in sorted(tiling):
+            cu = set(_piece_corners((uq, ur, 1, True)))
+            cd = set(_piece_corners((dq, dr, 1, False)))
             shared = sorted(cu & cd)
             quad = [(cu - cd).pop(), shared[0], (cd - cu).pop(), shared[1]]
             body.append(_poly([pt(*c) for c in quad], _STYLE["tiling-fill"],

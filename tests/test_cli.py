@@ -7,6 +7,7 @@ itself on the committed sample set and pin its byte-exact output.
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -15,9 +16,11 @@ from pathlib import Path
 import pytest
 
 from tiler.cli import main
+from tiler.errors import NotTileable
 from tiler.generators import rect, spiral
-from tiler.reference import random_tileable_region
-from tiler.region import parse_boundary
+from tiler.reference import extract_tiling, random_tileable_region, thurston_full
+from tiler.region import boundary_height, parse_boundary
+from tiler.render import render_square
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,13 +80,18 @@ def test_tile_oracle_and_full_agree(capsys):
     words = [rect(3, 4)] + [random_tileable_region(rng, 40).moves
                             for _ in range(5)]
     for word in words:
-        code, out_oracle, _ = run(capsys, "tile", word)
+        code, out, _ = run(capsys, "tile", word)
         assert code == 0
-        code, out_full, _ = run(capsys, "tile", word, "--via-full")
-        assert code == 0
-        assert json.loads(out_oracle) == json.loads(out_full)
-        payload = json.loads(out_oracle)
-        assert payload["count"] * 2 == sum(1 for _ in parse_boundary(word).cells())
+        b = parse_boundary(word)
+        want = sorted(extract_tiling(b, thurston_full(b).heights))
+        assert json.loads(out) == {"count": len(want),
+                                   "dominoes": [[list(a), list(c)] for a, c in want]}
+        assert 2 * len(want) == b.area
+    # The oracle is the only source: the switch to the reference is gone.
+    for option in ("--via-full", "--via-oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main(["tile", rect(2, 2), option])
+        assert exc.value.code == 2
 
 
 def test_tile_untileable_region(capsys):
@@ -156,6 +164,38 @@ def test_render_golden_files(capsys, tmp_path):
         code, _, _ = run(capsys, *argv, "--out", str(target))
         assert code == 0
         assert target.read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("word", ["RDRURRULULDLLD", "RULD"], ids=["bad-pair", "unbalanced"])
+def test_render_untileable_region(word):
+    b = parse_boundary(word)
+    bh = boundary_height(b)
+    with pytest.raises(NotTileable, match="tiling layer requested for an untileable region"):
+        render_square(b, ["heights", "tiling"])
+    if not bh.valid:
+        with pytest.raises(NotTileable, match="boundary heights do not close up"):
+            render_square(b, ["heights"])
+        return
+    # A balanced region without a tiling is labelled with its boundary
+    # heights, one label per boundary vertex, in sorted vertex order.
+    labels = re.findall(r">(-?\d+)</text>", render_square(b, ["heights"]))
+    assert labels == [str(h) for _, h in sorted(zip(b.vertices, bh.heights.tolist()))]
+
+
+def test_render_heights_are_the_whole_region_maximum_heights():
+    rng = random.Random(8080)
+    for _ in range(5):
+        b = random_tileable_region(rng, rng.randrange(10, 80))
+        labels = re.findall(r">(-?\d+)</text>", render_square(b, ["heights"]))
+        assert labels == [str(h) for _, h in sorted(thurston_full(b).heights.items())]
+
+
+def test_render_does_not_load_the_references():
+    code = "import sys, tiler.render; print('tiler.reference' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_render_rejects_bad_layer(capsys):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tiler.errors import InternalInconsistency, NotTileable, OutsideRegion
-from tiler.generators import dilate, rect, spiral
+from tiler.generators import dilate, rect, snake, spiral
 from tiler.oracle import TilingOracle
 from tiler.reference import (enumerate_simply_connected, extract_tiling,
                              random_tileable_region, thurston_full)
@@ -110,6 +110,15 @@ def test_domino_queries_cover_reference_tiling():
             assert pl.orientation == ("H" if pl.partner[1] == cell[1] else "V")
         assert got == want
         assert verify_tiling(b, got)
+
+
+def test_whole_tiling_at_area_1e5():
+    # snake(6, 3) x 70: 98,000 cells, p = 2,940.
+    b = parse_boundary(dilate(snake(6, 3), 70))
+    orc = TilingOracle(b)
+    got = {orc.domino_at(cell).as_pair() for cell in b.cells()}
+    assert verify_tiling(b, got)
+    assert got == extract_tiling(b, thurston_full(b).heights)
 
 
 def test_two_by_one_single_domino():

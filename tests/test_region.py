@@ -28,6 +28,13 @@ def test_orientation_normalised():
     ccw = parse_boundary("RRUULLDD")
     assert cw.moves == ccw.moves
     assert cw.vertices == ccw.vertices
+    # The kept unit steps are reversed and negated with the walk.
+    for b in (cw, ccw, parse_boundary("UUURRDLDRDLL")):
+        xs, ys = b.xy
+        dx, dy = b.steps
+        assert (np.roll(xs, -1) - xs).tolist() == dx.tolist()
+        assert (np.roll(ys, -1) - ys).tolist() == dy.tolist()
+    assert boundary_height(cw).heights.tolist() == boundary_height(ccw).heights.tolist()
 
 
 def test_case_and_whitespace():
@@ -70,6 +77,22 @@ def test_l_shape_cells():
     assert not b.contains_cell((1, 1))
     assert not b.contains_cell((-1, 0))
     assert sorted(b.cells()) == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_contains_cell_agrees_with_the_cells_and_the_array_form():
+    rng = random.Random(5150)
+    for _ in range(40):
+        b = random_region(rng, rng.randrange(2, 300))
+        xmin, ymin, xmax, ymax = b.bbox
+        grid = [(x, y) for x in range(xmin - 2, xmax + 2) for y in range(ymin - 2, ymax + 2)]
+        inside = set(b.cells())
+        xs, ys = np.array(grid, dtype=np.int64).T
+        want = [c in inside for c in grid]
+        assert [b.contains_cell(c) for c in grid] == want == b.contains_cells(xs, ys).tolist()
+    # pack(-1, 2**32) == pack(0, 0): an x past the packed range must not
+    # read as the cell (0, 0).
+    b = parse_boundary("RRULULDD")
+    assert not b.contains_cell((2 ** 32, -1)) and not b.contains_cell((-2 ** 32, 1))
 
 
 def test_vertex_in_closure():
