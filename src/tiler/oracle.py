@@ -17,8 +17,8 @@ centre pin the centre's height exactly.
 
 The refinement overlay (new points, touched line arrays, split squares)
 is query state, not preprocessing state; ``reset`` drops it.  A domino
-query reads the four corner heights of a cell and crosses the unique side
-whose height gap is 3.
+query checks that the cell is in the region, reads the four corner
+heights of the cell and crosses the unique side whose height gap is 3.
 """
 
 from __future__ import annotations
@@ -91,13 +91,15 @@ class TilingOracle:
         region."""
         self.stats["height_queries"] += 1
         w = (w[0], w[1])
-        if w not in self._values:
+        h = self._values.get(w)
+        if h is None:
             if not self.b.vertex_in_closure(w):
                 raise OutsideRegion(f"vertex {w} is not on a region cell")
             before = self.stats["valuations"]
             self.stats["last_rounds"] = self._refine_to(w)
             self.stats["last_valuations"] = self.stats["valuations"] - before
-        return self._values[w]
+            h = self._values[w]
+        return h
 
     def domino_at(self, cell: Point) -> DominoPlacement:
         """The domino covering ``cell`` in the maximum tiling."""
@@ -105,10 +107,19 @@ class TilingOracle:
         cx, cy = cell
         if not self.b.contains_cell((cx, cy)):
             raise OutsideRegion(f"cell {cell} is not in the region")
-        sw = self.height_at((cx, cy))
-        se = self.height_at((cx + 1, cy))
-        nw = self.height_at((cx, cy + 1))
-        ne = self.height_at((cx + 1, cy + 1))
+        # Warm corners are read straight from the values; a cold one sends
+        # all four through ``height_at``, which refines and keeps the
+        # per-query stats.
+        get = self._values.get
+        sw, se = get((cx, cy)), get((cx + 1, cy))
+        nw, ne = get((cx, cy + 1)), get((cx + 1, cy + 1))
+        if sw is None or se is None or nw is None or ne is None:
+            sw = self.height_at((cx, cy))
+            se = self.height_at((cx + 1, cy))
+            nw = self.height_at((cx, cy + 1))
+            ne = self.height_at((cx + 1, cy + 1))
+        else:
+            self.stats["height_queries"] += 4
         partners = []
         if abs(se - sw) == 3:
             partners.append((cx, cy - 1))

@@ -158,16 +158,21 @@ class RegionBoundary:
         return crossing_keys(self.xy, self.steps, 1)
 
     @cached_property
-    def _edge_list(self) -> List[int]:
-        """The same keys as a list, for scalar lookups."""
-        return self._edge_keys.tolist()
+    def _row_crossings(self) -> Dict[int, List[int]]:
+        """The same keys as a dict from row to its sorted crossing xs, for
+        scalar lookups."""
+        rows, xs = unpack(self._edge_keys)
+        cut = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+        xs = xs.tolist()
+        return {row: xs[lo:hi] for row, lo, hi in
+                zip(rows[[0] + cut].tolist(), [0] + cut, cut + [len(xs)])}
 
     def contains_cell(self, cell: Point) -> bool:
-        """Whether the cell is in the region, by the argument of
-        ``odd_at_or_left``; an x outside [-2**31, 2**31) would alias
-        another row's key, and no region cell has one."""
+        """Whether the cell is in the region: an odd number of its row's
+        crossings sit at or left of it."""
         x, y = cell
-        return -_HALF <= x < _HALF and bisect_right(self._edge_list, pack(y, x)) & 1 == 1
+        xs = self._row_crossings.get(y)
+        return xs is not None and bisect_right(xs, x) & 1 == 1
 
     def contains_cells(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """``contains_cell`` over int64 coordinate arrays, as a bool array."""

@@ -3,14 +3,15 @@
 Layers (drawn in this fixed order regardless of how they are listed):
 
 * ``subdivision`` -- the inside squares/triangles of the quadtree cover
-  and, on the square lattice, the unit-level sleeve triangles;
+  (the oracle's, when one is built) and, on the square lattice, the
+  unit-level sleeve triangles;
 * ``tiling`` -- the maximum tiling, its dominoes read cell by cell from
   ``TilingOracle``, or a lozenge tiling from the matching reference;
 * ``boundary`` -- the region outline;
 * ``heights`` -- height labels on the vertices: on the square lattice the
   oracle's maximum heights on every corner of every cell when the region
-  is tileable, otherwise (and on the triangular grid) the boundary
-  heights.
+  is tileable, one query per vertex, otherwise (and on the triangular
+  grid) the boundary heights.
 
 Output is byte-identical for a fixed region, layer set, and scale: all
 collections are sorted before drawing and floats are printed with a
@@ -105,7 +106,7 @@ def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
                 raise NotTileable("tiling layer requested for an untileable region") from None
 
     if "subdivision" in layers:
-        sub = build_subdivision(b)
+        sub = oracle.sub if oracle is not None else build_subdivision(b)
         for level, key in sorted(sub.inside_squares()):
             corners = [pt(*c) for c in sub.corners_xy(level, key)]
             body.append(_poly(corners, _STYLE["subdivision-fill"],
@@ -138,9 +139,9 @@ def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
 
     if "heights" in layers:
         if oracle is not None:
-            labels: Dict[Tuple[int, int], int] = {
-                v: oracle.height_at(v) for x, y in b.cells()
-                for v in ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1))}
+            verts = dict.fromkeys(v for x, y in b.cells() for v in
+                                  ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
+            labels: Dict[Tuple[int, int], int] = {v: oracle.height_at(v) for v in verts}
         else:
             bh = boundary_height(b)
             if not bh.valid:

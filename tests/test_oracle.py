@@ -121,6 +121,31 @@ def test_whole_tiling_at_area_1e5():
     assert got == extract_tiling(b, thurston_full(b).heights)
 
 
+def test_second_pass_reads_the_same_placements_and_counts_four_heights_a_query():
+    b = parse_boundary(dilate(snake(6, 3), 24))
+    orc = TilingOracle(b)
+    cells = list(b.cells())
+    first = [orc.domino_at(cell) for cell in cells]
+    frozen = {k: orc.stats[k] for k in ("valuations", "points_added", "boxes_split",
+                                        "last_rounds", "last_valuations")}
+    heights = orc.stats["height_queries"]
+    assert [orc.domino_at(cell) for cell in cells] == first
+    assert {k: orc.stats[k] for k in frozen} == frozen
+    assert orc.stats["height_queries"] == heights + 4 * len(cells)
+    assert orc.stats["domino_queries"] == 2 * len(cells)
+
+
+def test_domino_at_rejects_a_cell_whose_corners_are_all_valued():
+    # The notch (1, 1) of this region is no cell, but its four corners
+    # are boundary vertices, so all four heights are known at once.
+    b = parse_boundary("RDRRRULUULDLULDD")
+    orc = TilingOracle(b)
+    assert b.area == 8 and not b.contains_cell((1, 1))
+    assert all(v in orc._values for v in ((1, 1), (2, 1), (1, 2), (2, 2)))
+    with pytest.raises(OutsideRegion):
+        orc.domino_at((1, 1))
+
+
 def test_two_by_one_single_domino():
     orc = TilingOracle("RRULLD")
     pl = orc.domino_at((0, 0))
