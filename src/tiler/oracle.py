@@ -1,9 +1,12 @@
 """Incremental queries against the maximum tiling of a region.
 
 Preprocessing runs the boundary-only pipeline (``solver.run_pipeline``:
-subdivision, site graph, height relaxation), takes the maximal heights on
-the sites from the verdict, and keeps the per-line sorted arrays of
-valued points.
+subdivision, site graph, height relaxation) and reads its base state from
+the verdict's arrays: the maximal height of every site, and one line
+store per diagonal family (lines x - y and x + y), a dict from line to
+the sorted xs of its valued points, split from one sort of the packed
+(line, x) keys.  The inside squares of the subdivision form one set of
+(level, iu, iv), read from ``Subdivision.inside_at``.
 A height query for a vertex that is not a site descends into the inside
 squares covering it, splitting them dyadically: each split adds the four
 side midpoints and the centre of the square, and each new point is valued
@@ -15,8 +18,9 @@ itself a valued site), so each candidate is a sound upper bound, and once
 a square has shrunk to a single cell the four axis neighbours of its
 centre pin the centre's height exactly.
 
-The refinement overlay (new points, touched line arrays, split squares)
-is query state, not preprocessing state; ``reset`` drops it.  A domino
+Queries refine copies of the base values and lines; the new points and
+the split squares are query state, not preprocessing state, and
+``reset`` drops them by copying the base again.  A domino
 query checks that the cell is in the region, reads the four corner
 heights of the cell and crosses the unique side whose height gap is 3.
 """
@@ -24,12 +28,14 @@ heights of the cell and crosses the unique side whose height gap is 3.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, List, NamedTuple, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Set, Tuple, Union
+
+import numpy as np
 
 from tiler.approxgraph import build_graph
 from tiler.errors import InternalInconsistency, NotTileable, OutsideRegion
 from tiler.lattice import Point, alpha, alpha_array
-from tiler.region import RegionBoundary, boundary_height, parse_boundary
+from tiler.region import RegionBoundary, boundary_height, pack, parse_boundary, rows_of
 from tiler.solver import compute_gmax, run_pipeline
 from tiler.subdivision import build_subdivision
 
@@ -60,24 +66,19 @@ class TilingOracle:
                 f"bounds are -{bad.alpha_yx}..{bad.alpha_xy}")
         self.b = b
         self.sub = sub
-        self._inside = sub.inside
+        self._inside: Set[Tuple[int, int, int]] = set(
+            zip(*(a.tolist() for a in sub.inside_at)))
         self._base: Dict[Point, int] = verdict.heights
-        self._base_v: Dict[int, List[int]] = {}
-        self._base_u: Dict[int, List[int]] = {}
-        for x, y in self._base:
-            self._base_v.setdefault(x - y, []).append(x)
-            self._base_u.setdefault(x + y, []).append(x)
-        for arr in self._base_v.values():
-            arr.sort()
-        for arr in self._base_u.values():
-            arr.sort()
+        coords, _ = verdict.site_heights
+        x, y = coords[:, 0], coords[:, 1]
+        self._base_lines = tuple(rows_of(np.sort(pack(line, x))) for line in (x - y, x + y))
         self.reset()
 
     def reset(self) -> None:
         """Drop all refinement state accumulated by queries."""
         self._values: Dict[Point, int] = dict(self._base)
-        self._over_v: Dict[int, List[int]] = {}
-        self._over_u: Dict[int, List[int]] = {}
+        self._lines = tuple({line: list(xs) for line, xs in base.items()}
+                            for base in self._base_lines)
         self._split: Set[Box] = set()
         self.stats = {"height_queries": 0, "domino_queries": 0,
                       "points_added": 0, "boxes_split": 0,
@@ -138,22 +139,12 @@ class TilingOracle:
 
     # -- refinement ---------------------------------------------------------
 
-    def _line_v(self, v: int) -> Sequence[int]:
-        arr = self._over_v.get(v)
-        return arr if arr is not None else self._base_v.get(v, ())
-
-    def _line_u(self, u: int) -> Sequence[int]:
-        arr = self._over_u.get(u)
-        return arr if arr is not None else self._base_u.get(u, ())
-
     def _register(self, w: Point, value: int) -> None:
         self._values[w] = value
         x, y = w
-        for over, base, line in ((self._over_v, self._base_v, x - y),
-                                 (self._over_u, self._base_u, x + y)):
-            if line not in over:
-                over[line] = list(base.get(line, ()))
-            insort(over[line], x)
+        lines_v, lines_u = self._lines
+        insort(lines_v.setdefault(x - y, []), x)
+        insort(lines_u.setdefault(x + y, []), x)
         self.stats["points_added"] += 1
 
     def _value_point(self, w: Point) -> int:
@@ -165,30 +156,27 @@ class TilingOracle:
         the axis neighbours of a square centre make the bound tight."""
         self.stats["valuations"] += 1
         x, y = w
-        best = None
-        for arr, other in ((self._line_v(x - y), lambda c: c - (x - y)),
-                           (self._line_u(x + y), lambda c: (x + y) - c)):
+        values = self._values
+        cands = []
+        # Along line x - y a step of dx in x is a step of dx in y; along
+        # line x + y it is a step of -dx.
+        lines_v, lines_u = self._lines
+        for arr, dy in ((lines_v.get(x - y, ()), 1), (lines_u.get(x + y, ()), -1)):
             i = bisect_right(arr, x)
             if i < len(arr):
                 c = arr[i]
-                cand = self._values[(c, other(c))] + 2 * (c - x)
-                if best is None or cand < best:
-                    best = cand
+                cands.append(values[(c, y + dy * (c - x))] + 2 * (c - x))
             i = bisect_left(arr, x) - 1
             if i >= 0:
                 c = arr[i]
-                cand = self._values[(c, other(c))] + 2 * (x - c)
-                if best is None or cand < best:
-                    best = cand
+                cands.append(values[(c, y + dy * (c - x))] + 2 * (x - c))
         for n in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            hn = self._values.get(n)
+            hn = values.get(n)
             if hn is not None:
-                cand = hn + alpha(n, w)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
+                cands.append(hn + alpha(n, w))
+        if not cands:
             raise InternalInconsistency(f"no valued neighbours for {w}")
-        return best
+        return min(cands)
 
     def _locate_boxes(self, w: Point) -> List[Box]:
         """Inside squares of the static subdivision whose closure holds w."""
@@ -202,7 +190,7 @@ class TilingOracle:
             kvs = [offv // s] + ([offv // s - 1] if offv % s == 0 else [])
             for a in kus:
                 for c in kvs:
-                    if (a, c) in self._inside[level]:
+                    if (level, a, c) in self._inside:
                         out.append((sub.U0 + a * s, sub.V0 + c * s, s))
         return out
 

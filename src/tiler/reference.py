@@ -5,8 +5,9 @@ builds its inputs: tileability by bipartite matching, maximum height
 functions by a whole-region shortest-path sweep, and one engine that
 enumerates and randomly grows simply connected regions of either lattice.
 All of it scales with the area of the region, not the perimeter, and the
-deciders enforce a cell cap (override with the TILER_CAP environment
-variable) so a typo cannot freeze a test run.
+deciders enforce a cell cap so a typo cannot freeze a test run.  An
+explicit ``cap`` argument wins; without one the TILER_CAP environment
+variable overrides the default.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ Tiling = Set[Domino]
 
 
 def _cap(default: int) -> int:
+    """The cell cap when the caller names none: TILER_CAP, else the
+    default."""
     value = os.environ.get("TILER_CAP")
     return int(value) if value else default
 
@@ -69,7 +72,7 @@ def thurston_full(b: RegionBoundary, cap: Optional[int] = None, want_heights: bo
     is admissible.  Time and memory scale with the area.
     """
     n = b.area
-    limit = _cap(cap if cap is not None else 10 ** 6)
+    limit = cap if cap is not None else _cap(10 ** 6)
     if n > limit:
         raise CapExceeded(f"region has {n} cells, cap is {limit}")
     bh = boundary_height(b)
@@ -179,7 +182,7 @@ def perfect_matching(n: int, unit: str, cap: Optional[int], faces: Iterable[Face
     the others, over the faces that ``neighbours`` gives, as pairs (face on
     the side, its partner) in sorted order of the first; None when there
     is none.  ``faces`` is read only after the cap check."""
-    limit = _cap(cap if cap is not None else 10 ** 5)
+    limit = cap if cap is not None else _cap(10 ** 5)
     if n > limit:
         raise CapExceeded(f"region has {n} {unit}, cap is {limit}")
     if n % 2 != 0:
@@ -446,9 +449,10 @@ _TILEABLE_TRIES = 1000
 
 def random_tileable_region(rng, target_area: int) -> RegionBoundary:
     """Random simply connected region that is domino tileable (checked by
-    matching), resampling until one is found."""
+    matching), resampling until one is found.  An odd target grows to the
+    next even one, since a tileable region has an even area."""
     for _ in range(_TILEABLE_TRIES):
-        b = random_region(rng, target_area)
+        b = random_region(rng, target_area + target_area % 2)
         if b.area % 2 == 0 and matching_decide(b) is not None:
             return b
     raise AssertionError(f"no tileable region of area ~{target_area} in {_TILEABLE_TRIES} tries")

@@ -103,6 +103,16 @@ def crossing_keys(xy: Tuple[np.ndarray, np.ndarray], steps: Tuple[np.ndarray, np
     return np.sort(pack(y[cut] - (dy[cut] < 0), scale * x[cut] + dx[cut]))
 
 
+def rows_of(keys: np.ndarray) -> Dict[int, List[int]]:
+    """A dict from row to its sorted xs, from nonempty sorted
+    ``pack(row, x)`` keys: one Python list per row, for ``bisect``."""
+    rows, xs = unpack(keys)
+    cut = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+    xs = xs.tolist()
+    return {row: xs[lo:hi] for row, lo, hi in
+            zip(rows[[0] + cut].tolist(), [0] + cut, cut + [len(xs)])}
+
+
 def spans(keys: np.ndarray) -> Iterator[Tuple[int, int, int]]:
     """The inside runs (row, start, stop) of the sorted ``pack(row, x)``
     crossing keys of a closed walk, row by row.  Every row holds an even
@@ -161,11 +171,7 @@ class RegionBoundary:
     def _row_crossings(self) -> Dict[int, List[int]]:
         """The same keys as a dict from row to its sorted crossing xs, for
         scalar lookups."""
-        rows, xs = unpack(self._edge_keys)
-        cut = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
-        xs = xs.tolist()
-        return {row: xs[lo:hi] for row, lo, hi in
-                zip(rows[[0] + cut].tolist(), [0] + cut, cut + [len(xs)])}
+        return rows_of(self._edge_keys)
 
     def contains_cell(self, cell: Point) -> bool:
         """Whether the cell is in the region: an odd number of its row's

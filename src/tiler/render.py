@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Tuple
 
+import numpy as np
+
 from tiler.errors import NotTileable
 from tiler.lozenge import (LozengeBoundary, build_tri_subdivision, lozenge_boundary_height,
                            lozenge_matching_decide, _piece_corners)
@@ -107,9 +109,11 @@ def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
 
     if "subdivision" in layers:
         sub = oracle.sub if oracle is not None else build_subdivision(b)
-        for level, key in sorted(sub.inside_squares()):
-            corners = [pt(*c) for c in sub.corners_xy(level, key)]
-            body.append(_poly(corners, _STYLE["subdivision-fill"],
+        level, iu, iv = sub.inside_at
+        order = np.lexsort((iv, iu, level))
+        cx, cy = sub.inside_corners()
+        for xs, ys in zip(cx[order].tolist(), cy[order].tolist()):
+            body.append(_poly([pt(*c) for c in zip(xs, ys)], _STYLE["subdivision-fill"],
                               _STYLE["subdivision-stroke"], 1.0))
         for tri in sorted(sub.triangles):
             body.append(_poly([pt(*c) for c in tri.verts],

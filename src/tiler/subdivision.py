@@ -27,15 +27,15 @@ quadtree of ``tiler.lozenge`` shares.  Cells are keyed by their Z-order
 gives every level: shifting sorted codes right by two gives the parent
 cells still sorted, and a few array operations per level group them and
 find the uncrossed children.  One membership test over those classifies
-them.  The tuple-keyed views (``inside``, ``inside_squares()``,
-``triangles``) are derived on first access for rendering, the oracle and
-the tests; the decision never builds them.
+them.  The tuple views ``inside_squares()`` and ``triangles`` are derived
+on demand for the tests, the benchmark's counters and (``triangles``)
+rendering; the decision and the oracle read the arrays.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import List, NamedTuple, Set, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -183,18 +183,6 @@ class Subdivision:
     def side(self, level: int) -> int:
         return (2 * self.n0) >> level
 
-    def uv_min(self, level: int, key: Key) -> Tuple[int, int]:
-        s = self.side(level)
-        return self.U0 + key[0] * s, self.V0 + key[1] * s
-
-    def corners_xy(self, level: int, key: Key) -> Tuple[Point, Point, Point, Point]:
-        """Lattice corners of a square, in (x, y)."""
-        umin, vmin = self.uv_min(level, key)
-        s = self.side(level)
-        return tuple(((u + v) // 2, (u - v) // 2)
-                     for u, v in ((umin, vmin), (umin + s, vmin),
-                                  (umin + s, vmin + s), (umin, vmin + s)))
-
     def _uv_corner(self, level: np.ndarray, iu: np.ndarray, iv: np.ndarray):
         """Side and (u, v) of the low corner of each square, as arrays."""
         s = (2 * self.n0) >> level
@@ -209,20 +197,12 @@ class Subdivision:
 
     # -- tuple-keyed views --------------------------------------------------
 
-    @cached_property
-    def inside(self) -> List[Set[Key]]:
-        """``inside[i]``: the uncrossed level-i children of crossed squares
-        that lie inside the region."""
-        out: List[Set[Key]] = [set() for _ in range(self.t + 1)]
-        for level, iu, iv in zip(*(a.tolist() for a in self.inside_at)):
-            out[level].add((iu, iv))
-        return out
-
     def inside_squares(self) -> List[Tuple[int, Key]]:
-        """The maximal squares wholly inside the region, as (level, key).
-        Together with the kept triangles they cover the region exactly."""
-        return sorted((level, key) for level in range(1, self.t + 1)
-                      for key in self.inside[level])
+        """The maximal squares wholly inside the region, as sorted
+        (level, (iu, iv)).  Together with the kept triangles they cover the
+        region exactly."""
+        level, iu, iv = (a.tolist() for a in self.inside_at)
+        return sorted(zip(level, zip(iu, iv)))
 
     @cached_property
     def triangles(self) -> List[Triangle]:

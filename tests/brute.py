@@ -256,9 +256,8 @@ def crossed(sub: Subdivision) -> List[Set[Key]]:
 
 
 def center_xy(sub: Subdivision, level: int, key: Key) -> Point:
-    umin, vmin = sub.uv_min(level, key)
     s = sub.side(level)
-    uc, vc = umin + s // 2, vmin + s // 2
+    uc, vc = sub.U0 + key[0] * s + s // 2, sub.V0 + key[1] * s + s // 2
     return ((uc + vc) // 2, (uc - vc) // 2)
 
 

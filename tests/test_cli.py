@@ -155,6 +155,10 @@ def test_render_golden_files(capsys, tmp_path):
         ("sq_spiral_sub.svg",
          ["render", "--layers", "subdivision,boundary", "--scale", "12",
           spiral(2)]),
+        # 24 inside squares; the other square files draw none.
+        ("sq_rect_sub.svg",
+         ["render", "--layers", "subdivision,boundary", "--scale", "12",
+          rect(12, 12)]),
         ("tri_hex.svg",
          ["render", "--lattice", "tri", "--layers", "subdivision,tiling,boundary",
           "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2"]),

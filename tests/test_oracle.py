@@ -135,6 +135,22 @@ def test_second_pass_reads_the_same_placements_and_counts_four_heights_a_query()
     assert orc.stats["domino_queries"] == 2 * len(cells)
 
 
+def test_reset_restores_the_base_lines_and_values():
+    # A pass after reset repeats the first pass exactly: if reset shared
+    # the base lines, the first pass's points would sit on them unvalued.
+    b = parse_boundary(dilate(snake(6, 3), 24))
+    orc = TilingOracle(b)
+    cells = list(b.cells())
+    passes = []
+    for _ in range(2):
+        placements = [orc.domino_at(cell) for cell in cells]
+        passes.append((placements, {k: orc.stats[k] for k in
+                                    ("valuations", "points_added", "boxes_split")}))
+        orc.reset()
+    assert passes[0][1]["points_added"] > 0
+    assert passes[0] == passes[1]
+
+
 def test_domino_at_rejects_a_cell_whose_corners_are_all_valued():
     # The notch (1, 1) of this region is no cell, but its four corners
     # are boundary vertices, so all four heights are known at once.

@@ -172,8 +172,9 @@ def test_valid_pairs_exclude_across_slots():
 
 def test_random_regions_are_valid():
     # On both lattices a draw is simply connected (its walk revisits no
-    # vertex) and at least as large as asked.  The tileable draw below
-    # continues the square lattice's generator.
+    # vertex) and at least as large as asked.  The tileable draws below
+    # continue the square lattice's generator; an odd target grows to
+    # the next even area, which a grower that met it exactly never gives.
     for draw, size in ((random_lozenge_region, lambda b: b.n),
                        (random_region, lambda b: b.area)):
         rng = random.Random(2026)
@@ -181,8 +182,10 @@ def test_random_regions_are_valid():
             b = draw(rng, target)
             assert size(b) >= target
             assert len(set(b.vertices)) == b.p
-    t = random_tileable_region(rng, 50)
-    assert t.area % 2 == 0 and matching_decide(t) is not None
+    for target in (3, 7, 13, 50):
+        t = random_tileable_region(rng, target)
+        assert t.area % 2 == 0 and t.area >= target + target % 2
+        assert matching_decide(t) is not None
 
 
 def test_caps(monkeypatch):
@@ -196,3 +199,9 @@ def test_caps(monkeypatch):
         thurston_full(b)
     monkeypatch.setenv("TILER_CAP", "100")
     assert thurston_full(b).tileable
+    # An explicit cap wins over the variable, which only replaces the
+    # default.
+    with pytest.raises(CapExceeded):
+        thurston_full(b, cap=3)
+    with pytest.raises(CapExceeded):
+        matching_decide(b, cap=3)

@@ -96,8 +96,14 @@ def test_array_form_agrees_with_views():
         assert len(sub.inside_at[0]) == len(sub.inside_squares())
         cx, cy = sub.inside_corners()
         corners = [list(zip(xr, yr)) for xr, yr in zip(cx.tolist(), cy.tolist())]
-        assert sorted(map(tuple, corners)) == sorted(
-            sub.corners_xy(level, key) for level, key in sub.inside_squares())
+        want = []
+        for level, (iu, iv) in sub.inside_squares():
+            s = sub.side(level)
+            umin, vmin = sub.U0 + iu * s, sub.V0 + iv * s
+            want.append(tuple(((u + v) // 2, (u - v) // 2)
+                              for u, v in ((umin, vmin), (umin + s, vmin),
+                                           (umin + s, vmin + s), (umin, vmin + s))))
+        assert sorted(map(tuple, corners)) == sorted(want)
         assert len(sub.triangles) == len(sub.tri_x)
         for tri, xs, ys in zip(sub.triangles, sub.tri_x.tolist(), sub.tri_y.tolist()):
             assert tri.verts == tuple(zip(xs, ys))
@@ -107,7 +113,7 @@ def _intersecting_cells(sub, level, key, bbox):
     """Cells of the expanded bbox whose open intersection with the open
     square is nonempty."""
     s = sub.side(level)
-    umin, vmin = sub.uv_min(level, key)
+    umin, vmin = sub.U0 + key[0] * s, sub.V0 + key[1] * s
     x0, y0, x1, y1 = bbox
     for a in range(x0 - 2, x1 + 2):
         for bb in range(y0 - 2, y1 + 2):
@@ -129,10 +135,11 @@ def test_classification_agrees_with_cell_membership():
     regions = [parse_boundary("RRUULLDD")] + [random_region(rng, a) for a in (9, 25, 70)]
     for b in regions:
         sub = build_subdivision(b)
+        inside_squares = set(sub.inside_squares())
         checked = 0
         for level in range(1, sub.t + 1):
             for key in _uncrossed_children(sub, level):
-                inside = key in sub.inside[level]
+                inside = (level, key) in inside_squares
                 for cell in _intersecting_cells(sub, level, key, b.bbox):
                     assert b.contains_cell(cell) == inside, (level, key, cell)
                     checked += 1
@@ -144,8 +151,9 @@ def test_inside_squares_exist_for_fat_regions():
     # the boundary sleeve.
     word = "R" * 12 + "U" * 12 + "L" * 12 + "D" * 12
     sub = build_subdivision(parse_boundary(word))
-    assert any(sub.inside[level] for level in range(sub.t + 1))
-    assert any(key not in sub.inside[level]
+    inside_squares = set(sub.inside_squares())
+    assert inside_squares
+    assert any((level, key) not in inside_squares
                for level in range(1, sub.t + 1)
                for key in _uncrossed_children(sub, level))
 
