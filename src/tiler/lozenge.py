@@ -254,8 +254,7 @@ _UNIT_FLAGS = np.array([_UP | _DOWN, _UP | _DOWN, _UP, _DOWN], dtype=np.int64)
 
 
 class TriSubdivision:
-    """Kept pieces of the triangle quadtree rooted at (Q0, R0) with side
-    N = 2**t.
+    """Kept pieces of the triangle quadtree rooted at (Q0, R0).
 
     Array form, used by the site graph: ``piece_q``, ``piece_r``,
     ``piece_side`` and the bool ``piece_up`` give each piece's axial
@@ -264,12 +263,10 @@ class TriSubdivision:
     the tests; the decision never builds it.
     """
 
-    def __init__(self, Q0: int, R0: int, N: int, t: int, piece_q: np.ndarray,
-                 piece_r: np.ndarray, piece_side: np.ndarray, piece_up: np.ndarray):
+    def __init__(self, Q0: int, R0: int, piece_q: np.ndarray, piece_r: np.ndarray,
+                 piece_side: np.ndarray, piece_up: np.ndarray):
         self.Q0 = Q0
         self.R0 = R0
-        self.N = N
-        self.t = t
         self.piece_q = piece_q
         self.piece_r = piece_r
         self.piece_side = piece_side
@@ -330,7 +327,7 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     side = N >> level
     cq, cr = Q0 + i * side, R0 + j * side
     kept = b.faces_inside(cq, cr, up)
-    return TriSubdivision(Q0, R0, N, t, cq[kept], cr[kept], side[kept], up[kept] == 1)
+    return TriSubdivision(Q0, R0, cq[kept], cr[kept], side[kept], up[kept] == 1)
 
 
 def _decode_tri(site_keys: np.ndarray):

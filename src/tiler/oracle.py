@@ -16,7 +16,9 @@ valued axis neighbour.  Straight diagonal segments between such
 neighbours cannot leave the region (every boundary vertex on the line is
 itself a valued site), so each candidate is a sound upper bound, and once
 a square has shrunk to a single cell the four axis neighbours of its
-centre pin the centre's height exactly.
+centre pin the centre's height exactly.  Each new point is valued once,
+midpoints before the centre, and a new midpoint then drops to at most the
+centre's value plus half the side: the one update a later point can make.
 
 Queries refine copies of the base values and lines; the new points and
 the split squares are query state, not preprocessing state, and
@@ -217,28 +219,29 @@ class TilingOracle:
         return rounds
 
     def _split_box(self, box: Box) -> None:
+        """Value the new side midpoints of ``box``, then its new centre,
+        once each.  Valuing them again could lower a point only through one
+        valued after it.  A side-2 box adds its centre alone.  In a larger
+        box (h >= 2) no two new points are axis neighbours, none lies on a
+        midpoint's side line and no valued point lies inside the box, so
+        the centre, h along the midline, is the only nearer point a
+        midpoint can gain.  The centre, valued from the four midpoints,
+        cannot fall after they drop to at most value(centre) + h."""
         umin, vmin, s = box
+        h = s // 2
+        sides = []
         if s > 2:
-            h = s // 2
-            uv_pts = ((umin + h, vmin), (umin, vmin + h), (umin + s, vmin + h),
-                      (umin + h, vmin + s), (umin + h, vmin + h))
-        else:
-            uv_pts = ((umin + 1, vmin + 1),)
-        pts = []
-        for pu, pv in uv_pts:
-            pt = ((pu + pv) // 2, (pu - pv) // 2)
-            if pt not in self._values:
-                pts.append(pt)
-        for pt in pts:
-            self._register(pt, self._value_point(pt))
-        # The batch is valued in a fixed order; settle mutual influence.
-        changed = True
-        while changed:
-            changed = False
-            for pt in pts:
-                nv = self._value_point(pt)
-                if nv < self._values[pt]:
-                    self._values[pt] = nv
-                    changed = True
+            for pu, pv in ((umin + h, vmin), (umin, vmin + h), (umin + s, vmin + h),
+                           (umin + h, vmin + s)):
+                pt = ((pu + pv) // 2, (pu - pv) // 2)
+                if pt not in self._values:
+                    self._register(pt, self._value_point(pt))
+                    sides.append(pt)
+        centre = ((umin + vmin) // 2 + h, (umin - vmin) // 2)
+        if centre not in self._values:
+            hc = self._value_point(centre)
+            self._register(centre, hc)
+            for pt in sides:
+                self._values[pt] = min(self._values[pt], hc + h)
         self._split.add(box)
         self.stats["boxes_split"] += 1

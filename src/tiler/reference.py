@@ -63,7 +63,7 @@ def _region_vertex_arrays(b: RegionBoundary):
     return cells, verts
 
 
-def thurston_full(b: RegionBoundary, cap: Optional[int] = None, want_heights: bool = True) -> ThurstonResult:
+def thurston_full(b: RegionBoundary, cap: Optional[int] = None) -> ThurstonResult:
     """Decide tileability by building the maximum height function everywhere.
 
     Seeds every boundary vertex with its forced height, then relaxes over
@@ -130,9 +130,7 @@ def thurston_full(b: RegionBoundary, cap: Optional[int] = None, want_heights: bo
     if np.any((diff - step) % 4 != 0):
         return ThurstonResult(False, None, n)
 
-    heights = None
-    if want_heights:
-        heights = {(int(vx), int(vy)): int(h) for (vx, vy), h in zip(verts, h_full)}
+    heights = {(int(vx), int(vy)): int(h) for (vx, vy), h in zip(verts, h_full)}
     return ThurstonResult(True, heights, n)
 
 

@@ -23,7 +23,7 @@ screen coordinates.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -84,20 +84,49 @@ def _text(x: float, y: float, size: float, s: str) -> str:
             f'fill="{_STYLE["text-fill"]}">{s}</text>')
 
 
+def _frame(points: Iterable, embed: Callable, pad: int, scale: int):
+    """The screen map of a lattice, which ``embed`` places in the plane,
+    and the width and height of a picture of the bounding box of
+    ``points`` padded by ``pad``, with a margin of one scale unit."""
+    xs, ys = zip(*(embed(*p) for p in points))
+    xmin, xmax = min(xs) - pad, max(xs) + pad
+    ymin, ymax = min(ys) - pad, max(ys) + pad
+
+    def pt(*p) -> Tuple[float, float]:
+        x, y = embed(*p)
+        return (scale + (x - xmin) * scale, scale + (ymax - y) * scale)
+
+    return pt, (xmax - xmin) * scale + 2 * scale, (ymax - ymin) * scale + 2 * scale
+
+
+def _outline(pt: Callable, vertices: Iterable, scale: int) -> str:
+    d = "M " + " L ".join(f"{_f(px)} {_f(py)}"
+                          for px, py in (pt(*v) for v in vertices)) + " Z"
+    return (f'<path d="{d}" fill="none" '
+            f'stroke="{_STYLE["boundary-stroke"]}" '
+            f'stroke-width="{_f(scale / 10)}"/>')
+
+
+def _boundary_labels(vertices: List, bh) -> Dict:
+    if not bh.valid:
+        raise NotTileable("boundary heights do not close up")
+    return dict(zip(vertices, bh.heights.tolist()))
+
+
+def _labels(pt: Callable, labels: Dict, scale: int) -> List[str]:
+    """One height label just above each vertex, in vertex order."""
+    out = []
+    for v, h in sorted(labels.items()):
+        px, py = pt(*v)
+        out.append(_text(px, py - 0.12 * scale, 0.38 * scale, str(h)))
+    return out
+
+
 def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
                   scale: int = 24) -> str:
     layers = _check_layers(layers)
-    xs = [v[0] for v in b.vertices]
-    ys = [v[1] for v in b.vertices]
     # The subdivision reaches outside the region bounding box; pad by it.
-    pad = 2
-    xmin, ymin = min(xs) - pad, min(ys) - pad
-    xmax, ymax = max(xs) + pad, max(ys) + pad
-    margin = scale
-
-    def pt(x: float, y: float) -> Tuple[float, float]:
-        return (margin + (x - xmin) * scale, margin + (ymax - y) * scale)
-
+    pt, width, height = _frame(b.vertices, lambda x, y: (x, y), 2, scale)
     body: List[str] = []
     oracle = None
     if "tiling" in layers or "heights" in layers:
@@ -135,63 +164,36 @@ def render_square(b: RegionBoundary, layers: Iterable[str] = ("boundary",),
                         f'stroke-width="{_f(scale / 12)}"/>')
 
     if "boundary" in layers:
-        d = "M " + " L ".join(f"{_f(px)} {_f(py)}"
-                              for px, py in (pt(*v) for v in b.vertices)) + " Z"
-        body.append(f'<path d="{d}" fill="none" '
-                    f'stroke="{_STYLE["boundary-stroke"]}" '
-                    f'stroke-width="{_f(scale / 10)}"/>')
+        body.append(_outline(pt, b.vertices, scale))
 
     if "heights" in layers:
         if oracle is not None:
             verts = dict.fromkeys(v for x, y in b.cells() for v in
                                   ((x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)))
-            labels: Dict[Tuple[int, int], int] = {v: oracle.height_at(v) for v in verts}
+            labels = {v: oracle.height_at(v) for v in verts}
         else:
-            bh = boundary_height(b)
-            if not bh.valid:
-                raise NotTileable("boundary heights do not close up")
-            labels = dict(zip(b.vertices, bh.heights.tolist()))
-        for (x, y), h in sorted(labels.items()):
-            px, py = pt(x, y)
-            body.append(_text(px, py - 0.12 * scale, 0.38 * scale, str(h)))
+            labels = _boundary_labels(b.vertices, boundary_height(b))
+        body += _labels(pt, labels, scale)
 
-    return _svg((xmax - xmin) * scale + 2 * margin,
-                (ymax - ymin) * scale + 2 * margin, body)
+    return _svg(width, height, body)
 
 
 _SQRT3 = math.sqrt(3.0)
+
+
+def _embed(q: int, r: int) -> Tuple[float, float]:
+    return (q - r / 2.0, r * _SQRT3 / 2.0)
 
 
 def render_lozenge(b: LozengeBoundary, layers: Iterable[str] = ("boundary",),
                    scale: int = 24) -> str:
     layers = _check_layers(layers)
     averts = b.axial
-    embedded = [(q - r / 2.0, r * _SQRT3 / 2.0) for q, r in averts]
-
-    sub = build_tri_subdivision(b) if "subdivision" in layers else None
-    extra: List[Tuple[float, float]] = []
-    if sub is not None:
-        for piece in sub.pieces:
-            extra.extend((q - r / 2.0, r * _SQRT3 / 2.0)
-                         for q, r in _piece_corners(piece))
-
-    xs = [x for x, _ in embedded + extra]
-    ys = [y for _, y in embedded + extra]
-    xmin, xmax = min(xs) - 1, max(xs) + 1
-    ymin, ymax = min(ys) - 1, max(ys) + 1
-    margin = scale
-
-    def pt(q: int, r: int) -> Tuple[float, float]:
-        x = q - r / 2.0
-        y = r * _SQRT3 / 2.0
-        return (margin + (x - xmin) * scale, margin + (ymax - y) * scale)
-
-    body: List[str] = []
-    if sub is not None:
-        for piece in sub.pieces:
-            body.append(_poly([pt(*c) for c in _piece_corners(piece)],
-                              _STYLE["subdivision-fill"],
-                              _STYLE["subdivision-stroke"], 1.0))
+    pieces = build_tri_subdivision(b).pieces if "subdivision" in layers else []
+    pt, width, height = _frame(averts + [c for piece in pieces for c in _piece_corners(piece)],
+                               _embed, 1, scale)
+    body = [_poly([pt(*c) for c in _piece_corners(piece)], _STYLE["subdivision-fill"],
+                  _STYLE["subdivision-stroke"], 1.0) for piece in pieces]
 
     if "tiling" in layers:
         tiling = lozenge_matching_decide(b)
@@ -206,19 +208,9 @@ def render_lozenge(b: LozengeBoundary, layers: Iterable[str] = ("boundary",),
                               _STYLE["tiling-stroke"], 1.5))
 
     if "boundary" in layers:
-        d = "M " + " L ".join(f"{_f(px)} {_f(py)}"
-                              for px, py in (pt(*v) for v in averts)) + " Z"
-        body.append(f'<path d="{d}" fill="none" '
-                    f'stroke="{_STYLE["boundary-stroke"]}" '
-                    f'stroke-width="{_f(scale / 10)}"/>')
+        body.append(_outline(pt, averts, scale))
 
     if "heights" in layers:
-        lh = lozenge_boundary_height(b)
-        if not lh.valid:
-            raise NotTileable("boundary heights do not close up")
-        for (q, r), v in sorted(zip(averts, lh.heights.tolist())):
-            px, py = pt(q, r)
-            body.append(_text(px, py - 0.12 * scale, 0.38 * scale, str(v)))
+        body += _labels(pt, _boundary_labels(averts, lozenge_boundary_height(b)), scale)
 
-    return _svg((xmax - xmin) * scale + 2 * margin,
-                (ymax - ymin) * scale + 2 * margin, body)
+    return _svg(width, height, body)

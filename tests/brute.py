@@ -342,7 +342,7 @@ def batch_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     side = N >> level
     cq, cr = Q0 + i * side, R0 + j * side
     kept = b.faces_inside(cq, cr, up)
-    return TriSubdivision(Q0, R0, N, t, cq[kept], cr[kept], side[kept], up[kept] == 1)
+    return TriSubdivision(Q0, R0, cq[kept], cr[kept], side[kept], up[kept] == 1)
 
 
 # ---------------------------------------------------------------------------

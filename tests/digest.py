@@ -1,4 +1,4 @@
-"""Differential digest of both decision pipelines over a fixed corpus.
+"""Differential digest of the decision pipelines and the oracle over a fixed corpus.
 
 For every region of the corpus the digest hashes what a decision reports:
 tileable flag, reason, p, n, site and edge counts, the bad-pair witness,
@@ -16,7 +16,11 @@ The corpus:
   triangles, and random square regions dilated by 2 (tileable), in
   groups of 25;
 * the 30 large words of the benchmark's ``square-large`` and
-  ``lozenge-large`` workloads, one group each, unshifted.
+  ``lozenge-large`` workloads, one group each, unshifted;
+* three tileable square regions of 1.1-1.4e4 cells, the shapes of the
+  benchmark's ``oracle-tile`` workload, one group each: for these the
+  digest hashes ``TilingOracle``'s whole tiling, sorted, and its height at
+  every vertex of the closed region, in sorted order.
 
     python tests/digest.py            # compare every group with the file
     python tests/digest.py --write    # regenerate the file
@@ -36,11 +40,12 @@ DIGEST_FILE = Path(__file__).parent / "golden" / "digest.json"
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from tiler import decide_lozenge, decide_tileable  # noqa: E402
-from tiler.generators import dilate  # noqa: E402
+from tiler import TilingOracle, decide_lozenge, decide_tileable  # noqa: E402
+from tiler.generators import dilate, snake, spiral  # noqa: E402
 from tiler.reference import (enumerate_lozenge_regions,  # noqa: E402
                              enumerate_simply_connected, random_lozenge_region,
-                             random_region)
+                             random_region, random_tileable_region)
+from tiler.region import parse_boundary  # noqa: E402
 from workloads import LOZENGE_LARGE, SQUARE_LARGE  # noqa: E402
 
 ENUM_SQUARE_AREA = 8
@@ -53,6 +58,12 @@ Group = Tuple[str, List[Tuple[str, object]]]  # name, (lattice, region) pairs
 
 
 def region_record(lattice: str, region) -> list:
+    if lattice == "oracle":
+        orc = TilingOracle(region)
+        cells = list(region.cells())
+        tiling = sorted(orc.domino_at(cell).as_pair() for cell in cells)
+        verts = sorted({(x + dx, y + dy) for x, y in cells for dx in (0, 1) for dy in (0, 1)})
+        return [tiling, [orc.height_at(w) for w in verts]]
     v = decide_tileable(region) if lattice == "sq" else decide_lozenge(region)
     w = v.witness
     witness = None if w is None else [list(w.x), list(w.y), w.gx, w.gy, w.alpha_xy, w.alpha_yx]
@@ -80,6 +91,14 @@ def _large() -> Iterator[Group]:
             yield "large-" + label.format(size).replace(" ", ""), [(lattice, build(size))]
 
 
+def _oracle() -> Iterator[Group]:
+    rng = random.Random("digest/oracle")
+    words = {"snake(6,3)x24": dilate(snake(6, 3), 24), "spiral(2)x30": dilate(spiral(2), 30),
+             "random1500x3": dilate(random_tileable_region(rng, 1500).moves, 3)}
+    for label, word in words.items():
+        yield "oracle-" + label, [("oracle", parse_boundary(word))]
+
+
 # Each family yields its groups in a fixed order, built one at a time, so
 # a test can take the first few groups of a family cheaply.
 FAMILIES: Dict[str, Callable[[], Iterator[Group]]] = {
@@ -94,6 +113,7 @@ FAMILIES: Dict[str, Callable[[], Iterator[Group]]] = {
     "sq-dilated": lambda: _random("sq-dilated", "sq", DILATED_DRAWS,
                                   lambda rng: dilate(random_region(rng, rng.randrange(5, 751)).moves, 2)),
     "large": _large,
+    "oracle": _oracle,
 }
 
 

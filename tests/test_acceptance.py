@@ -68,7 +68,7 @@ def test_criterion_3_maximum_height_equality():
             continue
         v = decide_tileable(b)
         assert v.tileable
-        res = thurston_full(b, want_heights=True)
+        res = thurston_full(b)
         for s, g in v.heights.items():
             assert g == res.heights[s], (b.moves, s)
         oracle = TilingOracle(b)
@@ -163,7 +163,7 @@ def test_criterion_6_site_oracle_tiling_and_query_cost():
             assert vals <= 15 * max(1, rounds), (b.moves, cell)
             max_rounds = max(max_rounds, rounds)
             max_vals = max(max_vals, vals)
-        res = thurston_full(b, want_heights=True)
+        res = thurston_full(b)
         assert covered == set(extract_tiling(b, res.heights)), b.moves
         assert 2 * len(covered) == b.area
         regions += 1

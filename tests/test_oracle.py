@@ -151,6 +151,22 @@ def test_reset_restores_the_base_lines_and_values():
     assert passes[0] == passes[1]
 
 
+def test_each_new_point_is_valued_once():
+    b = parse_boundary(dilate(snake(6, 3), 24))
+    orc = TilingOracle(b)
+    cold = 0
+    for cx, cy in b.cells():
+        for w in ((cx, cy), (cx + 1, cy), (cx, cy + 1), (cx + 1, cy + 1)):
+            if w not in orc._values:
+                cold += 1
+                added = orc.stats["points_added"]
+                orc.height_at(w)
+                assert orc.stats["last_valuations"] == orc.stats["points_added"] - added, w
+        orc.domino_at((cx, cy))
+    assert cold > 0
+    assert orc.stats["valuations"] == orc.stats["points_added"] > 0
+
+
 def test_domino_at_rejects_a_cell_whose_corners_are_all_valued():
     # The notch (1, 1) of this region is no cell, but its four corners
     # are boundary vertices, so all four heights are known at once.

@@ -60,7 +60,7 @@ def test_matching_agrees_with_height_relaxation():
     seen = 0
     for b in enumerate_simply_connected(6):
         got_matching = matching_decide(b) is not None
-        got_heights = thurston_full(b, want_heights=False).tileable
+        got_heights = thurston_full(b).tileable
         assert got_matching == got_heights, b.moves
         seen += 1
     assert seen == 1 + 2 + 6 + 19 + 63 + 216
@@ -70,7 +70,7 @@ def test_pair_condition_three_way_agreement_small():
     for b in enumerate_simply_connected(5):
         verdicts = {
             matching_decide(b) is not None,
-            thurston_full(b, want_heights=False).tileable,
+            thurston_full(b).tileable,
             pairs_condition_decide(b),
         }
         assert len(verdicts) == 1, b.moves

@@ -94,7 +94,7 @@ def test_random_agreement():
     for _ in range(25):
         b = random_region(rng, rng.randrange(15, 60))
         v = decide_tileable(b)
-        assert v.tileable == thurston_full(b, want_heights=False).tileable, b.moves
+        assert v.tileable == thurston_full(b).tileable, b.moves
 
 
 def test_heights_satisfy_every_edge():
@@ -300,7 +300,7 @@ def test_dumbbells_agree_with_the_whole_region_sweep():
         b = parse_boundary(_dumbbell(m))
         v = decide_tileable(b)
         assert boundary_height(b).valid, m
-        assert not thurston_full(b, want_heights=False).tileable, m
+        assert not thurston_full(b).tileable, m
         assert (v.tileable, v.reason) == (False, "bad-pair"), m
 
 
