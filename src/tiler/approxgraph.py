@@ -6,7 +6,8 @@ Edges join sites that see each other along a straight king path staying
 strongly inside the region with no other site in between:
 
 * the two axis legs of every kept triangle, inside the region by
-  construction, every boundary edge among them, and
+  construction: the boundary edges, and the inner legs that
+  ``Subdivision.inner_legs`` reads off the corner masks, and
 * consecutive sites along each diagonal lattice line whose open segment
   is inside, every triangle hypotenuse among them.  A diagonal line
   meets the boundary only at boundary vertices, all sites, so the open
@@ -18,13 +19,14 @@ strongly inside the region with no other site in between:
 each edge once, so no sort removes duplicates: site ids are the ranks of
 the sorted distinct packed coordinate keys, and one ``np.searchsorted``
 gives those of the boundary vertices and of the pairs joined outright.
-Each line family comes from one sort of packed (line, position) keys;
-only its gaps between two boundary vertices get a membership search, a
-vector lookup of one flank of the first step in the region's index.
-Edges store no weights: the solver takes the bound on the height
-difference from the closed form.  Degrees are bounded by construction,
-on squares by two neighbours per diagonal line plus four axis legs, with
-one diagonal always missing at a boundary vertex.
+Each line family comes from one sort of packed (line, position) keys.
+Its gaps between two boundary vertices test one flank of the first step,
+a cell or face around the first end: one bit of that vertex's corner
+mask, which the walk's turn there gives.  So the graph build makes no
+membership search.  Edges store no weights: the solver takes the bound
+on the height difference from the closed form.  Degrees are bounded by
+construction, on squares by two neighbours per diagonal line plus four
+axis legs, with one diagonal always missing at a boundary vertex.
 """
 
 from __future__ import annotations
@@ -89,34 +91,36 @@ class ApproxGraph:
                 for i, nb in enumerate(nbrs)}
 
 
-def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, families, inside,
-               bounds: Tuple[int, int]) -> ApproxGraph:
+def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, families,
+               masks: np.ndarray, bounds: Tuple[int, int]) -> ApproxGraph:
     """The site graph of either lattice over the packed candidate keys,
-    the p boundary vertices in walk order first.  ``decode`` maps the
-    sorted distinct keys to the site coordinates and their plane
-    coordinates (u, v).  ``links`` is a (2, L) array of the positions in
-    ``keys`` of the pairs joined outright.  Each family is a direction
-    (du, dv) along which u grows, or v when du = 0, and one flank of its
-    unit step: an offset (fu, fv) plus any further arguments of the
-    membership test ``inside(u, v, ...)``.  Consecutive sites on a line
-    are joined when either is not a boundary vertex, or else when that
-    flank of the first step is inside.
+    the p boundary vertices in walk order first, with their corner masks
+    ``masks``.  ``decode`` maps the sorted distinct keys to the site
+    coordinates and their plane coordinates (u, v).  ``links`` is a (2, L)
+    array of the positions in ``keys`` of the pairs joined outright.  Each
+    family is a direction (du, dv) along which u grows, or v when du = 0,
+    and the bit of the corner mask that holds one flank of its unit step.
+    Consecutive sites on a line are joined when either is not a boundary
+    vertex, or else when that flank of the first step is inside: a bit of
+    the first site's mask, read with no membership search.  Interior sites
+    have every bit set, so the bit test also passes when the first site is
+    interior.
     Degrees are at most ``bounds[0]``, ``bounds[1]`` on the boundary."""
     site_keys = sorted_unique(keys)
     coords, u, v = decode(site_keys)
     ids = np.searchsorted(site_keys, keys[:max(p, links.max(initial=-1) + 1)])
-    on_boundary = np.zeros(len(coords), dtype=bool)
-    on_boundary[ids[:p]] = True
+    site_mask = np.full(len(coords), -1, dtype=np.int8)
+    site_mask[ids[:p]] = masks
+    interior = site_mask < 0
     i, j = [ids[links[0]]], [ids[links[1]]]
-    for (du, dv), (fu, fv, *rest) in families:
+    for (du, dv), bit in families:
         line = dv * u - du * v
-        order = np.argsort(pack(line, u if du else v))
+        order = pack(line, u if du else v).argsort()
         a, c = order[:-1], order[1:]
         same = line[a] == line[c]
         a, c = a[same], c[same]
-        both = on_boundary[a] & on_boundary[c]
-        joined = ~both
-        joined[both] = inside(u[a[both]] + fu, v[a[both]] + fv, *rest)
+        joined = site_mask[a] & 1 << bit != 0
+        joined |= interior[c]
         i.append(a[joined])
         j.append(c[joined])
 
@@ -124,8 +128,8 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, families, in
     graph = ApproxGraph(coords, np.minimum(i, j), np.maximum(i, j), ids[:p])
     deg = graph.degrees()
     limit = np.full(len(deg), bounds[0])
-    limit[on_boundary] = bounds[1]
-    over = np.flatnonzero(deg > limit)
+    limit[~interior] = bounds[1]
+    over = (deg > limit).nonzero()[0]
     if len(over):
         s = over[0]
         raise InternalInconsistency(f"site {graph.site(s)} has degree {deg[s]}, "
@@ -139,17 +143,21 @@ def _decode_xy(site_keys: np.ndarray):
 
 
 # The diagonal line families: the first step from (x, y) along (1, 1)
-# cuts cell (x, y), and along (1, -1) cell (x, y - 1).
-_DIAGONALS = (((1, 1), (0, 0)), ((1, -1), (0, -1)))
+# cuts cell (x, y), the corner mask's bit 0, and along (1, -1) cell
+# (x, y - 1), its bit 3.
+_DIAGONALS = (((1, 1), 0), ((1, -1), 3))
 
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
+    """The legs of the kept triangles are the p boundary edges, each with
+    one end at a crossed square's centre, and the inner legs; both are
+    joined outright, with no triangle built."""
     bx, by = b.xy
-    tx, ty, lone = sub.tri_x, sub.tri_y, ~sub.next_kept
+    p = len(bx)
+    c, lx, ly = sub.inner_legs()
     cx, cy = sub.inside_corners()
-    keys = pack(np.concatenate([bx, tx[:, 0], tx[:, 1], tx[lone, 2], cx.ravel()]),
-                np.concatenate([by, ty[:, 0], ty[:, 1], ty[lone, 2], cy.ravel()]))
-    p, t = len(bx), len(tx)
-    apex = p + np.concatenate([np.arange(t), np.flatnonzero(lone)])
-    links = np.stack([apex, np.arange(p + t, p + t + len(apex))])
-    return join_sites(keys, p, links, _decode_xy, _DIAGONALS, b.contains_cells, (8, 7))
+    keys = pack(np.concatenate([bx, lx, cx.ravel()]), np.concatenate([by, ly, cy.ravel()]))
+    walk = np.arange(p)
+    links = np.stack([np.concatenate([walk, c]),
+                      np.concatenate([walk[1:], walk[:1], np.arange(p, p + len(c))])])
+    return join_sites(keys, p, links, _decode_xy, _DIAGONALS, b.corner_masks, (8, 7))

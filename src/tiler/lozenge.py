@@ -25,9 +25,12 @@ walk order.  The subdivision covers the region by a quadtree of upward
 and downward lattice-aligned triangles whose side halves until it
 clears the boundary.  The site graph is ``approxgraph.join_sites`` over
 the piece corners plus the boundary, with the three line families and
-the upward face flanking each unit step (``_FAMILIES``); degrees are at
-most six (two per family).  An untileable verdict's witness is the
-violated edge whose endpoints come first in sorted site order.
+the upward face flanking each unit step (``_FAMILIES``), read between
+two boundary vertices as a bit of the first one's corner mask: the six
+faces around a boundary vertex that are in the region follow from the
+walk's turn there, with no search.  Degrees are at most six (two per
+family).  An untileable verdict's witness is the violated edge whose
+endpoints come first in sorted site order.
 
 Region membership comes from one index, the strip cuts: the boundary
 edges that cross a horizontal strip of faces, held as one sorted array
@@ -55,8 +58,8 @@ import numpy as np
 
 from tiler.errors import InternalInconsistency
 from tiler.approxgraph import ApproxGraph, join_sites
-from tiler.region import (BoundaryHeight, closed_walk, crossing_keys, odd_at_or_left, spans,
-                          walk_back)
+from tiler.region import (BoundaryHeight, closed_walk, corner_masks, crossing_keys,
+                          odd_at_or_left, spans, turn_table, walk_back)
 from tiler.solver import TileabilityVerdict, compute_gmax, run_pipeline
 from tiler.subdivision import climb, zorder
 
@@ -104,11 +107,18 @@ def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
     return ((q, r, True), (q - 1, r, True), (q, r + 1, True))
 
 
+# The six unit directions counterclockwise, from v1, as moves; sector k
+# around a vertex lies between the k-th and the next.  Indexed by move + 3:
+# the direction's place in that order.
+_CCW = (1, -3, 2, -1, 3, -2)
+_DIRECTION = np.array([_CCW.index(m) if m else 0 for m in range(-3, 4)], dtype=np.int64)
+_TURNS = turn_table(6)
+
 # The three line families: the directions v1, v2 and -v3, each with the
-# upward face flanking the unit edge from (q, r) along it, as an offset
-# from (q, r).  Off the boundary the downward face agrees; boundary edges
-# of moves -1, -2 and -3 have the upward one outside and are joined outright.
-_FAMILIES = (((1, 0), (0, 0, True)), ((0, 1), (-1, 0, True)), ((1, 1), (0, 0, True)))
+# sector of the upward face flanking the unit edge from (q, r) along it.
+# Off the boundary the downward face agrees; boundary edges of moves -1,
+# -2 and -3 have the upward one outside and are joined outright.
+_FAMILIES = (((1, 0), 0), ((0, 1), 2), ((1, 1), 0))
 
 
 class LozengeBoundary:
@@ -151,6 +161,14 @@ class LozengeBoundary:
     @cached_property
     def vertices(self) -> List[TriPoint]:
         return [tri_point(q, r) for q, r in self.axial]
+
+    @cached_property
+    def corner_masks(self) -> np.ndarray:
+        """The 6-bit mask of the region's faces around each vertex (q, r),
+        in walk order: bits 0 to 5 are the faces (q, r) up, (q, r) down,
+        (q - 1, r) up, (q - 1, r - 1) down, (q - 1, r - 1) up and
+        (q, r - 1) down."""
+        return corner_masks(_DIRECTION[self.tokens + 3], _TURNS)
 
     @cached_property
     def _cut_keys(self) -> np.ndarray:
@@ -344,7 +362,8 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     line is a site, so the open segment between consecutive sites lies
     on one side throughout: inside when either end is interior, else when
     the upward face on the first unit step from the earlier site is a
-    region face or that step is the boundary edge of a negative move.
+    region face (a bit of its corner mask) or that step is the boundary
+    edge of a negative move.
     """
     q, r = b.qr
     pq, pr, ps, pup = sub.piece_q, sub.piece_r, sub.piece_side, sub.piece_up
@@ -356,7 +375,7 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     keys = ((aq - m) << 2 * _SITE_BITS) | ((ar - m) << _SITE_BITS) | -m
     tails = np.flatnonzero(b.tokens < 0)
     links = np.stack([tails, (tails + 1) % len(q)])
-    return join_sites(keys, len(q), links, _decode_tri, _FAMILIES, b.faces_inside, (6, 6))
+    return join_sites(keys, len(q), links, _decode_tri, _FAMILIES, b.corner_masks, (6, 6))
 
 
 def decide_lozenge(source) -> TileabilityVerdict:

@@ -90,6 +90,30 @@ def odd_at_or_left(keys: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.nd
     return np.searchsorted(keys, pack(rows, pos), "right") & 1 == 1
 
 
+def turn_table(n: int) -> np.ndarray:
+    """Corner masks of a simple counterclockwise walk on a lattice with n
+    unit directions, numbered counterclockwise, by incoming direction i and
+    outgoing direction o.  Sector k around a vertex lies between directions
+    k and k + 1.  A vertex meets exactly two boundary edges and the region
+    lies on the walk's left, so its sectors there are those swept
+    counterclockwise from o to the reversed incoming direction i + n/2."""
+    table = np.zeros((n, n), dtype=np.int8)
+    for i in range(n):
+        for o in range(n):
+            for k in range((i + n // 2 - o) % n):
+                table[i, o] |= 1 << (o + k) % n
+    return table
+
+
+def corner_masks(dirs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each vertex's corner mask from the directions of a closed walk's
+    edges (edge i leaves vertex i) and ``turn_table``'s table."""
+    return table[np.concatenate((dirs[-1:], dirs[:-1])), dirs]
+
+
+_SQUARE_TURNS = turn_table(4)
+
+
 def crossing_keys(xy: Tuple[np.ndarray, np.ndarray], steps: Tuple[np.ndarray, np.ndarray],
                   scale: int) -> np.ndarray:
     """Sorted ``pack(row, pos)`` keys of the edges of a closed walk that
@@ -157,6 +181,16 @@ class RegionBoundary:
         """(min x, min y, max x, max y) over the vertices."""
         xs, ys = self.xy
         return int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())
+
+    @cached_property
+    def corner_masks(self) -> np.ndarray:
+        """The 4-bit mask of the region's cells around each vertex, in walk
+        order.  R, U, L, D are directions 0 to 3, so bits 0 to 3 are the
+        cells at offsets (0, 0), (-1, 0), (-1, -1) and (0, -1) from the
+        vertex."""
+        dx, dy = self.steps
+        # dy is odd on U and D, and dx + dy is -1 on L and D.
+        return corner_masks(dy & 1 | (dx + dy) & 2, _SQUARE_TURNS)
 
     @cached_property
     def _edge_keys(self) -> np.ndarray:

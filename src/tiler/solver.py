@@ -165,8 +165,9 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     keys = np.sort(tail[keep] << b | keep)
     arc = keys & ((1 << b) - 1)
     head, weight = head[arc], np.concatenate([rise, fall])[arc]
+    deg = np.bincount(keys >> b, minlength=n)
     start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys >> b, minlength=n), out=start[1:])
+    deg.cumsum(out=start[1:])
 
     g = np.full(n, _UNREACHED, dtype=np.int64)
     g[graph.boundary_ids] = bh.heights
@@ -174,13 +175,12 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     for _ in range(_round_cap(n)):
         if not len(fell):
             break
-        lo = start[fell]
-        out = start[fell + 1] - lo
-        ends = np.cumsum(out)
-        arcs = np.repeat(lo - ends + out, out) + np.arange(ends[-1])
+        out = deg[fell]
+        ends = out.cumsum()
+        arcs = (start[fell] - ends + out).repeat(out) + np.arange(ends[-1])
         lowered = g.copy()
-        np.minimum.at(lowered, head[arcs], np.repeat(g[fell], out) + weight[arcs])
-        fell = np.flatnonzero(lowered < g)
+        np.minimum.at(lowered, head[arcs], g[fell].repeat(out) + weight[arcs])
+        fell = (lowered < g).nonzero()[0]
         g = lowered
     if len(fell):
         g = _finish(g, fell, start, head, weight)

@@ -15,21 +15,31 @@ the closed square of its midpoint at every level.  An uncrossed square
 therefore holds no boundary edge, its interior lies wholly on one side,
 and the cell north-east of its centre meets that interior.
 
-At the last level the crossed squares have unit half-diagonal.  Each one is
-cut into at most four lattice triangles, of which the ones lying in cells
-of the region are kept; these triangles tile a thin sleeve along the
-boundary and their vertices become the sites of the sparse tileability
-graph.
+At the last level the crossed squares have side 2 in (u, v), unit
+half-diagonal, and each is centred on a boundary vertex.  The centres
+have u - U0 odd.  Every boundary edge joins a vertex with u - U0 odd to
+one with it even, since u changes by 1 along an edge, and its midpoint
+is 1/2 from both in u and in v; so the square of the midpoint is the one
+centred on the odd end.  Vertex i of the walk has u = i mod 2, so the
+crossed squares are centred on every other vertex, p/2 of them, each met
+by exactly its two edges.  A square is cut into four lattice triangles
+around its centre, one in each cell there, and the ones in region cells
+are kept: the bits of the centre's corner mask, which the turn of the
+walk there gives (``RegionBoundary.corner_masks``).  These triangles
+tile a thin sleeve along the boundary and their vertices become the
+sites of the sparse tileability graph.  The decision builds none of
+them: the graph reads their legs off the masks (``inner_legs``).
 
 The quadtree is built bottom-up by ``climb``, which the triangle
 quadtree of ``tiler.lozenge`` shares.  Cells are keyed by their Z-order
-(Morton) code, so one sort of the last-level keys of the edge midpoints
+(Morton) code, so one sort of the last-level keys of those p/2 vertices
 gives every level: shifting sorted codes right by two gives the parent
 cells still sorted, and a few array operations per level group them and
-find the uncrossed children.  One membership test over those classifies
-them.  The tuple views ``inside_squares()`` and ``triangles`` are derived
-on demand for the tests, the benchmark's counters and (``triangles``)
-rendering; the decision and the oracle read the arrays.
+find the uncrossed children.  One membership search over those
+classifies them, the only one of the build.  The tuple views
+``inside_squares()`` and ``triangles`` are derived on demand for the
+tests, the benchmark's counters and (``triangles``) rendering; the
+decision and the oracle read the arrays.
 """
 
 from __future__ import annotations
@@ -130,10 +140,11 @@ def climb(keys: np.ndarray, t: int, parent: np.ndarray, child_slots: np.ndarray)
 _PARENT = np.array([1 << 2 * (k >> 2) + 2 | 1 for k in range(16)], dtype=np.int64)
 _CHILD_SLOTS = np.array([0, 0b01010101], dtype=np.int64)
 
-# Offsets from the centre c of a last-level square: the cell of candidate
-# triangle k, and its corner after c in counterclockwise order.  The next
-# corner of triangle k is the first of triangle k + 1.
-_CELL = np.array([(0, 0), (-1, 0), (-1, -1), (0, -1)], dtype=np.int64)
+# Triangle k around the centre c of a last-level square lies in the cell
+# of bit k of c's corner mask, between the legs from c along directions k
+# and k + 1 (R, U, L, D): _LEG[k] is the unit step of direction k.
+# _BITS[mask] is the row of a 4-bit mask's bits.
+_BITS = np.arange(16)[:, None] >> np.arange(4) & 1 == 1
 _LEG = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)], dtype=np.int64)
 
 
@@ -156,10 +167,8 @@ class Subdivision:
       squares of level i, by Z-order code (see ``climb``);
     * ``inside_at``: (level, iu, iv) arrays of the uncrossed children of
       crossed squares that lie inside the region;
-    * ``tri_x``, ``tri_y``: (T, 3) coordinates of the kept triangles'
-      apex and two corners;
-    * ``next_kept``: whether the next triangle counterclockwise in the
-      same square is kept, so that its first leg is this one's second.
+    * ``centres``: the walk index of the boundary vertex at the centre
+      of each crossed square of level t, in key order.
 
     ``si_census[i]`` counts the crossed squares of level i.
     """
@@ -207,25 +216,48 @@ class Subdivision:
     @cached_property
     def triangles(self) -> List[Triangle]:
         """The kept half-cells, by the Z-order code of their square and
-        then counterclockwise.  A triangle's cell is the low corner of its
+        then counterclockwise: around each centre vertex, one in each cell
+        of its corner mask.  A triangle's cell is the low corner of its
         bounding box."""
+        bx, by = self.b.xy
+        row, k = _BITS[self.b.corner_masks[self.centres]].nonzero()
+        ax, ay = bx[self.centres[row]], by[self.centres[row]]
+        k2 = (k + 1) & 3
+        tx = np.stack([ax, ax + _LEG[k, 0], ax + _LEG[k2, 0]], axis=1)
+        ty = np.stack([ay, ay + _LEG[k, 1], ay + _LEG[k2, 1]], axis=1)
         return [Triangle((min(xs), min(ys)), tuple(zip(xs, ys)))
-                for xs, ys in zip(self.tri_x.tolist(), self.tri_y.tolist())]
+                for xs, ys in zip(tx.tolist(), ty.tolist())]
+
+    def inner_legs(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The legs of the kept triangles that are not boundary edges, as
+        the walk index of their centre vertex c and the x and y of their
+        other end.  Around c the legs run along the directions from the
+        walk's outgoing one to its reversed incoming one, counterclockwise:
+        the first and the last are the boundary edges at c, and the others
+        lie between two region cells, bits d - 1 and d of c's mask."""
+        bx, by = self.b.xy
+        m = self.b.corner_masks[self.centres]
+        row, d = _BITS[m & (m << 1 | m >> 3)].nonzero()
+        c = self.centres[row]
+        return c, bx[c] + _LEG[d, 0], by[c] + _LEG[d, 1]
 
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
         b, t = self.b, self.t
-        # Doubled midpoints of the p boundary edges (edge j runs from
-        # vertex j to vertex j+1, cyclically), from the root's low corner.
-        # A level-t square has side 2, so the midpoint's level-t index is
-        # mu2 >> 2.
+        # A level-t square has side 2 and its centre at u = U0 + 2 iu + 1,
+        # v = V0 + 2 iv + 1 (U0 and V0 have one parity).  An open boundary
+        # edge lies in the square of its midpoint, 1/2 in u and in v from
+        # its end with u - U0 odd: the square centred there.  Vertex i has
+        # u = i mod 2, so the crossed squares are centred on the vertices
+        # i0, i0 + 2, ...: p/2 distinct codes.
+        i0 = (self.U0 + 1) & 1
         xs, ys = b.xy
-        x2, y2 = xs + np.concatenate([xs[1:], xs[:1]]), ys + np.concatenate([ys[1:], ys[:1]])
-        mu2 = x2 + y2 - 2 * self.U0
-        mv2 = x2 - y2 - 2 * self.V0
-        self.keys, (level, iu, iv, _) = climb(
-            np.sort(zorder(mu2 >> 2, mv2 >> 2, t) << 2 | 1), t, _PARENT, _CHILD_SLOTS)
+        x, y = xs[i0::2], ys[i0::2]
+        code = zorder((x + y - self.U0) >> 1, (x - y - self.V0) >> 1, t)
+        order = code.argsort()
+        self.centres = i0 + 2 * order
+        self.keys, (level, iu, iv, _) = climb(code[order] << 2 | 1, t, _PARENT, _CHILD_SLOTS)
 
         census = [len(k) for k in self.keys]
         for i in range(1, t + 1):
@@ -235,31 +267,13 @@ class Subdivision:
         self.si_census: List[int] = census
 
         # The uncrossed children of crossed squares are classified by the
-        # cell north-east of their centre.
+        # cell north-east of their centre, with the one membership search.
         last = census[t]
-        level, iu, iv, cu, cv = level[last:], iu[last:], iv[last:], iu[:last], iv[:last]
+        level, iu, iv = level[last:], iu[last:], iv[last:]
         s, umin, vmin = self._uv_corner(level, iu, iv)
         uc, vc = umin + s // 2, vmin + s // 2
         inside = b.contains_cells((uc + vc) // 2, (uc - vc) // 2)
         self.inside_at = level[inside], iu[inside], iv[inside]
-
-        # Last level: four candidate triangles around each crossed square's
-        # centre.
-        uc, vc = self.U0 + 2 * cu + 1, self.V0 + 2 * cv + 1
-        cx, cy = (uc + vc) // 2, (uc - vc) // 2
-        kept = b.contains_cells(cx[:, None] + _CELL[:, 0], cy[:, None] + _CELL[:, 1])
-        count = kept.sum(axis=1)
-        wrong = np.flatnonzero((count < 1) | (count > 3))
-        if len(wrong):
-            j = wrong[0]
-            raise InternalInconsistency(
-                f"square {(int(cu[j]), int(cv[j]))} keeps {count[j]} triangles")
-        row, k = np.nonzero(kept)
-        ax, ay = cx[row], cy[row]
-        k2 = (k + 1) & 3
-        self.tri_x = np.stack([ax, ax + _LEG[k, 0], ax + _LEG[k2, 0]], axis=1)
-        self.tri_y = np.stack([ay, ay + _LEG[k, 1], ay + _LEG[k2, 1]], axis=1)
-        self.next_kept = kept[row, k2]
 
 
 def build_subdivision(b: RegionBoundary) -> Subdivision:

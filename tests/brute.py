@@ -176,6 +176,13 @@ LOZENGE_FLANKS = (((1, 0), ((0, 0, True), (0, -1, False))),
                   ((0, 1), ((-1, 0, True), (0, 0, False))),
                   ((1, 1), ((0, 0, True), (0, 0, False))))
 
+# The cell or face of each bit of a corner mask, as offsets from the vertex
+# plus, for faces, the orientation: the sectors counterclockwise from the
+# first lattice direction (R on squares, v1 on the triangular lattice).
+CORNER_CELLS = ((0, 0), (-1, 0), (-1, -1), (0, -1))
+SECTOR_FACES = ((0, 0, True), (0, 0, False), (-1, 0, True),
+                (-1, -1, False), (-1, -1, True), (0, -1, False))
+
 
 def line_gaps(points, direction) -> List[Tuple[Axial, Axial]]:
     """The pairs of consecutive points (u, v) on each lattice line along
@@ -227,9 +234,8 @@ def two_flank_graph(boundary: List[Axial], corners: List[Axial], triangles, fami
 def square_two_flank_graph(b: RegionBoundary, sub: Subdivision):
     """``two_flank_graph`` over a square region's subdivision."""
     cx, cy = sub.inside_corners()
-    triangles = [tuple(zip(x, y)) for x, y in zip(sub.tri_x.tolist(), sub.tri_y.tolist())]
     return two_flank_graph(b.vertices, list(zip(cx.ravel().tolist(), cy.ravel().tolist())),
-                           triangles, SQUARE_FLANKS, b.contains_cells, lambda x, y: (x, y))
+                           [tri.verts for tri in sub.triangles], SQUARE_FLANKS, b.contains_cells, lambda x, y: (x, y))
 
 
 def lozenge_two_flank_graph(b: LozengeBoundary, sub: TriSubdivision):

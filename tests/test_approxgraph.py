@@ -13,8 +13,9 @@ from tiler.reference import enumerate_simply_connected, random_lozenge_region, r
 from tiler.region import RegionBoundary, parse_boundary
 from tiler.subdivision import build_subdivision
 
-from brute import (LOZENGE_FLANKS, SQUARE_FLANKS, cheb, line_gaps, lozenge_two_flank_graph,
-                   pair_connected_brute, square_two_flank_graph, valid_pairs_brute)
+from brute import (LOZENGE_FLANKS, SECTOR_FACES, SQUARE_FLANKS, cheb, line_gaps,
+                   lozenge_two_flank_graph, pair_connected_brute, square_two_flank_graph,
+                   valid_pairs_brute)
 
 
 def _graph(word):
@@ -195,24 +196,27 @@ def _around(lattice, b, u, v):
 def test_searches_run_only_between_two_boundary_vertices(monkeypatch):
     # What the join's shortcut rests on: a site that is not a boundary
     # vertex is interior, so only the gaps between two boundary vertices
-    # need a membership search, and the graph makes exactly that many.
+    # need a flank test.  That test reads a bit of the first vertex's
+    # corner mask, so the graph build makes no membership search at all.
     tests = {"sq": (RegionBoundary, "contains_cells", SQUARE_FLANKS),
              "tri": (LozengeBoundary, "faces_inside", LOZENGE_FLANKS)}
+    boundary_gaps = 0
     for lattice, word in _join_words():
         parse, subdivide, build = STAGES[lattice]
         cls, name, families = tests[lattice]
         b = parse(word)
         sub = subdivide(b)
-        rows = []
+        calls = []
         test = getattr(cls, name)
 
-        def counted(self, u, v, *rest):
-            rows.append(len(u))
-            return test(self, u, v, *rest)
+        def counted(self, *args):
+            calls.append(len(args[0]))
+            return test(self, *args)
 
         with monkeypatch.context() as m:
             m.setattr(cls, name, counted)
             graph = build(b, sub)
+        assert calls == [], word
 
         coords = graph.coords
         if lattice == "tri":
@@ -223,28 +227,35 @@ def test_searches_run_only_between_two_boundary_vertices(monkeypatch):
         assert _around(lattice, b, coords[interior, 0], coords[interior, 1]).all(), word
 
         points = list(zip(*coords.T.tolist()))
-        gaps = sum(z in boundary and w in boundary
-                   for direction, _ in families for z, w in line_gaps(points, direction))
-        assert sum(rows) == gaps, word
+        boundary_gaps += sum(z in boundary and w in boundary
+                             for direction, _ in families
+                             for z, w in line_gaps(points, direction))
+    assert boundary_gaps > 0
 
 
 def test_only_negative_lozenge_boundary_edges_fail_their_flank_test():
     # A boundary edge of move 1, 2 or 3 has the upward face its family
     # tests on the region side, so the line join makes it; one of move
-    # -1, -2 or -3 has it outside and is joined outright.
+    # -1, -2 or -3 has it outside and is joined outright.  The family's
+    # test is a bit of its first end's corner mask: the sector of that
+    # upward face, which a face search confirms.
     for lattice, word in _join_words():
         if lattice != "tri":
             continue
         b = parse_lozenge(word)
         q, r = b.qr
         dq, dr = np.roll(q, -1) - q, np.roll(r, -1) - r
+        ends = np.arange(b.p)
         passed = np.zeros(b.p, dtype=bool)
         tested = np.zeros(b.p, dtype=int)
-        for (fq, fr), (oq, orr, up) in tiler.lozenge._FAMILIES:
+        for (fq, fr), bit in tiler.lozenge._FAMILIES:
+            oq, orr, up = SECTOR_FACES[bit]
+            assert up and {(0, 0), (fq, fr)} <= {(oq, orr), (oq + 1, orr), (oq + 1, orr + 1)}
             forward = (dq == fq) & (dr == fr)
             edge = forward | ((dq == -fq) & (dr == -fr))
-            eq, er = np.where(forward, q, q + dq)[edge], np.where(forward, r, r + dr)[edge]
-            passed[edge] = b.faces_inside(eq + oq, er + orr, up)
+            first = np.where(forward, ends, (ends + 1) % b.p)[edge]
+            passed[edge] = b.corner_masks[first] >> bit & 1
+            assert (passed[edge] == b.faces_inside(q[first] + oq, r[first] + orr, up)).all()
             tested += edge
         assert (tested == 1).all()
         assert (passed == (b.tokens > 0)).all(), word

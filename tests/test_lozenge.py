@@ -14,15 +14,18 @@ import pytest
 
 import digest
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
+from tiler.approxgraph import build_graph
 from tiler.lozenge import (STEPS, _piece_corners, build_tri_graph,
                            build_tri_subdivision, decide_lozenge,
                            lozenge_boundary_height, lozenge_matching_decide,
                            parse_lozenge, tri_alpha_array, tri_point)
 from tiler.reference import (enumerate_lozenge_regions, faces_to_lozenge_word,
                              random_lozenge_region)
+from tiler.region import parse_boundary
+from tiler.subdivision import build_subdivision
 
-from brute import (RadiusExceeded, TriColor, batch_tri_subdivision, edge_in_region,
-                   face_inside, lozenge_moves_brute, lozenge_walk, tri_alpha,
+from brute import (SECTOR_FACES, RadiusExceeded, TriColor, batch_tri_subdivision,
+                   edge_in_region, face_inside, lozenge_moves_brute, lozenge_walk, tri_alpha,
                    tri_alpha_oracle, tri_axial, tri_color, tri_geodesic_points_brute,
                    vertex_in_closure)
 
@@ -277,14 +280,20 @@ def test_graph_degree_bound_and_sites_cover_boundary():
         assert len(sub.pieces) <= 6 * b.p
 
 
-def test_graph_makes_one_membership_search_per_family():
-    b = parse_lozenge(HEXAGON)
-    sub = build_tri_subdivision(b)
-    calls = []
-    search = b.faces_inside
-    b.faces_inside = lambda *args: calls.append(args) or search(*args)
-    build_tri_graph(b, sub)
-    assert len(calls) == 3
+def test_graph_makes_no_membership_search_and_the_subdivision_one():
+    # Both lattices: the subdivision classifies its candidate pieces with
+    # one search, and the graph reads its flanks from the corner masks.
+    for b, name, subdivide, build in (
+            (parse_lozenge(HEXAGON), "faces_inside", build_tri_subdivision, build_tri_graph),
+            (parse_boundary("R" * 12 + "U" * 12 + "L" * 12 + "D" * 12), "contains_cells",
+             build_subdivision, build_graph)):
+        calls = []
+        search = getattr(b, name)
+        setattr(b, name, lambda *args: calls.append(args) or search(*args))
+        sub = subdivide(b)
+        assert len(calls) == 1
+        build(b, sub)
+        assert len(calls) == 1
 
 
 def test_solved_heights_respect_edge_and_color_rules():
@@ -390,6 +399,30 @@ def test_faces_inside_matches_face_inside():
         assert b.faces_inside(q, r, up).tolist() == [face_inside(b, f) for f in box]
         assert sum(b.faces_inside(q, r, up)) == b.n
     assert negative >= 10
+
+
+def test_corner_masks_match_the_faces_around_each_vertex():
+    # Bit k of a vertex's mask is whether the face SECTOR_FACES[k] from it
+    # is a region face.  Inputs: random regions, each also written
+    # clockwise, and the large lozenge words of the benchmark; together
+    # they make all 30 turns that do not go back.
+    rng = random.Random(4343)
+    words = []
+    for _ in range(60):
+        moves = random_lozenge_region(rng, rng.randrange(2, 401)).moves
+        words += [",".join(map(str, moves)), ",".join(str(-t) for t in reversed(moves))]
+    words += [w for _, group in digest.FAMILIES["large"]() for lattice, w in group
+              if lattice == "tri"]
+    turns = set()
+    for word in words:
+        b = parse_lozenge(word)
+        q, r = b.qr
+        masks = b.corner_masks
+        for k, (dq, dr, up) in enumerate(SECTOR_FACES):
+            assert ((masks >> k & 1) == b.faces_inside(q + dq, r + dr, up)).all(), word
+        turns |= set(zip(np.roll(b.tokens, 1).tolist(), b.moves))
+    assert len(turns) == 30
+    assert all(a != -c for a, c in turns)
 
 
 def test_array_form_agrees_with_views():

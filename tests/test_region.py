@@ -6,11 +6,12 @@ import random
 import numpy as np
 import pytest
 
+import digest
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.reference import random_region
-from tiler.region import boundary_height, pack, parse_boundary, sorted_unique
+from tiler.region import INVERSE, boundary_height, pack, parse_boundary, sorted_unique
 
-from brute import edge_step, edges
+from brute import CORNER_CELLS, edge_step, edges
 
 
 def test_square_2x2():
@@ -93,6 +94,30 @@ def test_contains_cell_agrees_with_the_cells_and_the_array_form():
     # read as the cell (0, 0).
     b = parse_boundary("RRULULDD")
     assert not b.contains_cell((2 ** 32, -1)) and not b.contains_cell((-2 ** 32, 1))
+
+
+def test_corner_masks_match_the_cells_around_each_vertex():
+    # Bit k of a vertex's mask is whether the cell CORNER_CELLS[k] from it
+    # is a region cell.  Inputs: random regions, each also written
+    # clockwise, and the large square words of the benchmark; together
+    # they make all 12 turns that do not go back.
+    rng = random.Random(4242)
+    words = []
+    for _ in range(60):
+        word = random_region(rng, rng.randrange(2, 401)).moves
+        words += [word, word[::-1].translate(str.maketrans(INVERSE))]
+    words += [w for _, group in digest.FAMILIES["large"]() for lattice, w in group
+              if lattice == "sq"]
+    turns = set()
+    for word in words:
+        b = parse_boundary(word)
+        xs, ys = b.xy
+        masks = b.corner_masks
+        for k, (dx, dy) in enumerate(CORNER_CELLS):
+            assert ((masks >> k & 1) == b.contains_cells(xs + dx, ys + dy)).all(), word
+        turns |= set(zip(b.moves[-1] + b.moves[:-1], b.moves))
+    assert len(turns) == 12
+    assert all(INVERSE[a] != c for a, c in turns)
 
 
 def test_vertex_in_closure():

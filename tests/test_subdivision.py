@@ -104,9 +104,6 @@ def test_array_form_agrees_with_views():
                               for u, v in ((umin, vmin), (umin + s, vmin),
                                            (umin + s, vmin + s), (umin, vmin + s))))
         assert sorted(map(tuple, corners)) == sorted(want)
-        assert len(sub.triangles) == len(sub.tri_x)
-        for tri, xs, ys in zip(sub.triangles, sub.tri_x.tolist(), sub.tri_y.tolist()):
-            assert tri.verts == tuple(zip(xs, ys))
 
 
 def _intersecting_cells(sub, level, key, bbox):
@@ -170,6 +167,22 @@ def test_census_bound_on_larger_random_regions():
     for target in (50, 200, 500):
         b = random_region(rng, target)
         build_subdivision(b)
+
+
+def test_crossed_last_level_squares_are_centred_on_every_other_vertex():
+    # Each boundary edge lies in the side-2 square centred on its end with
+    # u - U0 odd, and along the walk u alternates in parity: the crossed
+    # squares of the last level are centred on the vertices i0, i0 + 2, ...
+    rng = random.Random(77)
+    regions = [random_region(rng, rng.randrange(2, 401)) for _ in range(40)]
+    regions += [parse_boundary(w) for _, group in digest.FAMILIES["large"]()
+                for lattice, w in group if lattice == "sq"]
+    for b in regions:
+        sub = build_subdivision(b)
+        assert sub.si_census[sub.t] == b.p // 2
+        i0 = (sub.U0 + 1) & 1
+        centres = {center_xy(sub, sub.t, key) for key in crossed(sub)[sub.t]}
+        assert centres == set(b.vertices[i0::2])
 
 
 def test_inside_squares_and_triangles_cover_the_region_at_benchmark_scale():

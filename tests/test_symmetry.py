@@ -230,3 +230,47 @@ def test_reanchoring_translates_the_sites_and_shifts_every_height(lattice):
         b = PARSE[lattice](word)
         for _ in range(2):
             _check_reanchoring(lattice, b, step * rng.randrange(1, b.p // step))
+
+
+def dumbbell(m):
+    """Two (2m+1) x (2m+1) squares joined at mid-height by a corridor one
+    cell wide and two long: balanced for odd m, and untileable."""
+    s = 2 * m + 1
+    return ("R" * s + "U" * m + "RR" + "D" * m + "R" * s + "U" * s
+            + "L" * s + "D" * m + "LL" + "U" * m + "L" * s + "D" * s)
+
+
+def tri_dilate(base, k):
+    return tri_word(t for t in base for _ in range(k))
+
+
+# Balanced words of the benchmark's large workloads, p = 1,500 to 6,000,
+# with their verdicts by construction.
+BALANCED_LARGE = {
+    "square": lambda: [(dilate(snake(6, 3), 48), "ok"), (dilate(snake(6, 3), 96), "ok"),
+                       (dilate(spiral(2), 100), "ok"),
+                       (dumbbell(125), "bad-pair"), (dumbbell(187), "bad-pair")],
+    "lozenge": lambda: [(tri_dilate((1, -3, 2, -1, 3, -2), k), "ok")
+                        for k in (250, 300, 400, 500, 600)]
+    + [(tri_dilate((1, -2, 1, -3, -1, -3, -1, 2, 3, 3), k), "bad-pair")
+       for k in (150, 200, 250, 300, 400)],
+}
+
+
+@pytest.mark.parametrize("lattice", BALANCED_LARGE)
+def test_lattice_symmetries_keep_the_verdict_at_scale(lattice):
+    # The corner masks come from tables of turns, which depend on the
+    # orientation of each step: every image of a large balanced word under
+    # the lattice's symmetries keeps the verdict and a valid witness.
+    for word, reason in BALANCED_LARGE[lattice]():
+        if lattice == "square":
+            forms = [transform(word, sym) for sym in SYMMETRIES]
+            decide, check = decide_tileable, check_witness
+        else:
+            moves = [int(t) for t in word.split(",")]
+            forms = [tri_word(m[t] for t in moves) for m in TRI_SYMMETRIES]
+            decide, check = decide_lozenge, check_tri_witness
+        for form in forms:
+            v = decide(form)
+            assert (v.tileable, v.reason) == (reason == "ok", reason), form[:40]
+            check(v)
