@@ -30,6 +30,8 @@ import sys
 import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from tiler import generators
 from tiler.errors import (EmptyInterior, NotClosed, OutsideRegion,
                           SelfIntersecting, TilerError)
@@ -236,12 +238,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def fit_exponent(points: Sequence[Tuple[float, float]]) -> float:
     """Slope of log(time) against log(p)."""
-    import numpy as np
-    from scipy.stats import linregress
-
     xs = np.log([p for p, _ in points])
     ys = np.log([max(t, 1e-6) for _, t in points])
-    return float(linregress(xs, ys).slope)
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def cmd_render(args: argparse.Namespace) -> int:

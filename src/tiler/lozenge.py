@@ -61,7 +61,7 @@ from tiler.approxgraph import ApproxGraph, join_sites
 from tiler.region import (BoundaryHeight, closed_walk, corner_masks, crossing_keys,
                           odd_at_or_left, spans, turn_table, walk_back)
 from tiler.solver import TileabilityVerdict, compute_gmax, run_pipeline
-from tiler.subdivision import climb, zorder
+from tiler.subdivision import climb, groups, zorder
 
 TriPoint = Tuple[int, int, int]
 Axial = Tuple[int, int]
@@ -183,9 +183,8 @@ class LozengeBoundary:
 
     def faces(self) -> Iterator[Face]:
         """All faces of the region, row by row.  Costs O(area)."""
-        for r, lo, hi in spans(self._cut_keys):
-            for pos in range(lo, hi):
-                yield (pos // 2, r, pos % 2 == 1)
+        r, pos = spans(self._cut_keys)
+        return zip((pos >> 1).tolist(), r.tolist(), (pos & 1 == 1).tolist())
 
 
 def _moves(text: str, commas: int) -> np.ndarray:
@@ -319,9 +318,9 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     children, so the crossed triangles of each level are the parents of
     the crossed triangles of the level below, and the unit level holds
     the six faces around each boundary vertex.  The build sorts those
-    faces' cell keys once and climbs with ``climb``; one membership test
-    over the crossed unit faces and the uncrossed children keeps the
-    pieces.
+    faces' cell keys once, merges the flags of equal cells and climbs
+    with ``climb``; one membership test over the crossed unit faces and
+    the uncrossed children keeps the pieces.
     """
     q, r = b.qr
     R0 = int(r.min()) - 1
@@ -337,8 +336,9 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     # (x - 1, y) and the downward one of (x, y - 1).
     x, y = q - Q0, r - R0
     keys = zorder(np.concatenate([x, x - 1, x - 1, x]), np.concatenate([y, y - 1, y, y - 1]), t)
-    crossed, (level, i, j, up) = climb(np.sort(keys << 2 | np.repeat(_UNIT_FLAGS, len(x))),
-                                       t, _PARENT, _CHILD_SLOTS)
+    keys = np.sort(keys << 2 | np.repeat(_UNIT_FLAGS, len(x)))
+    keys = np.bitwise_or.reduceat(keys, groups(keys, 2)[1])
+    crossed, (level, i, j, up) = climb(keys, t, _PARENT, _CHILD_SLOTS)
     if crossed[0].tolist() != [_UP]:
         raise InternalInconsistency("root triangle misses the boundary")
 

@@ -21,7 +21,8 @@ import numpy as np
 from tiler.errors import CapExceeded
 from tiler.lattice import Point
 from tiler.lozenge import STEPS, LozengeBoundary, face_neighbors, parse_lozenge
-from tiler.region import MOVES, RegionBoundary, boundary_height, parse_boundary
+from tiler.region import (MOVES, RegionBoundary, boundary_height, pack, parse_boundary,
+                          sorted_unique, unpack)
 
 Domino = Tuple[Point, Point]
 Tiling = Set[Domino]
@@ -55,14 +56,6 @@ class ThurstonResult:
         self.n = n
 
 
-def _region_vertex_arrays(b: RegionBoundary):
-    cells = np.array(list(b.cells()), dtype=np.int64)
-    corner_off = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=np.int64)
-    corners = (cells[:, None, :] + corner_off[None, :, :]).reshape(-1, 2)
-    verts = np.unique(corners, axis=0)
-    return cells, verts
-
-
 def thurston_full(b: RegionBoundary, cap: Optional[int] = None) -> ThurstonResult:
     """Decide tileability by building the maximum height function everywhere.
 
@@ -70,6 +63,11 @@ def thurston_full(b: RegionBoundary, cap: Optional[int] = None) -> ThurstonResul
     all interior edges (shortest paths from a virtual source).  The region
     is tileable iff the result respects the seeds and every edge difference
     is admissible.  Time and memory scale with the area.
+
+    The vertices are the sorted ``pack(x, y)`` keys of the cell corners,
+    and edge ends and seeds are searched there.  The cells come row by
+    row, so their ``pack(y, x)`` keys are sorted too.  It calls none of the
+    decision's stages, so it stays an independent check.
     """
     n = b.area
     limit = cap if cap is not None else _cap(10 ** 6)
@@ -79,35 +77,26 @@ def thurston_full(b: RegionBoundary, cap: Optional[int] = None) -> ThurstonResul
     if not bh.valid:
         return ThurstonResult(False, None, n)
 
-    cells, verts = _region_vertex_arrays(b)
-    index: Dict[Point, int] = {(int(vx), int(vy)): i for i, (vx, vy) in enumerate(verts)}
+    cx, cy = b.cell_arrays()
+    cell_keys = pack(cy, cx)
+    # Each interior edge is the bottom or left side (tail -> head along dx
+    # = 1 or 0) of one cell, and the cell across it is a region cell too.
+    across = np.concatenate([pack(cy - 1, cx), pack(cy, cx - 1)])
+    interior = cell_keys[np.minimum(np.searchsorted(cell_keys, across), n - 1)] == across
+    tx, ty = np.tile(cx, 2)[interior], np.tile(cy, 2)[interior]
+    dx = np.repeat(np.array([1, 0]), n)[interior]
+
+    verts = sorted_unique(pack(cx + [[0], [1], [0], [1]], cy + [[0], [0], [1], [1]]))
     nv = len(verts)
+    tail_idx = np.searchsorted(verts, pack(tx, ty))
+    head_idx = np.searchsorted(verts, pack(tx + dx, ty + 1 - dx))
+    seed_idx = np.searchsorted(verts, pack(*b.xy))
 
-    # Interior edges are exactly the cell sides shared by two cells.  Count
-    # each cell's four sides; the duplicated ones are interior.
-    side_off = np.array(
-        [((0, 0), (1, 0)), ((0, 1), (1, 1)), ((0, 0), (0, 1)), ((1, 0), (1, 1))],
-        dtype=np.int64,
-    )
-    sides = cells[:, None, None, :] + side_off[None, :, :, :]
-    sides = sides.reshape(-1, 4)  # rows: tail x, tail y, head x, head y
-    interior, counts = np.unique(sides, axis=0, return_counts=True)
-    interior = interior[counts == 2]
-
-    tails = interior[:, :2]
-    heads = interior[:, 2:]
     # Height step of the uncrossed edge tail -> head; the edge may instead
     # be crossed by a domino, in which case the difference moves 4 the
     # other way.  The maximum increase along tail -> head is therefore
-    # 3 when the step is -1, else 1 (and symmetrically in reverse).
-    step = np.where((tails[:, 0] + tails[:, 1] + (heads[:, 0] - tails[:, 0])) % 2 == 0, 1, -1)
-    w_fwd = np.where(step < 0, 3, 1)
-    w_bwd = np.where(-step < 0, 3, 1)
-
-    tail_idx = np.array([index[(int(a), int(c))] for a, c in tails], dtype=np.int64)
-    head_idx = np.array([index[(int(a), int(c))] for a, c in heads], dtype=np.int64)
-
-    seed_idx = np.array([index[v] for v in b.vertices], dtype=np.int64)
+    # 2 - step: 3 when the step is -1, else 1 (2 + step in reverse).
+    step = 1 - 2 * ((tx + ty + dx) & 1)
     seed_h = bh.heights
     h_min = int(seed_h.min())
 
@@ -117,7 +106,7 @@ def thurston_full(b: RegionBoundary, cap: Optional[int] = None) -> ThurstonResul
     source = nv
     row = np.concatenate([tail_idx, head_idx, np.full(len(seed_idx), source)])
     col = np.concatenate([head_idx, tail_idx, seed_idx])
-    wgt = np.concatenate([w_fwd, w_bwd, seed_h - h_min])
+    wgt = np.concatenate([2 - step, 2 + step, seed_h - h_min])
     graph = coo_matrix((wgt, (row, col)), shape=(nv + 1, nv + 1))
     dist = dijkstra(graph, directed=True, indices=source)
     h_full = dist[:nv] + h_min
@@ -130,7 +119,8 @@ def thurston_full(b: RegionBoundary, cap: Optional[int] = None) -> ThurstonResul
     if np.any((diff - step) % 4 != 0):
         return ThurstonResult(False, None, n)
 
-    heights = {(int(vx), int(vy)): int(h) for (vx, vy), h in zip(verts, h_full)}
+    vx, vy = unpack(verts)
+    heights = dict(zip(zip(vx.tolist(), vy.tolist()), h_full.tolist()))
     return ThurstonResult(True, heights, n)
 
 

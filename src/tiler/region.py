@@ -137,12 +137,15 @@ def rows_of(keys: np.ndarray) -> Dict[int, List[int]]:
             zip(rows[[0] + cut].tolist(), [0] + cut, cut + [len(xs)])}
 
 
-def spans(keys: np.ndarray) -> Iterator[Tuple[int, int, int]]:
-    """The inside runs (row, start, stop) of the sorted ``pack(row, x)``
-    crossing keys of a closed walk, row by row.  Every row holds an even
-    number of crossings, so consecutive keys pair up within a row."""
+def spans(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The arrays (row, pos) of the positions inside the runs of the sorted
+    ``pack(row, x)`` crossing keys of a closed walk, row by row.  Every row
+    holds an even number of crossings, so consecutive keys pair up within
+    a row."""
     rows, xs = unpack(keys)
-    return zip(rows[::2].tolist(), xs[::2].tolist(), xs[1::2].tolist())
+    start, length = xs[::2], xs[1::2] - xs[::2]
+    skip = np.repeat(start - np.cumsum(length) + length, length)
+    return np.repeat(rows[::2], length), np.arange(len(skip)) + skip
 
 
 class RegionBoundary:
@@ -227,11 +230,15 @@ class RegionBoundary:
             or self.contains_cell((x - 1, y - 1))
         )
 
+    def cell_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The int64 arrays x and y of all cells, row by row.  Costs O(area)."""
+        y, x = spans(self._edge_keys)
+        return x, y
+
     def cells(self) -> Iterator[Point]:
         """All cells of the region, row by row.  Costs O(area)."""
-        for row, lo, hi in spans(self._edge_keys):
-            for x in range(lo, hi):
-                yield (x, row)
+        x, y = self.cell_arrays()
+        return zip(x.tolist(), y.tolist())
 
     def to_json(self) -> str:
         payload = {"moves": self.moves}

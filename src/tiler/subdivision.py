@@ -79,7 +79,7 @@ def unzorder(code: np.ndarray, t: int) -> Tuple[np.ndarray, np.ndarray]:
     return x[:len(code)], x[len(code):]
 
 
-def _groups(keys: np.ndarray, shift: int):
+def groups(keys: np.ndarray, shift: int):
     """The distinct values of ``keys >> shift`` over sorted keys, and the
     index of the first key with each."""
     c = np.empty(len(keys) + 1, dtype=np.int64)
@@ -95,7 +95,7 @@ def climb(keys: np.ndarray, t: int, parent: np.ndarray, child_slots: np.ndarray)
 
     A cell holds up to two quadtree pieces, in slots 0 and 1, and its key
     is ``code << 2 | flags``: its Z-order code and the bits of its crossed
-    slots.  Keys of equal code are merged first.  The parent cell's code
+    slots.  The level-t codes are distinct.  The parent cell's code
     is the code shifted right by two, so shifted sorted codes stay
     sorted, and the low four bits of a key are the cell's quadrant in its
     parent above its flags; a child's slot in its parent is
@@ -110,11 +110,9 @@ def climb(keys: np.ndarray, t: int, parent: np.ndarray, child_slots: np.ndarray)
     crossed pieces of level t in key order, then the uncrossed children
     of crossed pieces, level by level up to level 1.
     """
-    code, first = _groups(keys, 2)
-    keys = np.bitwise_or.reduceat(keys, first)
-    crossed, entries, codes = [keys], [keys], [code]
+    crossed, entries, codes = [keys], [keys], [keys >> 2]
     for _ in range(t):
-        code, first = _groups(keys, 4)
+        code, first = groups(keys, 4)
         entry = np.bitwise_or.reduceat(parent[keys & 15], first)
         keys = code << 2 | entry & 3
         crossed.append(keys)

@@ -74,7 +74,7 @@ def test_query_cost_instrumentation():
     for w in closure_vertices(b):
         assert orc.height_at(w) == ref.heights[w]
         assert orc.stats["last_rounds"] <= depth_cap
-        assert orc.stats["last_valuations"] <= 15 * max(1, orc.stats["last_rounds"])
+        assert orc.stats["last_valuations"] <= 3 * max(1, orc.stats["last_rounds"])
     # The dead centre of the square sits in the deepest inside squares.
     assert orc.stats["boxes_split"] > 0
 

@@ -272,11 +272,12 @@ def test_witness_is_the_least_violated_pair(decide, word):
 
 
 def test_agreement_with_the_whole_region_sweep_at_scale():
-    # Area 10^4 to 10^5: two dilated random regions (tileable), a
-    # dumbbell (bad pair) and a balanced random region.
+    # Area 10^4 to 3.3 * 10^5: two dilated random regions and spiral(200)
+    # x 2 (tileable; the spiral has p = 321,608, past 2^18), a dumbbell (bad
+    # pair) and a balanced random region.
     rng = random.Random(20261019)
     words = [dilate(random_region(rng, k).moves, 2) for k in (2500, 25000)]
-    words += [_dumbbell(99), random_region(random.Random(15), 10000).moves]
+    words += [dilate(spiral(200), 2), _dumbbell(99), random_region(random.Random(15), 10000).moves]
     reasons = []
     for word in words:
         b = parse_boundary(word)
@@ -291,12 +292,12 @@ def test_agreement_with_the_whole_region_sweep_at_scale():
             want = [ref.heights[s] for s in zip(*coords.T.tolist())]
             assert g.tolist() == want, b.area
         reasons.append(v.reason)
-    assert reasons == ["ok", "ok", "bad-pair", "bad-pair"]
+    assert reasons == ["ok", "ok", "ok", "bad-pair", "bad-pair"]
 
 
 def test_dumbbells_agree_with_the_whole_region_sweep():
-    # Every odd m from 1 to 49: balanced and untileable by construction.
-    for m in range(1, 50, 2):
+    # Every odd m from 1 to 97: balanced and untileable by construction.
+    for m in range(1, 98, 2):
         b = parse_boundary(_dumbbell(m))
         v = decide_tileable(b)
         assert boundary_height(b).valid, m
