@@ -182,9 +182,10 @@ class LozengeBoundary:
         return odd_at_or_left(self._cut_keys, r, 2 * q + up)
 
     def faces(self) -> Iterator[Face]:
-        """All faces of the region, row by row.  Costs O(area)."""
+        """All faces of the region, row by row, built on the first read
+        (so after any cap check).  Costs O(area)."""
         r, pos = spans(self._cut_keys)
-        return zip((pos >> 1).tolist(), r.tolist(), (pos & 1 == 1).tolist())
+        yield from zip((pos >> 1).tolist(), r.tolist(), (pos & 1 == 1).tolist())
 
 
 def _moves(text: str, commas: int) -> np.ndarray:

@@ -17,7 +17,8 @@ neighbours cannot leave the region (every boundary vertex on the line is
 itself a valued site), so each candidate is a sound upper bound, and once
 a square has shrunk to a single cell the four axis neighbours of its
 centre pin the centre's height exactly.  Each new point is valued once,
-midpoints before the centre: no point valued later could lower it.
+midpoints before the centre, and a new midpoint then drops to at most the
+centre's value plus half the side: the one update a later point can make.
 
 Queries refine copies of the base values and lines; the new points and
 the split squares are query state, not preprocessing state, and
@@ -223,30 +224,24 @@ class TilingOracle:
         valued after it.  A side-2 box adds its centre alone.  In a larger
         box (h >= 2) no two new points are axis neighbours, none lies on a
         midpoint's side line and no valued point lies inside the box, so
-        only the centre c could lower a midpoint m, to value(c) + h =
-        value(m') + 2h for another midpoint m'.  It never does.  Values
-        bound the exact heights H from above and, by induction over
-        splits, equal them before this one; H rises by at most the cost of
-        a candidate's segment.  If m' shares a corner k with m, m's nearest
-        point on its side towards k gives value(m) <= H(k) + h <= H(m') +
-        2h.  An opposite m' valued first is m's nearest point across the
-        box.  If it is new, the box-sized square across its side is inside
-        the region (were it crossed, m' would be a corner of a piece in it;
-        were it outside, the boundary would cross one of the two squares)
-        and unsplit, so m' sees just that side's corners k', m and the
-        nearest point n beyond m' on the line mm' (its axis neighbours lie
-        inside the two squares): value(m) <= H(k) + h <= H(k') + 3h, with k
-        m's corner next to k', and value(m) <= value(n) + cost(n, m') + 2h."""
+        the centre, h along the midline, is the only nearer point a
+        midpoint can gain.  The centre, valued from the four midpoints,
+        cannot fall after they drop to at most value(centre) + h."""
         umin, vmin, s = box
         h = s // 2
+        sides = []
         if s > 2:
             for pu, pv in ((umin + h, vmin), (umin, vmin + h), (umin + s, vmin + h),
                            (umin + h, vmin + s)):
                 pt = ((pu + pv) // 2, (pu - pv) // 2)
                 if pt not in self._values:
                     self._register(pt, self._value_point(pt))
+                    sides.append(pt)
         centre = ((umin + vmin) // 2 + h, (umin - vmin) // 2)
         if centre not in self._values:
-            self._register(centre, self._value_point(centre))
+            hc = self._value_point(centre)
+            self._register(centre, hc)
+            for pt in sides:
+                self._values[pt] = min(self._values[pt], hc + h)
         self._split.add(box)
         self.stats["boxes_split"] += 1

@@ -236,9 +236,10 @@ class RegionBoundary:
         return x, y
 
     def cells(self) -> Iterator[Point]:
-        """All cells of the region, row by row.  Costs O(area)."""
+        """All cells of the region, row by row, built on the first read
+        (so after any cap check).  Costs O(area)."""
         x, y = self.cell_arrays()
-        return zip(x.tolist(), y.tolist())
+        yield from zip(x.tolist(), y.tolist())
 
     def to_json(self) -> str:
         payload = {"moves": self.moves}

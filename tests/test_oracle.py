@@ -75,6 +75,8 @@ def test_query_cost_instrumentation():
         assert orc.height_at(w) == ref.heights[w]
         assert orc.stats["last_rounds"] <= depth_cap
         assert orc.stats["last_valuations"] <= 3 * max(1, orc.stats["last_rounds"])
+    # Every stored value is the exact height, not only the queried ones.
+    assert all(h == ref.heights[w] for w, h in orc._values.items())
     # The dead centre of the square sits in the deepest inside squares.
     assert orc.stats["boxes_split"] > 0
 

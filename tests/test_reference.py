@@ -8,7 +8,10 @@ import random
 
 import pytest
 
+from tiler import lozenge, region
 from tiler.errors import CapExceeded
+from tiler.generators import rect
+from tiler.lozenge import lozenge_matching_decide, parse_lozenge
 from tiler.reference import (
     cells_to_boundary,
     domino,
@@ -205,3 +208,20 @@ def test_caps(monkeypatch):
         thurston_full(b, cap=3)
     with pytest.raises(CapExceeded):
         matching_decide(b, cap=3)
+    # Areas past the default caps (10**5 for matchings): each check must
+    # raise before a cell or triangle is built, so building them fails.
+    monkeypatch.delenv("TILER_CAP")
+
+    def built(*_):
+        raise AssertionError("cells built before the cap check")
+    monkeypatch.setattr(region, "spans", built)
+    monkeypatch.setattr(lozenge, "spans", built)
+    b = parse_boundary(rect(400, 400))
+    with pytest.raises(CapExceeded):
+        matching_decide(b)
+    with pytest.raises(CapExceeded):
+        thurston_full(b, cap=10 ** 5)
+    hexagon = parse_lozenge(",".join(",".join([m] * 130) for m in "1 -3 2 -1 3 -2".split()))
+    assert hexagon.n == 6 * 130 ** 2
+    with pytest.raises(CapExceeded):
+        lozenge_matching_decide(hexagon)

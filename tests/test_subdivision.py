@@ -3,6 +3,7 @@ in/out classification, and the boundary sleeve of unit triangles."""
 
 import random
 
+import numpy as np
 import pytest
 
 import digest
@@ -183,6 +184,8 @@ def test_crossed_last_level_squares_are_centred_on_every_other_vertex():
         i0 = (sub.U0 + 1) & 1
         centres = {center_xy(sub, sub.t, key) for key in crossed(sub)[sub.t]}
         assert centres == set(b.vertices[i0::2])
+        # ``climb`` merges no keys, so the level-t codes must be distinct.
+        assert (np.diff(sub.keys[sub.t] >> 2) > 0).all()
 
 
 def test_inside_squares_and_triangles_cover_the_region_at_benchmark_scale():
