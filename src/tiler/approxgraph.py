@@ -23,10 +23,13 @@ Each line family comes from one sort of packed (line, position) keys.
 Its gaps between two boundary vertices test one flank of the first step,
 a cell or face around the first end: one bit of that vertex's corner
 mask, which the walk's turn there gives.  So the graph build makes no
-membership search.  Edges store no weights: the solver takes the bound
-on the height difference from the closed form.  Degrees are bounded by
-construction, on squares by two neighbours per diagonal line plus four
-axis legs, with one diagonal always missing at a boundary vertex.
+membership search.  Each edge stores its two bounds on the height
+difference, so the solver gathers no coordinate rows: a pair joined
+outright gets them from the lattice metric on its two rows, and a line
+join its length times the family's unit-step bounds, since both metrics
+are linear along a lattice line.  Degrees are bounded by construction,
+on squares by two neighbours per diagonal line plus four axis legs, with
+one diagonal always missing at a boundary vertex.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from tiler.errors import InternalInconsistency
+from tiler.lattice import alpha_array
 from tiler.region import RegionBoundary, pack, sorted_unique, unpack
 from tiler.subdivision import Subdivision
 
@@ -47,17 +51,20 @@ class ApproxGraph:
     """Site graph over integer ids, shared by both lattices.
 
     ``coords`` is the (n, d) int64 array of site coordinates in sorted
-    order; ``src`` and ``dst`` list each edge once, with ``src < dst``,
-    in construction order; ``boundary_ids`` are the ids of the boundary
-    vertices in walk order.  ``sites`` and ``adj`` are tuple-keyed views
-    built on first access.
+    order; ``ends`` is the pair of arrays (first, second) that lists each
+    edge once, oriented as built; ``bounds`` is the pair (rise, fall) of
+    each edge's bounds on g(second) - g(first) and on g(first) - g(second);
+    ``boundary_ids`` are the ids of the boundary vertices in walk order.
+    ``src`` and ``dst`` (each edge as src < dst), ``sites`` and ``adj`` are
+    views built on first access, for the tests and the benchmark's
+    counters; the decision never builds them.
     """
 
-    def __init__(self, coords: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                 boundary_ids: np.ndarray):
+    def __init__(self, coords: np.ndarray, ends: Tuple[np.ndarray, np.ndarray],
+                 bounds: Tuple[np.ndarray, np.ndarray], boundary_ids: np.ndarray):
         self.coords = coords
-        self.src = src
-        self.dst = dst
+        self.ends = ends
+        self.bounds = bounds
         self.boundary_ids = boundary_ids
 
     @property
@@ -66,14 +73,23 @@ class ApproxGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.src)
+        return len(self.ends[0])
 
     def site(self, i: int) -> Site:
         return tuple(self.coords[i].tolist())
 
     def degrees(self) -> np.ndarray:
         n = len(self.coords)
-        return np.bincount(self.src, minlength=n) + np.bincount(self.dst, minlength=n)
+        first, second = self.ends
+        return np.bincount(first, minlength=n) + np.bincount(second, minlength=n)
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        return np.minimum(*self.ends)
+
+    @cached_property
+    def dst(self) -> np.ndarray:
+        return np.maximum(*self.ends)
 
     @cached_property
     def sites(self) -> List[Site]:
@@ -83,7 +99,7 @@ class ApproxGraph:
     def adj(self) -> Dict[Site, Tuple[Site, ...]]:
         """Each site's neighbours, in sorted order."""
         nbrs: List[List[int]] = [[] for _ in range(len(self.coords))]
-        for i, j in zip(self.src.tolist(), self.dst.tolist()):
+        for i, j in zip(*(e.tolist() for e in self.ends)):
             nbrs[i].append(j)
             nbrs[j].append(i)
         sites = self.sites
@@ -91,7 +107,7 @@ class ApproxGraph:
                 for i, nb in enumerate(nbrs)}
 
 
-def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, families,
+def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, metric, families,
                masks: np.ndarray, bounds: Tuple[int, int]) -> ApproxGraph:
     """The site graph of either lattice over the packed candidate keys,
     the p boundary vertices in walk order first, with their corner masks
@@ -99,12 +115,24 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, families,
     coordinates and their plane coordinates (u, v).  ``links`` is a (2, L)
     array of the positions in ``keys`` of the pairs joined outright.  Each
     family is a direction (du, dv) along which u grows, or v when du = 0,
-    and the bit of the corner mask that holds one flank of its unit step.
+    the bit of the corner mask that holds one flank of its unit step, and
+    the pair of bounds of that step, forward and back.
     Consecutive sites on a line are joined when either is not a boundary
     vertex, or else when that flank of the first step is inside: a bit of
     the first site's mask, read with no membership search.  Interior sites
     have every bit set, so the bit test also passes when the first site is
     interior.
+    Each edge carries its two bounds.  A link's come from ``metric``, the
+    lattice's array metric, on the link's two coordinate rows.  A family
+    join k unit steps long gets k times the family's unit-step bounds, with
+    no rows gathered.  That is exact because both metrics are linear along
+    a lattice line.  On squares k diagonal steps have bound 2k both ways:
+    ``alpha`` is twice the Chebyshev distance when the two parts of the
+    displacement have one parity.  On the triangular lattice ``tri_alpha``
+    is the coordinate sum of the displacement in canonical form.  k steps
+    along v1 are (k, 0, 0) forward and (0, k, k) back, so bound k and 2k,
+    and likewise along v2; k steps along -v3 are (k, k, 0) and (0, 0, k),
+    so 2k and k.
     Degrees are at most ``bounds[0]``, ``bounds[1]`` on the boundary."""
     site_keys = sorted_unique(keys)
     coords, u, v = decode(site_keys)
@@ -113,19 +141,26 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, families,
     site_mask[ids[:p]] = masks
     interior = site_mask < 0
     i, j = [ids[links[0]]], [ids[links[1]]]
-    for (du, dv), bit in families:
+    link_rise, link_fall = metric(coords[i[0]], coords[j[0]])
+    rise, fall = [link_rise], [link_fall]
+    for (du, dv), bit, (forward, back) in families:
         line = dv * u - du * v
-        order = pack(line, u if du else v).argsort()
-        a, c = order[:-1], order[1:]
-        same = line[a] == line[c]
-        a, c = a[same], c[same]
+        position = u if du else v
+        order = pack(line, position).argsort()
+        line, position = line[order], position[order]
+        same = line[1:] == line[:-1]
+        a, c = order[:-1][same], order[1:][same]
+        steps = (position[1:] - position[:-1])[same]
         joined = site_mask[a] & 1 << bit != 0
         joined |= interior[c]
-        i.append(a[joined])
-        j.append(c[joined])
+        a, c, steps = a[joined], c[joined], steps[joined]
+        i.append(a)
+        j.append(c)
+        rise.append(forward * steps)
+        fall.append(back * steps)
 
-    i, j = np.concatenate(i), np.concatenate(j)
-    graph = ApproxGraph(coords, np.minimum(i, j), np.maximum(i, j), ids[:p])
+    graph = ApproxGraph(coords, (np.concatenate(i), np.concatenate(j)),
+                        (np.concatenate(rise), np.concatenate(fall)), ids[:p])
     deg = graph.degrees()
     limit = np.full(len(deg), bounds[0])
     limit[~interior] = bounds[1]
@@ -144,8 +179,8 @@ def _decode_xy(site_keys: np.ndarray):
 
 # The diagonal line families: the first step from (x, y) along (1, 1)
 # cuts cell (x, y), the corner mask's bit 0, and along (1, -1) cell
-# (x, y - 1), its bit 3.
-_DIAGONALS = (((1, 1), 0), ((1, -1), 3))
+# (x, y - 1), its bit 3.  A diagonal unit step has bound 2 both ways.
+_DIAGONALS = (((1, 1), 0, (2, 2)), ((1, -1), 3, (2, 2)))
 
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
@@ -160,4 +195,5 @@ def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
     walk = np.arange(p)
     links = np.stack([np.concatenate([walk, c]),
                       np.concatenate([walk[1:], walk[:1], np.arange(p, p + len(c))])])
-    return join_sites(keys, p, links, _decode_xy, _DIAGONALS, b.corner_masks, (8, 7))
+    return join_sites(keys, p, links, _decode_xy, alpha_array, _DIAGONALS, b.corner_masks,
+                      (8, 7))

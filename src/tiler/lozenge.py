@@ -23,14 +23,19 @@ boundary the color rises by 1 exactly on the moves 1, 2 and 3, so the
 boundary heights are the ``cumsum`` of the move signs, an int64 array in
 walk order.  The subdivision covers the region by a quadtree of upward
 and downward lattice-aligned triangles whose side halves until it
-clears the boundary.  The site graph is ``approxgraph.join_sites`` over
-the piece corners plus the boundary, with the three line families and
-the upward face flanking each unit step (``_FAMILIES``), read between
-two boundary vertices as a bit of the first one's corner mask: the six
-faces around a boundary vertex that are in the region follow from the
-walk's turn there, with no search.  Degrees are at most six (two per
-family).  An untileable verdict's witness is the violated edge whose
-endpoints come first in sorted site order.
+clears the boundary.  Which of the six faces around a boundary vertex
+are in the region follows from the walk's turn there, with no search:
+its corner mask.  Those faces are the kept crossed unit faces of the
+quadtree, and the decision builds none of them.  The site graph is
+``approxgraph.join_sites`` over the boundary vertices, their neighbours
+along the directions between two region faces (the other corners of
+those unit faces) and the corners of the other pieces, with the three
+line families and the upward face flanking each unit step
+(``_FAMILIES``), read between two boundary vertices as a bit of the
+first one's corner mask.  Each family also gives the bounds of its unit
+step, which the join scales by each edge's length.  Degrees are at most
+six (two per family).  An untileable verdict's witness is the violated
+edge whose endpoints come first in sorted site order.
 
 Region membership comes from one index, the strip cuts: the boundary
 edges that cross a horizontal strip of faces, held as one sorted array
@@ -44,14 +49,16 @@ unit faces around each boundary vertex.  A triangle is crossed when a
 boundary vertex lies in its closure, so the crossed triangles of a level
 are the parents of those of the level below; this module supplies the
 tables of which parent triangle a child sits in and which children a
-parent has, and one membership test over the candidates keeps the
-pieces.
+parent has, and one membership test over the uncrossed children of
+crossed triangles keeps the pieces.  The crossed unit faces are neither
+decoded nor searched: the corner masks say which are inside.
 """
 
 from __future__ import annotations
 
 import warnings
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -113,12 +120,20 @@ def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
 _CCW = (1, -3, 2, -1, 3, -2)
 _DIRECTION = np.array([_CCW.index(m) if m else 0 for m in range(-3, 4)], dtype=np.int64)
 _TURNS = turn_table(6)
+# The axial steps of the six directions in that order, and the face of
+# each sector as (dq, dr, up): bits 0 to 5 of a corner mask.  _BITS[mask]
+# is the row of a 6-bit mask's bits.
+_LEG_Q, _LEG_R = _STEP_Q[np.add(_CCW, 3)], _STEP_R[np.add(_CCW, 3)]
+_SECTOR_FACE = np.array([(0, 0, 1), (0, 0, 0), (-1, 0, 1), (-1, -1, 0), (-1, -1, 1),
+                         (0, -1, 0)], dtype=np.int64)
+_BITS = np.arange(64)[:, None] >> np.arange(6) & 1 == 1
 
 # The three line families: the directions v1, v2 and -v3, each with the
-# sector of the upward face flanking the unit edge from (q, r) along it.
-# Off the boundary the downward face agrees; boundary edges of moves -1,
-# -2 and -3 have the upward one outside and are joined outright.
-_FAMILIES = (((1, 0), 0), ((0, 1), 2), ((1, 1), 0))
+# sector of the upward face flanking the unit edge from (q, r) along it
+# and the bounds of that unit step, forward and back.  Off the boundary
+# the downward face agrees; boundary edges of moves -1, -2 and -3 have
+# the upward one outside and are joined outright.
+_FAMILIES = (((1, 0), 0, (1, 2)), ((0, 1), 2, (1, 2)), ((1, 1), 0, (2, 1)))
 
 
 class LozengeBoundary:
@@ -272,17 +287,22 @@ _UNIT_FLAGS = np.array([_UP | _DOWN, _UP | _DOWN, _UP, _DOWN], dtype=np.int64)
 
 
 class TriSubdivision:
-    """Kept pieces of the triangle quadtree rooted at (Q0, R0).
+    """Kept pieces of the triangle quadtree rooted at (Q0, R0) over the
+    boundary ``b``.
 
     Array form, used by the site graph: ``piece_q``, ``piece_r``,
-    ``piece_side`` and the bool ``piece_up`` give each piece's axial
-    anchor, side and orientation.  ``pieces`` lists them as sorted
+    ``piece_side`` and the bool ``piece_up`` give the axial anchor, side
+    and orientation of each kept uncrossed child of a crossed triangle.
+    The kept crossed unit faces are not among them: they are the faces
+    around the boundary vertices whose corner-mask bits are set, which the
+    graph reads off the masks.  ``pieces`` lists both as sorted
     ``(q, r, side, up)`` tuples, built on first access for rendering and
     the tests; the decision never builds it.
     """
 
-    def __init__(self, Q0: int, R0: int, piece_q: np.ndarray, piece_r: np.ndarray,
-                 piece_side: np.ndarray, piece_up: np.ndarray):
+    def __init__(self, b: LozengeBoundary, Q0: int, R0: int, piece_q: np.ndarray,
+                 piece_r: np.ndarray, piece_side: np.ndarray, piece_up: np.ndarray):
+        self.b = b
         self.Q0 = Q0
         self.R0 = R0
         self.piece_q = piece_q
@@ -292,8 +312,13 @@ class TriSubdivision:
 
     @cached_property
     def pieces(self) -> List[Piece]:
-        return sorted(zip(self.piece_q.tolist(), self.piece_r.tolist(),
-                          self.piece_side.tolist(), self.piece_up.tolist()))
+        q, r = self.b.qr
+        row, k = _BITS[self.b.corner_masks].nonzero()
+        dq, dr, up = _SECTOR_FACE[k].T
+        units = zip((q[row] + dq).tolist(), (r[row] + dr).tolist(), repeat(1),
+                    (up == 1).tolist())
+        return sorted(set(units).union(zip(self.piece_q.tolist(), self.piece_r.tolist(),
+                                           self.piece_side.tolist(), self.piece_up.tolist())))
 
 
 def _piece_corners(piece: Piece) -> Tuple[Axial, Axial, Axial]:
@@ -320,8 +345,10 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     the crossed triangles of the level below, and the unit level holds
     the six faces around each boundary vertex.  The build sorts those
     faces' cell keys once, merges the flags of equal cells and climbs
-    with ``climb``; one membership test over the crossed unit faces and
-    the uncrossed children keeps the pieces.
+    with ``climb``; one membership test over the uncrossed children keeps
+    the pieces.  The crossed unit faces are neither decoded nor searched:
+    those inside are the set bits of the corner masks, and only the
+    ``pieces`` view lists them.
     """
     q, r = b.qr
     R0 = int(r.min()) - 1
@@ -346,7 +373,7 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     side = N >> level
     cq, cr = Q0 + i * side, R0 + j * side
     kept = b.faces_inside(cq, cr, up)
-    return TriSubdivision(Q0, R0, cq[kept], cr[kept], side[kept], up[kept] == 1)
+    return TriSubdivision(b, Q0, R0, cq[kept], cr[kept], side[kept], up[kept] == 1)
 
 
 def _decode_tri(site_keys: np.ndarray):
@@ -358,31 +385,42 @@ def _decode_tri(site_keys: np.ndarray):
 def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     """Sites joined along the three line families.
 
-    Sites are the boundary vertices and the piece corners.  Lattice lines
-    only meet the boundary at vertices, and every boundary vertex on a
-    line is a site, so the open segment between consecutive sites lies
-    on one side throughout: inside when either end is interior, else when
-    the upward face on the first unit step from the earlier site is a
-    region face (a bit of its corner mask) or that step is the boundary
-    edge of a negative move.
+    Sites are the boundary vertices, the corners of the kept unit faces
+    and the corners of the other pieces.  The unit faces around a boundary
+    vertex c are those of the set bits of its corner mask m, and their
+    corners are c and its neighbours along the directions on either side
+    of them.  A direction with a region face on one side only is a
+    boundary edge, whose far end is a boundary vertex; so the corners
+    that are not boundary vertices are the neighbours along the directions
+    between two region faces, the set bits of ``m & rotl(m)``, as the
+    square graph's inner legs.  No unit face is built.
+
+    Lattice lines only meet the boundary at vertices, and every boundary
+    vertex on a line is a site, so the open segment between consecutive
+    sites lies on one side throughout: inside when either end is
+    interior, else when the upward face on the first unit step from the
+    earlier site is a region face (a bit of its corner mask) or that step
+    is the boundary edge of a negative move.
     """
     q, r = b.qr
+    m = b.corner_masks
+    row, d = _BITS[m & (m << 1 | m >> 5)].nonzero()
     pq, pr, ps, pup = sub.piece_q, sub.piece_r, sub.piece_side, sub.piece_up
     # Piece corners: the anchor, the corner across from it along v1 + v2,
     # and (q + s, r) for an upward piece or (q, r + s) for a downward one.
-    aq = np.concatenate([q, pq, pq + ps, pq + ps * pup])
-    ar = np.concatenate([r, pr, pr + ps, pr + ps * ~pup])
-    m = np.minimum(np.minimum(aq, ar), 0)
-    keys = ((aq - m) << 2 * _SITE_BITS) | ((ar - m) << _SITE_BITS) | -m
+    aq = np.concatenate([q, q[row] + _LEG_Q[d], pq, pq + ps, pq + ps * pup])
+    ar = np.concatenate([r, r[row] + _LEG_R[d], pr, pr + ps, pr + ps * ~pup])
+    low = np.minimum(np.minimum(aq, ar), 0)
+    keys = ((aq - low) << 2 * _SITE_BITS) | ((ar - low) << _SITE_BITS) | -low
     tails = np.flatnonzero(b.tokens < 0)
     links = np.stack([tails, (tails + 1) % len(q)])
-    return join_sites(keys, len(q), links, _decode_tri, _FAMILIES, b.corner_masks, (6, 6))
+    return join_sites(keys, len(q), links, _decode_tri, tri_alpha_array, _FAMILIES, m, (6, 6))
 
 
 def decide_lozenge(source) -> TileabilityVerdict:
     b = parse_lozenge(source) if isinstance(source, str) else source
     return run_pipeline(b, b.n, lozenge_boundary_height(b), build_tri_subdivision,
-                        build_tri_graph, compute_gmax, tri_alpha_array)[0]
+                        build_tri_graph, compute_gmax)[0]
 
 
 # ---------------------------------------------------------------------------

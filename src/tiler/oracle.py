@@ -36,7 +36,7 @@ import numpy as np
 
 from tiler.approxgraph import build_graph
 from tiler.errors import InternalInconsistency, NotTileable, OutsideRegion
-from tiler.lattice import Point, alpha, alpha_array
+from tiler.lattice import Point, alpha
 from tiler.region import RegionBoundary, boundary_height, pack, parse_boundary, rows_of
 from tiler.solver import compute_gmax, run_pipeline
 from tiler.subdivision import build_subdivision
@@ -58,7 +58,7 @@ class TilingOracle:
     def __init__(self, source: Union[str, RegionBoundary]):
         b = parse_boundary(source) if isinstance(source, str) else source
         verdict, sub = run_pipeline(b, b.area, boundary_height(b), build_subdivision,
-                                    build_graph, compute_gmax, alpha_array)
+                                    build_graph, compute_gmax)
         if verdict.reason == "unbalanced-boundary":
             raise NotTileable("boundary height walk does not close up")
         bad = verdict.witness

@@ -22,8 +22,8 @@ than the cap.  Then every edge constraint
 is checked in one vector pass, and the region is untileable exactly when
 one fails.  ``run_pipeline`` decides for both lattices and the oracle:
 an unbalanced boundary (closure defect in the height walk) exits before
-any graph is built, and each lattice passes its stages and the array
-form of its metric.
+any graph is built, and each lattice passes its stages.  The site graph
+carries each edge's two bounds, so the relaxation needs no metric.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from tiler.approxgraph import ApproxGraph, build_graph
 from tiler.errors import InternalInconsistency
-from tiler.lattice import Point, alpha_array
+from tiler.lattice import Point
 from tiler.region import RegionBoundary, boundary_height, parse_boundary
 from tiler.subdivision import build_subdivision
 
@@ -114,20 +114,17 @@ def _round_cap(n: int) -> int:
     return 2 * (n.bit_length() + 1)
 
 
-def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
-                 ) -> Tuple[np.ndarray, Optional[ViolatedPair]]:
+def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedPair]]:
     """Relax the maximal height over the site graph.
 
     Returns the int64 array of heights indexed by site id and the
     violated edge constraint whose endpoints come first in sorted site
-    order, if any: the least (src, dst) among the violated edges, which
-    the graph lists in construction order.
+    order, if any: the least (min id, max id) among the violated edges,
+    with its bounds read from the smaller id.
     ``bh.heights`` is the int64 array of the boundary heights in walk
-    order, the order of ``graph.boundary_ids``.  ``metric(x, y)`` is the
-    array form of the directed per-pair height bound over (m, d)
-    coordinate arrays, both ways in one pass: the bounds from x to y and
-    from y to x.  The default is the square-lattice one, the lozenge
-    pipeline passes its own.
+    order, the order of ``graph.boundary_ids``.  The per-edge height
+    bounds are the graph's own, ``graph.bounds``, which the join made
+    with the lattice's metric: no coordinate row is gathered here.
 
     The arcs into non-boundary sites are sorted by tail once, with one
     ``np.sort`` of the keys ``tail << b | arc``, so site u's out-arcs are
@@ -147,15 +144,11 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     still holds, since labels only fall.  Arcs out of unreached sites are
     never relaxed, so the ``_UNREACHED`` label stands for infinity.
     """
-    coords, src, dst = graph.coords, graph.src, graph.dst
-    n = len(coords)
-    # np.take gathers rows several times faster than coords[src].
-    x, y = np.take(coords, src, axis=0), np.take(coords, dst, axis=0)
-    rise, fall = metric(x, y)  # bounds on g(dst) - g(src) and g(src) - g(dst)
-    del x, y  # the endpoint rows would otherwise set the call's peak memory
+    (first, second), (rise, fall) = graph.ends, graph.bounds  # on g(second) - g(first), back
+    n = len(graph.coords)
 
-    tail = np.concatenate([src, dst])
-    head = np.concatenate([dst, src])
+    tail = np.concatenate([first, second])
+    head = np.concatenate([second, first])
     fixed = np.zeros(n, dtype=bool)
     fixed[graph.boundary_ids] = True
     keep = np.flatnonzero(~fixed[head])
@@ -189,14 +182,16 @@ def compute_gmax(graph: ApproxGraph, bh, metric=alpha_array,
     if unreached:
         raise InternalInconsistency("site graph left %d sites unreached" % unreached)
 
-    gap = g[dst] - g[src]
+    gap = g[second] - g[first]
     bad = np.flatnonzero((gap > rise) | (-gap > fall))
     if not len(bad):
         return g, None
-    e = bad[np.argmin(src[bad] * n + dst[bad])]
-    x, y = int(src[e]), int(dst[e])
+    lo, hi = np.minimum(first[bad], second[bad]), np.maximum(first[bad], second[bad])
+    k = np.argmin(lo * n + hi)
+    e, x, y = bad[k], int(lo[k]), int(hi[k])
+    bounds = (rise[e], fall[e]) if first[e] == x else (fall[e], rise[e])
     return g, ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),
-                           int(rise[e]), int(fall[e]))
+                           *map(int, bounds))
 
 
 def _finish(g: np.ndarray, fell: np.ndarray, start: np.ndarray, head: np.ndarray,
@@ -229,17 +224,17 @@ def _finish(g: np.ndarray, fell: np.ndarray, start: np.ndarray, head: np.ndarray
     return np.array(labels, dtype=np.int64)
 
 
-def run_pipeline(b, area: int, bh, subdivide, build, relax, metric):
+def run_pipeline(b, area: int, bh, subdivide, build, relax):
     """Decide from a parsed boundary ``b`` with ``area`` faces and its
     boundary heights ``bh`` through the stages ``subdivide(b)``,
-    ``build(b, sub)`` and ``relax(graph, bh, metric)``.  Returns the
+    ``build(b, sub)`` and ``relax(graph, bh)``.  Returns the
     verdict and the subdivision, None on an unbalanced boundary.  Entry
     points pass the stages under their own module-level names."""
     if not bh.valid:
         return TileabilityVerdict(False, "unbalanced-boundary", None, b.p, area, 0, 0), None
     sub = subdivide(b)
     graph = build(b, sub)
-    g, bad = relax(graph, bh, metric)
+    g, bad = relax(graph, bh)
     size = (b.p, area, graph.site_count, graph.edge_count)
     if bad is not None:
         return TileabilityVerdict(False, "bad-pair", bad, *size), sub
@@ -249,4 +244,4 @@ def run_pipeline(b, area: int, bh, subdivide, build, relax, metric):
 def decide_tileable(source: Union[str, RegionBoundary]) -> TileabilityVerdict:
     b = parse_boundary(source) if isinstance(source, str) else source
     return run_pipeline(b, b.area, boundary_height(b), build_subdivision, build_graph,
-                        compute_gmax, alpha_array)[0]
+                        compute_gmax)[0]

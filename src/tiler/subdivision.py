@@ -107,10 +107,11 @@ def climb(keys: np.ndarray, t: int, parent: np.ndarray, child_slots: np.ndarray)
 
     Returns the keys of each level's crossed cells, ``crossed[L]`` for
     level L, and the candidate pieces as arrays (level, i, j, slot): the
-    crossed pieces of level t in key order, then the uncrossed children
-    of crossed pieces, level by level up to level 1.
+    uncrossed children of crossed pieces, level by level from level t up
+    to level 1.  The crossed pieces of level t are not among them; each
+    caller reads those that are kept off its corner masks.
     """
-    crossed, entries, codes = [keys], [keys], [keys >> 2]
+    crossed, entries, codes = [keys], [], []
     for _ in range(t):
         code, first = groups(keys, 4)
         entry = np.bitwise_or.reduceat(parent[keys & 15], first)
@@ -118,16 +119,13 @@ def climb(keys: np.ndarray, t: int, parent: np.ndarray, child_slots: np.ndarray)
         crossed.append(keys)
         entries.append(entry)
         codes.append(code)
-    # The slot bits of each row over the code of its quadrant-0 piece: a
-    # level-t cell's own flags and code first, then each crossed parent's
-    # uncrossed children over its code shifted left by two.
-    counts = [len(c) for c in codes]
+    # The slot bits of each crossed parent's uncrossed children, over the
+    # code of its quadrant-0 child: its own code shifted left by two.
     entry, base = np.concatenate(entries), np.concatenate(codes) << 2
     slots = child_slots[entry & 3] ^ entry >> 2
-    slots[:counts[0]], base[:counts[0]] = entry[:counts[0]] & 3, codes[0]
     where = np.unpackbits(slots.astype(np.uint8), bitorder="little").nonzero()[0]
     row, slot = where >> 3, where & 7
-    level = np.minimum(np.repeat(np.arange(t + 1, 0, -1), counts), t)[row]
+    level = np.repeat(np.arange(t, 0, -1), [len(c) for c in codes])[row]
     i, j = unzorder(base[row] | slot >> 1, t)
     return crossed[::-1], (level, i, j, slot & 1)
 
@@ -266,8 +264,6 @@ class Subdivision:
 
         # The uncrossed children of crossed squares are classified by the
         # cell north-east of their centre, with the one membership search.
-        last = census[t]
-        level, iu, iv = level[last:], iu[last:], iv[last:]
         s, umin, vmin = self._uv_corner(level, iu, iv)
         uc, vc = umin + s // 2, vmin + s // 2
         inside = b.contains_cells((uc + vc) // 2, (uc - vc) // 2)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -291,10 +292,12 @@ def _tri_unpack(keys: np.ndarray, bits: int):
             (keys >> bits) & mask, keys & mask)
 
 
-def batch_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
+def batch_tri_subdivision(b: LozengeBoundary) -> SimpleNamespace:
     """``tiler.lozenge.build_tri_subdivision`` as it was built in one
     batch over all levels, kept as the reference the bottom-up build must
-    match.  Quadtree cover rooted at one big upward triangle.
+    match: its ``pieces``, with the crossed unit faces classified by a
+    face search, not read off the corner masks.  Quadtree cover rooted at
+    one big upward triangle.
 
     An upward triangle splits into three upward corners and a central
     downward one, and vice versa.  A triangle is crossed when a boundary
@@ -348,7 +351,8 @@ def batch_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     side = N >> level
     cq, cr = Q0 + i * side, R0 + j * side
     kept = b.faces_inside(cq, cr, up)
-    return TriSubdivision(Q0, R0, cq[kept], cr[kept], side[kept], up[kept] == 1)
+    return SimpleNamespace(pieces=sorted(zip(cq[kept].tolist(), cr[kept].tolist(),
+                                             side[kept].tolist(), (up[kept] == 1).tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import tiler.approxgraph
 import tiler.lozenge
 from tiler.approxgraph import build_graph
 from tiler.errors import InternalInconsistency
-from tiler.lozenge import LozengeBoundary, build_tri_graph, build_tri_subdivision, parse_lozenge
+from tiler.lattice import alpha_array
+from tiler.lozenge import (LozengeBoundary, build_tri_graph, build_tri_subdivision, parse_lozenge,
+                           tri_alpha_array)
 from tiler.reference import enumerate_simply_connected, random_lozenge_region, random_region
 from tiler.region import RegionBoundary, parse_boundary
 from tiler.subdivision import build_subdivision
@@ -181,6 +183,24 @@ def test_one_flank_join_matches_the_two_flank_join():
         assert graph.boundary_ids.tolist() == boundary_ids
 
 
+def test_edge_bounds_are_the_metric_on_the_edge_rows():
+    # The join gives a line family's edge k times the family's unit-step
+    # bounds, with no coordinate rows: both metrics are linear along a
+    # lattice line.  Every edge's stored bounds, forward and back, are the
+    # lattice metric on its two rows, in both directions.
+    metrics = {"sq": alpha_array, "tri": tri_alpha_array}
+    for lattice, word in _join_words():
+        parse, subdivide, build = STAGES[lattice]
+        b = parse(word)
+        graph = build(b, subdivide(b))
+        (first, second), (rise, fall) = graph.ends, graph.bounds
+        x, y = graph.coords[first], graph.coords[second]
+        forward, back = metrics[lattice](x, y)
+        assert np.array_equal(rise, forward) and np.array_equal(fall, back), word
+        back, forward = metrics[lattice](y, x)
+        assert np.array_equal(rise, forward) and np.array_equal(fall, back), word
+
+
 def _around(lattice, b, u, v):
     """Whether every cell or face around each point (u, v) is inside: the
     four cells around a square-lattice vertex, the six faces around an
@@ -248,7 +268,7 @@ def test_only_negative_lozenge_boundary_edges_fail_their_flank_test():
         ends = np.arange(b.p)
         passed = np.zeros(b.p, dtype=bool)
         tested = np.zeros(b.p, dtype=int)
-        for (fq, fr), bit in tiler.lozenge._FAMILIES:
+        for (fq, fr), bit, _ in tiler.lozenge._FAMILIES:
             oq, orr, up = SECTOR_FACES[bit]
             assert up and {(0, 0), (fq, fr)} <= {(oq, orr), (oq + 1, orr), (oq + 1, orr + 1)}
             forward = (dq == fq) & (dr == fr)

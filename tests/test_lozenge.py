@@ -431,9 +431,15 @@ def test_array_form_agrees_with_views():
         sub = build_tri_subdivision(b)
         pieces = sub.pieces
         assert pieces == sorted(set(pieces))
-        assert sorted(pieces) == sorted(zip(
-            sub.piece_q.tolist(), sub.piece_r.tolist(),
-            sub.piece_side.tolist(), sub.piece_up.tolist()))
+        # The arrays hold the uncrossed pieces; the view adds the crossed
+        # unit faces inside, those around a boundary vertex.
+        arrays = list(zip(sub.piece_q.tolist(), sub.piece_r.tolist(),
+                          sub.piece_side.tolist(), sub.piece_up.tolist()))
+        crossed = {(q + dq, r + dr, 1, up) for q, r in b.axial for dq, dr, up in SECTOR_FACES}
+        faces = set(b.faces())
+        assert len(set(arrays)) == len(arrays) and not crossed & set(arrays)
+        assert pieces == sorted(set(arrays) | {f for f in crossed
+                                               if (f[0], f[1], f[3]) in faces})
         # The pieces tile the region: a triangle of side s has s*s faces.
         assert sum(s * s for _, _, s, _ in pieces) == b.n
         g = build_tri_graph(b, sub)

@@ -115,14 +115,16 @@ def test_heights_satisfy_every_edge():
 def test_unreached_site_is_an_internal_inconsistency():
     # Two boundary sites joined by an edge and a third site with none.
     coords = np.array([(0, 0), (0, 1), (5, 5)], dtype=np.int64)
-    graph = ApproxGraph(coords, np.array([0]), np.array([1]), np.array([0, 1]))
+    graph = ApproxGraph(coords, (np.array([0]), np.array([1])), alpha_array(coords[:1], coords[1:2]),
+                        np.array([0, 1]))
     bh = BoundaryHeight(np.array([0, 1]), True)
     with pytest.raises(InternalInconsistency, match="1 sites unreached"):
         compute_gmax(graph, bh)
     # Two more sites joined only to each other: the rounds must not lower
     # the unreached label through the arcs between them, and must stop.
     coords = np.array([(0, 0), (0, 1), (5, 5), (5, 6)], dtype=np.int64)
-    graph = ApproxGraph(coords, np.array([0, 2]), np.array([1, 3]), np.array([0, 1]))
+    graph = ApproxGraph(coords, (np.array([0, 2]), np.array([1, 3])),
+                        alpha_array(coords[[0, 2]], coords[[1, 3]]), np.array([0, 1]))
     with pytest.raises(InternalInconsistency, match="2 sites unreached"):
         compute_gmax(graph, bh)
 
@@ -198,7 +200,7 @@ def _assert_same_relaxation(handed, graph, bh, metric, cap=None):
     witnesses, and hand the heap finish the same labels and frontier, if
     either runs it."""
     handed.clear()
-    g, bad = compute_gmax(graph, bh, metric)
+    g, bad = compute_gmax(graph, bh)
     want_g, want_bad, want_handoff = masked_round_gmax(graph, bh, metric, cap)
     assert np.array_equal(g, want_g) and g.dtype == want_g.dtype
     assert bad == want_bad
@@ -255,9 +257,9 @@ def _bad_pair_words():
 def test_witness_is_the_least_violated_pair(decide, word):
     # Over every edge, checked with the scalar metric: the witness is the
     # violated edge whose endpoints come first in sorted site order.
-    graph, bh, metric = _solver_input(decide, word)
+    graph, bh, _ = _solver_input(decide, word)
     scalar = alpha if decide is decide_tileable else tri_alpha
-    g, bad = compute_gmax(graph, bh, metric)
+    g, bad = compute_gmax(graph, bh)
     g, sites = g.tolist(), graph.sites
     violated = [(i, j) for i, j in zip(graph.src.tolist(), graph.dst.tolist())
                 if g[j] - g[i] > scalar(sites[i], sites[j])

@@ -15,6 +15,7 @@ shifts every maximal height by one constant.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,11 +171,14 @@ def test_lozenge_verdict_is_invariant_under_rewriting(b, data):
         check_tri_witness(other)
 
 
-def _plane_heights(v, plane):
-    """A tileable verdict's heights keyed by plane coordinates: (x, y) on
-    the square lattice, axial (q, r) on the triangular one."""
+def _plane_heights(v, plane, origin=(0, 0)):
+    """A tileable verdict's sites in plane coordinates less ``origin``,
+    (x, y) on the square lattice and axial (q, r) on the triangular one,
+    sorted, and their heights in that order."""
     coords, g = v.site_heights
-    return dict(zip(map(tuple, plane(coords).tolist()), g.tolist()))
+    xy = plane(coords) - np.array(origin)
+    order = np.lexsort(xy.T[::-1])
+    return xy[order], g[order]
 
 
 LATTICES = {
@@ -202,12 +206,11 @@ def _check_reanchoring(lattice, b, k):
     other = decide(word(moves[k:] + moves[:k]))
     assert (other.reason, other.sites, other.edges) == (v.reason, v.sites, v.edges)
     us, vs = vertices(b)
-    origin = (int(us[k]), int(vs[k]))
-    heights = _plane_heights(v, plane)
-    moved = {(a - origin[0], c - origin[1]): h for (a, c), h in heights.items()}
-    got = _plane_heights(other, plane)
-    assert got.keys() == moved.keys()
-    assert {got[s] - h for s, h in moved.items()} == {-heights[origin]}
+    moved, heights = _plane_heights(v, plane, (us[k], vs[k]))
+    got, got_heights = _plane_heights(other, plane)
+    assert np.array_equal(got, moved)
+    at_origin, = heights[(moved == 0).all(axis=1)]
+    assert (got_heights - heights == -at_origin).all()
 
 
 @pytest.mark.parametrize("lattice", LATTICES)
@@ -230,6 +233,10 @@ def test_reanchoring_translates_the_sites_and_shifts_every_height(lattice):
         b = PARSE[lattice](word)
         for _ in range(2):
             _check_reanchoring(lattice, b, step * rng.randrange(1, b.p // step))
+    if lattice == "lozenge":
+        # Past 2^18: the hexagon of side 43,691 (p = 262,146), restarted once.
+        b = parse_lozenge(tri_word(m for m in (1, -3, 2, -1, 3, -2) for _ in range(43691)))
+        _check_reanchoring(lattice, b, rng.randrange(1, b.p))
 
 
 def dumbbell(m):
