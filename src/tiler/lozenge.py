@@ -121,12 +121,18 @@ _CCW = (1, -3, 2, -1, 3, -2)
 _DIRECTION = np.array([_CCW.index(m) if m else 0 for m in range(-3, 4)], dtype=np.int64)
 _TURNS = turn_table(6)
 # The axial steps of the six directions in that order, and the face of
-# each sector as (dq, dr, up): bits 0 to 5 of a corner mask.  _BITS[mask]
-# is the row of a 6-bit mask's bits.
-_LEG_Q, _LEG_R = _STEP_Q[np.add(_CCW, 3)], _STEP_R[np.add(_CCW, 3)]
+# each sector as (dq, dr, up): bits 0 to 5 of a corner mask.
+_LEG_Q = np.array([1, 1, 0, -1, -1, 0], dtype=np.int64)
+_LEG_R = np.array([0, 1, 1, 0, -1, -1], dtype=np.int64)
 _SECTOR_FACE = np.array([(0, 0, 1), (0, 0, 0), (-1, 0, 1), (-1, -1, 0), (-1, -1, 1),
                          (0, -1, 0)], dtype=np.int64)
-_BITS = np.arange(64)[:, None] >> np.arange(6) & 1 == 1
+
+
+def _set_bits(masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The set bits of an int8 array of 6-bit masks, as arrays of the
+    mask's index and the bit's."""
+    where = np.unpackbits(masks.view(np.uint8), bitorder="little").nonzero()[0]
+    return where >> 3, where & 7
 
 # The three line families: the directions v1, v2 and -v3, each with the
 # sector of the upward face flanking the unit edge from (q, r) along it
@@ -313,7 +319,7 @@ class TriSubdivision:
     @cached_property
     def pieces(self) -> List[Piece]:
         q, r = self.b.qr
-        row, k = _BITS[self.b.corner_masks].nonzero()
+        row, k = _set_bits(self.b.corner_masks)
         dq, dr, up = _SECTOR_FACE[k].T
         units = zip((q[row] + dq).tolist(), (r[row] + dr).tolist(), repeat(1),
                     (up == 1).tolist())
@@ -404,7 +410,7 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     """
     q, r = b.qr
     m = b.corner_masks
-    row, d = _BITS[m & (m << 1 | m >> 5)].nonzero()
+    row, d = _set_bits(m & (m << 1 | m >> 5))
     pq, pr, ps, pup = sub.piece_q, sub.piece_r, sub.piece_side, sub.piece_up
     # Piece corners: the anchor, the corner across from it along v1 + v2,
     # and (q + s, r) for an upward piece or (q, r + s) for a downward one.

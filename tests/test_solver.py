@@ -115,8 +115,8 @@ def test_heights_satisfy_every_edge():
 def test_unreached_site_is_an_internal_inconsistency():
     # Two boundary sites joined by an edge and a third site with none.
     coords = np.array([(0, 0), (0, 1), (5, 5)], dtype=np.int64)
-    graph = ApproxGraph(coords, (np.array([0]), np.array([1])), alpha_array(coords[:1], coords[1:2]),
-                        np.array([0, 1]))
+    graph = ApproxGraph(coords, (np.array([0]), np.array([1])),
+                        alpha_array(coords[:1], coords[1:2]), np.array([0, 1]))
     bh = BoundaryHeight(np.array([0, 1]), True)
     with pytest.raises(InternalInconsistency, match="1 sites unreached"):
         compute_gmax(graph, bh)
