@@ -51,17 +51,18 @@ class ApproxGraph:
     """Site graph over integer ids, shared by both lattices.
 
     ``coords`` is the (n, d) int64 array of site coordinates in sorted
-    order; ``ends`` is the pair of arrays (first, second) that lists each
-    edge once, oriented as built; ``bounds`` is the pair (rise, fall) of
-    each edge's bounds on g(second) - g(first) and on g(first) - g(second);
-    ``boundary_ids`` are the ids of the boundary vertices in walk order.
+    order; ``ends`` is the (2, E) int64 array whose rows (first, second)
+    list each edge once, oriented as built; ``bounds`` is the (2, E) int64
+    array whose rows (rise, fall) are each edge's bounds on
+    g(second) - g(first) and on g(first) - g(second); ``boundary_ids`` are
+    the ids of the boundary vertices in walk order.
     ``src`` and ``dst`` (each edge as src < dst), ``sites`` and ``adj`` are
     views built on first access, for the tests and the benchmark's
     counters; the decision never builds them.
     """
 
-    def __init__(self, coords: np.ndarray, ends: Tuple[np.ndarray, np.ndarray],
-                 bounds: Tuple[np.ndarray, np.ndarray], boundary_ids: np.ndarray):
+    def __init__(self, coords: np.ndarray, ends: np.ndarray, bounds: np.ndarray,
+                 boundary_ids: np.ndarray):
         self.coords = coords
         self.ends = ends
         self.bounds = bounds
@@ -73,15 +74,13 @@ class ApproxGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.ends[0])
+        return self.ends.shape[1]
 
     def site(self, i: int) -> Site:
         return tuple(self.coords[i].tolist())
 
     def degrees(self) -> np.ndarray:
-        n = len(self.coords)
-        first, second = self.ends
-        return np.bincount(first, minlength=n) + np.bincount(second, minlength=n)
+        return np.bincount(self.ends.ravel(), minlength=len(self.coords))
 
     @cached_property
     def src(self) -> np.ndarray:
@@ -99,7 +98,7 @@ class ApproxGraph:
     def adj(self) -> Dict[Site, Tuple[Site, ...]]:
         """Each site's neighbours, in sorted order."""
         nbrs: List[List[int]] = [[] for _ in range(len(self.coords))]
-        for i, j in zip(*(e.tolist() for e in self.ends)):
+        for i, j in zip(*self.ends.tolist()):
             nbrs[i].append(j)
             nbrs[j].append(i)
         sites = self.sites
@@ -108,7 +107,7 @@ class ApproxGraph:
 
 
 def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, metric, families,
-               masks: np.ndarray, bounds: Tuple[int, int]) -> ApproxGraph:
+               masks: np.ndarray, max_degree: Tuple[int, int]) -> ApproxGraph:
     """The site graph of either lattice over the packed candidate keys,
     the p boundary vertices in walk order first, with their corner masks
     ``masks``.  ``decode`` maps the sorted distinct keys to the site
@@ -133,37 +132,43 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, metric, fami
     along v1 are (k, 0, 0) forward and (0, k, k) back, so bound k and 2k,
     and likewise along v2; k steps along -v3 are (k, k, 0) and (0, 0, k),
     so 2k and k.
-    Degrees are at most ``bounds[0]``, ``bounds[1]`` on the boundary."""
+    Degrees are at most ``max_degree[0]``, ``max_degree[1]`` on the
+    boundary."""
     site_keys = sorted_unique(keys)
     coords, u, v = decode(site_keys)
     ids = np.searchsorted(site_keys, keys[:max(p, links.max(initial=-1) + 1)])
     site_mask = np.full(len(coords), -1, dtype=np.int8)
     site_mask[ids[:p]] = masks
     interior = site_mask < 0
-    i, j = [ids[links[0]]], [ids[links[1]]]
-    link_rise, link_fall = metric(coords[i[0]], coords[j[0]])
-    rise, fall = [link_rise], [link_fall]
-    for (du, dv), bit, (forward, back) in families:
+    i, j, steps = [ids[links[0]]], [ids[links[1]]], []
+    for (du, dv), bit, _ in families:
         line = dv * u - du * v
         position = u if du else v
         order = pack(line, position).argsort()
         line, position = line[order], position[order]
-        same = line[1:] == line[:-1]
-        a, c = order[:-1][same], order[1:][same]
-        steps = (position[1:] - position[:-1])[same]
+        a, c = order[:-1], order[1:]
         joined = site_mask[a] & 1 << bit != 0
         joined |= interior[c]
-        a, c, steps = a[joined], c[joined], steps[joined]
-        i.append(a)
-        j.append(c)
-        rise.append(forward * steps)
-        fall.append(back * steps)
+        joined &= line[1:] == line[:-1]
+        steps.append((position[1:] - position[:-1])[joined])
+        i.append(a[joined])
+        j.append(c[joined])
+    ends = np.concatenate(i + j).reshape(2, -1)
+    del i, j
+    # The bounds go straight into one (2, E) array, in the edges' order.
+    bounds = np.empty_like(ends)
+    at = len(links[0])
+    bounds[0, :at], bounds[1, :at] = metric(coords[ends[0, :at]], coords[ends[1, :at]])
+    for k, (_, _, unit) in zip(steps, families):
+        end = at + len(k)
+        for row, factor in zip(bounds, unit):
+            np.multiply(k, factor, out=row[at:end])
+        at = end
 
-    graph = ApproxGraph(coords, (np.concatenate(i), np.concatenate(j)),
-                        (np.concatenate(rise), np.concatenate(fall)), ids[:p])
+    graph = ApproxGraph(coords, ends, bounds, ids[:p])
     deg = graph.degrees()
-    limit = np.full(len(deg), bounds[0])
-    limit[~interior] = bounds[1]
+    limit = np.full(len(deg), max_degree[0])
+    limit[~interior] = max_degree[1]
     over = (deg > limit).nonzero()[0]
     if len(over):
         s = over[0]

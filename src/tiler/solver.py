@@ -147,8 +147,9 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     (first, second), (rise, fall) = graph.ends, graph.bounds  # on g(second) - g(first), back
     n = len(graph.coords)
 
-    tail = np.concatenate([first, second])
-    head = np.concatenate([second, first])
+    # Arc k < E runs along edge k, arc E + k against it: the rows of
+    # ``ends`` and ``bounds`` read in order.
+    tail, head = graph.ends.ravel(), graph.ends[::-1].ravel()
     fixed = np.zeros(n, dtype=bool)
     fixed[graph.boundary_ids] = True
     keep = np.flatnonzero(~fixed[head])
@@ -157,7 +158,7 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
         raise InternalInconsistency(f"{n} sites and {len(tail)} arcs overflow the arc keys")
     keys = np.sort(tail[keep] << b | keep)
     arc = keys & ((1 << b) - 1)
-    head, weight = head[arc], np.concatenate([rise, fall])[arc]
+    head, weight = head[arc], graph.bounds.ravel()[arc]
     deg = np.bincount(keys >> b, minlength=n)
     start = np.zeros(n + 1, dtype=np.int64)
     deg.cumsum(out=start[1:])

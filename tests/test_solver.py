@@ -115,16 +115,16 @@ def test_heights_satisfy_every_edge():
 def test_unreached_site_is_an_internal_inconsistency():
     # Two boundary sites joined by an edge and a third site with none.
     coords = np.array([(0, 0), (0, 1), (5, 5)], dtype=np.int64)
-    graph = ApproxGraph(coords, (np.array([0]), np.array([1])),
-                        alpha_array(coords[:1], coords[1:2]), np.array([0, 1]))
+    graph = ApproxGraph(coords, np.array([[0], [1]]),
+                        np.array(alpha_array(coords[:1], coords[1:2])), np.array([0, 1]))
     bh = BoundaryHeight(np.array([0, 1]), True)
     with pytest.raises(InternalInconsistency, match="1 sites unreached"):
         compute_gmax(graph, bh)
     # Two more sites joined only to each other: the rounds must not lower
     # the unreached label through the arcs between them, and must stop.
     coords = np.array([(0, 0), (0, 1), (5, 5), (5, 6)], dtype=np.int64)
-    graph = ApproxGraph(coords, (np.array([0, 2]), np.array([1, 3])),
-                        alpha_array(coords[[0, 2]], coords[[1, 3]]), np.array([0, 1]))
+    graph = ApproxGraph(coords, np.array([[0, 2], [1, 3]]),
+                        np.array(alpha_array(coords[[0, 2]], coords[[1, 3]])), np.array([0, 1]))
     with pytest.raises(InternalInconsistency, match="2 sites unreached"):
         compute_gmax(graph, bh)
 
