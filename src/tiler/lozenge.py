@@ -134,6 +134,7 @@ def _set_bits(masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     where = np.unpackbits(masks.view(np.uint8), bitorder="little").nonzero()[0]
     return where >> 3, where & 7
 
+
 # The three line families: the directions v1, v2 and -v3, each with the
 # sector of the upward face flanking the unit edge from (q, r) along it
 # and the bounds of that unit step, forward and back.  Off the boundary
