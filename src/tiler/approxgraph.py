@@ -24,10 +24,10 @@ Its gaps between two boundary vertices test one flank of the first step,
 a cell or face around the first end: one bit of that vertex's corner
 mask, which the walk's turn there gives.  So the graph build makes no
 membership search.  Each edge stores its two bounds on the height
-difference, so the solver gathers no coordinate rows: a pair joined
-outright gets them from the lattice metric on its two rows, and a line
-join its length times the family's unit-step bounds, since both metrics
-are linear along a lattice line.  Degrees are bounded by construction,
+difference, so neither the join nor the solver gathers coordinate rows:
+a pair joined outright gets them from its caller, who reads them off the
+walk, and a line join its length times the family's unit-step bounds,
+since both metrics are linear along a lattice line.  Degrees are bounded by construction,
 on squares by two neighbours per diagonal line plus four axis legs, with
 one diagonal always missing at a boundary vertex.
 """
@@ -40,7 +40,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from tiler.errors import InternalInconsistency
-from tiler.lattice import alpha_array
 from tiler.region import RegionBoundary, pack, sorted_unique, unpack
 from tiler.subdivision import Subdivision
 
@@ -106,13 +105,14 @@ class ApproxGraph:
                 for i, nb in enumerate(nbrs)}
 
 
-def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, metric, families,
-               masks: np.ndarray, max_degree: Tuple[int, int]) -> ApproxGraph:
+def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndarray, decode,
+               families, masks: np.ndarray, max_degree: Tuple[int, int]) -> ApproxGraph:
     """The site graph of either lattice over the packed candidate keys,
     the p boundary vertices in walk order first, with their corner masks
     ``masks``.  ``decode`` maps the sorted distinct keys to the site
     coordinates and their plane coordinates (u, v).  ``links`` is a (2, L)
-    array of the positions in ``keys`` of the pairs joined outright.  Each
+    array of the positions in ``keys`` of the pairs joined outright, and
+    ``link_bounds`` the (2, L) array of their bounds, forward and back.  Each
     family is a direction (du, dv) along which u grows, or v when du = 0,
     the bit of the corner mask that holds one flank of its unit step, and
     the pair of bounds of that step, forward and back.
@@ -121,9 +121,8 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, metric, fami
     the first site's mask, read with no membership search.  Interior sites
     have every bit set, so the bit test also passes when the first site is
     interior.
-    Each edge carries its two bounds.  A link's come from ``metric``, the
-    lattice's array metric, on the link's two coordinate rows.  A family
-    join k unit steps long gets k times the family's unit-step bounds, with
+    Each edge carries its two bounds.  A link's are ``link_bounds``.  A
+    family join k unit steps long gets k times the family's unit-step bounds, with
     no rows gathered.  That is exact because both metrics are linear along
     a lattice line.  On squares k diagonal steps have bound 2k both ways:
     ``alpha`` is twice the Chebyshev distance when the two parts of the
@@ -157,8 +156,8 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, decode, metric, fami
     del i, j
     # The bounds go straight into one (2, E) array, in the edges' order.
     bounds = np.empty_like(ends)
-    at = len(links[0])
-    bounds[0, :at], bounds[1, :at] = metric(coords[ends[0, :at]], coords[ends[1, :at]])
+    at = links.shape[1]
+    bounds[:, :at] = link_bounds
     for k, (_, _, unit) in zip(steps, families):
         end = at + len(k)
         for row, factor in zip(bounds, unit):
@@ -185,20 +184,25 @@ def _decode_xy(site_keys: np.ndarray):
 # The diagonal line families: the first step from (x, y) along (1, 1)
 # cuts cell (x, y), the corner mask's bit 0, and along (1, -1) cell
 # (x, y - 1), its bit 3.  A diagonal unit step has bound 2 both ways.
+# An axis unit step has rise 2 - s and fall 2 + s, where s, the boundary
+# height's step along it, is +1 when tail x + y + dx is even.
 _DIAGONALS = (((1, 1), 0, (2, 2)), ((1, -1), 3, (2, 2)))
 
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
     """The legs of the kept triangles are the p boundary edges, each with
     one end at a crossed square's centre, and the inner legs; both are
-    joined outright, with no triangle built."""
+    joined outright, with no triangle built.  Each is a unit axis step, and
+    for an inner leg from the centre c to (lx, ly) the tail's x + y + dx is
+    lx + y[c]."""
     bx, by = b.xy
     p = len(bx)
     c, lx, ly = sub.inner_legs()
+    odd = np.concatenate([bx + by + b.steps[0], lx + by[c]]) & 1
     cx, cy = sub.inside_corners()
     keys = pack(np.concatenate([bx, lx, cx.ravel()]), np.concatenate([by, ly, cy.ravel()]))
     walk = np.arange(p)
     links = np.stack([np.concatenate([walk, c]),
                       np.concatenate([walk[1:], walk[:1], np.arange(p, p + len(c))])])
-    return join_sites(keys, p, links, _decode_xy, alpha_array, _DIAGONALS, b.corner_masks,
-                      (8, 7))
+    return join_sites(keys, p, links, np.stack([1 + 2 * odd, 3 - 2 * odd]), _decode_xy,
+                      _DIAGONALS, b.corner_masks, (8, 7))

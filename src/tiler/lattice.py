@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 Point = Tuple[int, int]
 
 
@@ -42,13 +40,3 @@ def alpha(x: Point, y: Point) -> int:
         return 2 * r + (1 if ai > aj else -1)
     return 2 * r + (-1 if ai > aj else 1)
 
-
-def alpha_array(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``alpha(x, y)`` and ``alpha(y, x)`` row by row over (m, 2) int64 arrays."""
-    i = y[:, 0] - x[:, 0]
-    j = y[:, 1] - x[:, 1]
-    ai, aj = np.abs(i), np.abs(j)
-    plus = (ai > aj) ^ ((x[:, 0] - x[:, 1]) & 1).astype(bool)  # correction is +1
-    r = np.maximum(ai, aj)
-    rise = 2 * r + ((i - j) & 1) * (2 * plus - 1)
-    return rise, 4 * r - rise  # the two add up to four times the Chebyshev distance

@@ -13,7 +13,7 @@ region: stepping along an edge that advances the color cycle changes the
 height by +1 when the edge lies on a lozenge edge and by -2 when a
 lozenge covers it, and the reverse signs hold against the cycle.  The
 maximal plane height vanishing at x is the coordinate sum of y - x in
-canonical form, the first array of ``tri_alpha_array(x, y)``.
+canonical form.
 
 The decision is ``solver.run_pipeline``, the one pipeline of both
 lattices; this module supplies the triangular stages.  Parsing checks
@@ -33,7 +33,8 @@ those unit faces) and the corners of the other pieces, with the three
 line families and the upward face flanking each unit step
 (``_FAMILIES``), read between two boundary vertices as a bit of the
 first one's corner mask.  Each family also gives the bounds of its unit
-step, which the join scales by each edge's length.  Degrees are at most
+step, which the join scales by each edge's length, and the boundary
+edges joined outright all have bounds 2 and 1 (``_LINK_BOUNDS``).  Degrees are at most
 six (two per family).  An untileable verdict's witness is the violated
 edge whose endpoints come first in sorted site order.
 
@@ -96,17 +97,6 @@ def tri_point(q: int, r: int) -> TriPoint:
     return (q - m, r - m, -m)
 
 
-def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The coordinate sums of y - x and of x - y in canonical form, the
-    maximum heights of y over plane height functions vanishing at x and
-    the reverse, row by row over (m, 3) int64 arrays of vertices."""
-    d = y - x
-    a, b, c = d[:, 0], d[:, 1], d[:, 2]
-    total = a + b + c
-    return (total - 3 * np.minimum(np.minimum(a, b), c),
-            3 * np.maximum(np.maximum(a, b), c) - total)
-
-
 def face_neighbors(f: Face) -> Tuple[Face, Face, Face]:
     q, r, up = f
     if up:
@@ -141,6 +131,9 @@ def _set_bits(masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 # the downward face agrees; boundary edges of moves -1, -2 and -3 have
 # the upward one outside and are joined outright.
 _FAMILIES = (((1, 0), 0, (1, 2)), ((0, 1), 2, (1, 2)), ((1, 1), 0, (2, 1)))
+# Those boundary edges' bounds: a unit step along -v1, -v2 or v3 is
+# (0, 1, 1) forward and (1, 0, 0) back in canonical form, so 2 and 1.
+_LINK_BOUNDS = np.array([[2], [1]], dtype=np.int64)
 
 
 class LozengeBoundary:
@@ -421,7 +414,8 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     keys = ((aq - low) << 2 * _SITE_BITS) | ((ar - low) << _SITE_BITS) | -low
     tails = np.flatnonzero(b.tokens < 0)
     links = np.stack([tails, (tails + 1) % len(q)])
-    return join_sites(keys, len(q), links, _decode_tri, tri_alpha_array, _FAMILIES, m, (6, 6))
+    return join_sites(keys, len(q), links, np.repeat(_LINK_BOUNDS, len(tails), axis=1),
+                      _decode_tri, _FAMILIES, m, (6, 6))
 
 
 def decide_lozenge(source) -> TileabilityVerdict:

@@ -23,11 +23,24 @@ is checked in one vector pass, and the region is untileable exactly when
 one fails.  ``run_pipeline`` decides for both lattices and the oracle:
 an unbalanced boundary (closure defect in the height walk) exits before
 any graph is built, and each lattice passes its stages.  The site graph
-carries each edge's two bounds, so the relaxation needs no metric.
+carries each edge's two bounds, read off the walk and the line families,
+so no stage evaluates a metric.
+
+Importing this module sets two of glibc's malloc parameters once, through
+``mallopt``, for the whole process: the mmap threshold to 32 MiB and the
+trim threshold to 64 MiB, the ceilings that glibc's own dynamic rule
+reaches once a 32 MiB block is freed.  Under the defaults glibc trims the
+heap top when a large decision frees its arrays, and the next decision
+faults the same pages in again: 4-6 thousand minor faults per pass of a
+large benchmark workload, up to a fifth of its time.  With the
+thresholds fixed, arrays under 32 MiB come from the heap and up to
+64 MiB of freed heap stays mapped between calls; peak RSS is unchanged.
+Where the C library has no ``mallopt`` (macOS, Windows) nothing is set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import json
 from dataclasses import dataclass, field
@@ -47,6 +60,26 @@ from tiler.subdivision import build_subdivision
 _ID_BITS = 32
 _ID_MASK = (1 << _ID_BITS) - 1
 _UNREACHED = 1 << 62
+
+# glibc's mallopt parameters, set at import (see above).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_heap() -> bool:
+    """Keep freed heap mapped between decisions, where ``mallopt``
+    exists.  Whether both thresholds were set."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no such symbol, or no CDLL(None)
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    return mmap_set == trim_set == 1
+
+
+_HEAP_KEPT = _keep_heap()
 
 
 class ViolatedPair(NamedTuple):

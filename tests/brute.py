@@ -13,7 +13,9 @@ coordinates, the scalar ``tri_alpha``, closure tests and the crossed
 squares of a quadtree by level.  The triangle quadtree built in one
 batch over all levels is the reference for the bottom-up build, and the
 relaxation by rounds that scan every arc is the reference for the
-frontier rounds over the tail-sorted arc index.  The site graphs joined
+frontier rounds over the tail-sorted arc index, and the array forms of
+both metrics for the bounds that the site graph carries, read off the
+walk and the line families.  The site graphs joined
 in Python tuples, with both flanks of every line step and without the
 boundary edges, are the reference for the one-flank join.
 """
@@ -29,7 +31,7 @@ import numpy as np
 
 from tiler.approxgraph import ApproxGraph
 from tiler.errors import InternalInconsistency, TilerError
-from tiler.lattice import Point, alpha, alpha_array
+from tiler.lattice import Point, alpha
 from tiler.lozenge import (STEPS, Axial, Face, LozengeBoundary, TriPoint, TriSubdivision,
                            tri_point)
 from tiler.reference import Tiling, domino
@@ -109,6 +111,17 @@ def cheb(a: Point, b: Point) -> int:
     return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
+def alpha_array(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``alpha(x, y)`` and ``alpha(y, x)`` row by row over (m, 2) int64 arrays."""
+    i = y[:, 0] - x[:, 0]
+    j = y[:, 1] - x[:, 1]
+    ai, aj = np.abs(i), np.abs(j)
+    plus = (ai > aj) ^ ((x[:, 0] - x[:, 1]) & 1).astype(bool)  # correction is +1
+    r = np.maximum(ai, aj)
+    rise = 2 * r + ((i - j) & 1) * (2 * plus - 1)
+    return rise, 4 * r - rise  # the two add up to four times the Chebyshev distance
+
+
 class TriColor(enum.IntEnum):
     BLACK = 0
     RED = 1
@@ -129,6 +142,17 @@ def tri_alpha(x: TriPoint, y: TriPoint) -> int:
     y over plane height functions vanishing at x."""
     da, db, dc = y[0] - x[0], y[1] - x[1], y[2] - x[2]
     return da + db + dc - 3 * min(da, db, dc)
+
+
+def tri_alpha_array(x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The coordinate sums of y - x and of x - y in canonical form, the
+    maximum heights of y over plane height functions vanishing at x and
+    the reverse, row by row over (m, 3) int64 arrays of vertices."""
+    d = y - x
+    a, b, c = d[:, 0], d[:, 1], d[:, 2]
+    total = a + b + c
+    return (total - 3 * np.minimum(np.minimum(a, b), c),
+            3 * np.maximum(np.maximum(a, b), c) - total)
 
 
 def face_inside(b: LozengeBoundary, f: Face) -> bool:

@@ -8,16 +8,14 @@ import tiler.approxgraph
 import tiler.lozenge
 from tiler.approxgraph import build_graph
 from tiler.errors import InternalInconsistency
-from tiler.lattice import alpha_array
-from tiler.lozenge import (LozengeBoundary, build_tri_graph, build_tri_subdivision, parse_lozenge,
-                           tri_alpha_array)
+from tiler.lozenge import LozengeBoundary, build_tri_graph, build_tri_subdivision, parse_lozenge
 from tiler.reference import enumerate_simply_connected, random_lozenge_region, random_region
 from tiler.region import RegionBoundary, parse_boundary
 from tiler.subdivision import build_subdivision
 
-from brute import (LOZENGE_FLANKS, SECTOR_FACES, SQUARE_FLANKS, cheb, line_gaps,
+from brute import (LOZENGE_FLANKS, SECTOR_FACES, SQUARE_FLANKS, alpha_array, cheb, line_gaps,
                    lozenge_two_flank_graph, pair_connected_brute, square_two_flank_graph,
-                   valid_pairs_brute)
+                   tri_alpha_array, valid_pairs_brute)
 
 
 def _graph(word):

@@ -11,9 +11,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tiler.lattice import alpha, alpha_array
+from tiler.lattice import alpha
 
-from brute import (Color, NotAdjacent, RadiusExceeded, alpha_oracle, cell_color,
+from brute import (Color, NotAdjacent, RadiusExceeded, alpha_array, alpha_oracle, cell_color,
                    edge_deltas, edge_max_delta, edge_step, left_cell)
 
 BOX = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]

@@ -18,7 +18,7 @@ from tiler.approxgraph import build_graph
 from tiler.lozenge import (STEPS, _piece_corners, build_tri_graph,
                            build_tri_subdivision, decide_lozenge,
                            lozenge_boundary_height, lozenge_matching_decide,
-                           parse_lozenge, tri_alpha_array, tri_point)
+                           parse_lozenge, tri_point)
 from tiler.reference import (enumerate_lozenge_regions, faces_to_lozenge_word,
                              random_lozenge_region)
 from tiler.region import parse_boundary
@@ -26,7 +26,7 @@ from tiler.subdivision import build_subdivision
 
 from brute import (SECTOR_FACES, RadiusExceeded, TriColor, batch_tri_subdivision,
                    edge_in_region, face_inside, lozenge_moves_brute, lozenge_walk, tri_alpha,
-                   tri_alpha_oracle, tri_axial, tri_color, tri_geodesic_points_brute,
+                   tri_alpha_array, tri_alpha_oracle, tri_axial, tri_color, tri_geodesic_points_brute,
                    vertex_in_closure)
 
 HEXAGON = "1,1,-3,-3,2,2,-1,-1,3,3,-2,-2"  # H(2,2,2), 24 triangles

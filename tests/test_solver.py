@@ -15,9 +15,9 @@ from tiler import decide_lozenge, decide_tileable, solver
 from tiler.approxgraph import ApproxGraph, build_graph
 from tiler.errors import InternalInconsistency
 from tiler.generators import dilate, spiral
-from tiler.lattice import alpha, alpha_array
+from tiler.lattice import alpha
 from tiler.lozenge import (build_tri_graph, build_tri_subdivision, lozenge_boundary_height,
-                           parse_lozenge, tri_alpha_array)
+                           parse_lozenge)
 from tiler.reference import (
     enumerate_simply_connected,
     matching_decide,
@@ -30,8 +30,8 @@ from tiler.solver import compute_gmax
 from tiler.subdivision import build_subdivision
 
 import digest  # noqa: F401  (puts the benchmark's workloads on the path)
-from brute import masked_round_gmax, tri_alpha
-from workloads import BAD_PAIR, LOZENGE_LARGE, SQUARE_LARGE
+from brute import alpha_array, masked_round_gmax, tri_alpha, tri_alpha_array
+from workloads import BAD_PAIR, LOZENGE_BAD_PAIR, LOZENGE_LARGE, SQUARE_LARGE
 
 
 def test_two_by_two():
@@ -273,6 +273,43 @@ def test_witness_is_the_least_violated_pair(decide, word):
     assert decide(word).witness == bad
 
 
+def _random_bad_pairs(rng, count):
+    """``count`` random bad-pair regions of up to 1,000 cells and as many
+    of up to 1,000 triangles, as (decide, boundary)."""
+    found = []
+    for decide, draw in ((decide_tileable, random_region), (decide_lozenge, random_lozenge_region)):
+        kept = 0
+        while kept < count:
+            b = draw(rng, rng.randrange(20, 1001))
+            if decide(b).reason == "bad-pair":
+                found.append((decide, b))
+                kept += 1
+    return found
+
+
+def test_every_violated_arc_ends_at_a_boundary_site():
+    # Arcs into boundary sites are dropped from the relaxation and every
+    # other arc holds once the labels settle, so on a bad-pair verdict
+    # every violated arc runs into a boundary site: the dumbbells, the
+    # lozenge bad-pair base dilated and random bad-pair regions.
+    regions = [(decide_tileable, _dumbbell(m)) for m in range(1, 98, 2)]
+    regions += [(decide_lozenge, _lozenge_dilate(LOZENGE_BAD_PAIR, k)) for k in range(1, 31)]
+    regions += _random_bad_pairs(random.Random(23), 60)
+    arcs = 0
+    for decide, region in regions:
+        graph, bh, _ = _solver_input(decide, region)
+        g, bad = compute_gmax(graph, bh)
+        assert bad is not None
+        (first, second), (rise, fall) = graph.ends, graph.bounds
+        gap = g[second] - g[first]
+        heads = np.concatenate([second[gap > rise], first[-gap > fall]])
+        boundary = np.zeros(len(g), dtype=bool)
+        boundary[graph.boundary_ids] = True
+        assert len(heads) and boundary[heads].all(), region
+        arcs += len(heads)
+    assert arcs >= len(regions)
+
+
 def test_agreement_with_the_whole_region_sweep_at_scale():
     # Area 10^4 to 3.3 * 10^5: two dilated random regions and spiral(200)
     # x 2 (tileable; the spiral has p = 321,608, past 2^18), a dumbbell (bad
@@ -307,12 +344,22 @@ def test_dumbbells_agree_with_the_whole_region_sweep():
         assert (v.tileable, v.reason) == (False, "bad-pair"), m
 
 
+def _fresh_interpreter(code: str, stdin: str = "") -> str:
+    """What ``code`` prints in a fresh interpreter that imports this tiler."""
+    env = dict(os.environ)
+    src = Path(tiler.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], input=stdin, env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
 def test_decide_path_loads_no_scipy():
     # Importing scipy.sparse.csgraph costs a fresh process about as much
     # time and memory again as importing tiler; only the references use it.
     # The area-sized references and generators stay unloaded too, so a
     # process that only decides pays for neither.
-    code = textwrap.dedent("""
+    assert _fresh_interpreter("""
         import sys
         import tiler
         tiler.decide_tileable("RRUULLDD")
@@ -321,13 +368,29 @@ def test_decide_path_loads_no_scipy():
         tiler.TilingOracle("RRRRUUUULLLLDDDD").domino_at((1, 2))
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
                      or m in ("tiler.reference", "tiler.generators")))
-    """)
-    env = dict(os.environ)
-    src = Path(tiler.__file__).resolve().parents[1]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    """) == "[]"
+
+
+@pytest.mark.skipif(not solver._HEAP_KEPT, reason="the C library sets no malloc thresholds")
+def test_repeated_decisions_do_not_refault_the_heap():
+    # With glibc's default thresholds the heap top is trimmed after each
+    # decision and the next one faults its pages in again, about 4,000
+    # minor faults over these five calls; with the thresholds that the
+    # solver sets at import, none.  The second call may still grow the
+    # heap top once, by some 50-90 pages, as small blocks left between
+    # calls shift the layout, so two calls come first.
+    faults = _fresh_interpreter("""
+        import resource, sys
+        import tiler
+        word = sys.stdin.read()
+        for _ in range(2):
+            tiler.decide_tileable(word)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            tiler.decide_tileable(word)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """, dilate(spiral(2), 200))
+    assert int(faults) < 100
 
 
 def _wrapped_stages():
