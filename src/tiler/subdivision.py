@@ -253,9 +253,8 @@ class Subdivision:
         code = zorder((x + y - self.U0) >> 1, (x - y - self.V0) >> 1, t)
         order = code.argsort()
         self.centres = i0 + 2 * order
-        self.keys, pieces = climb(code[order] << 2 | 1, t, _PARENT, _CHILD_SLOTS)
-        level, iu, iv = pieces[:3]  # a square's slot is always 0
-        del code, order, pieces
+        self.keys, (level, iu, iv, _) = climb(code[order] << 2 | 1, t, _PARENT, _CHILD_SLOTS)
+        del code, order, _  # a square's slot is always 0
 
         census = [len(k) for k in self.keys]
         for i in range(1, t + 1):
@@ -267,20 +266,13 @@ class Subdivision:
         # The uncrossed children of crossed squares are classified by the
         # cell north-east of their centre, with the one membership search.
         # A centre is (U0 + (2 iu + 1) h, V0 + (2 iv + 1) h) in (u, v), with
-        # h = n0 >> level half the side, so its cell has x = (U0 + V0) / 2
-        # + (iu + iv + 1) h and y = (U0 - V0) / 2 + (iu - iv) h, built in
-        # place.
+        # h = n0 >> level half the side, so that cell has x = (U0 + V0) / 2
+        # + (iu + iv + 1) h and y = (U0 - V0) / 2 + (iu - iv) h.
         half = self.n0 >> level
-        x = iu + iv
-        x += 1
-        x *= half
-        x += (self.U0 + self.V0) >> 1
-        y = iu - iv
-        y *= half
-        y += (self.U0 - self.V0) >> 1
+        x = (iu + iv + 1) * half + ((self.U0 + self.V0) >> 1)
+        y = (iu - iv) * half + ((self.U0 - self.V0) >> 1)
         del half
         inside = b.contains_cells(x, y)
-        del x, y
         self.inside_at = level[inside], iu[inside], iv[inside]
 
 
