@@ -27,9 +27,9 @@ membership search.  Each edge stores its two bounds on the height
 difference, so neither the join nor the solver gathers coordinate rows:
 a pair joined outright gets them from its caller, who reads them off the
 walk, and a line join its length times the family's unit-step bounds,
-since both metrics are linear along a lattice line.  Degrees are bounded by construction,
-on squares by two neighbours per diagonal line plus four axis legs, with
-one diagonal always missing at a boundary vertex.
+since both metrics are linear along a lattice line.  Degrees are bounded
+by construction, on squares by two neighbours per diagonal line plus
+four axis legs, with one diagonal always missing at a boundary vertex.
 """
 
 from __future__ import annotations
@@ -122,9 +122,9 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
     have every bit set, so the bit test also passes when the first site is
     interior.
     Each edge carries its two bounds.  A link's are ``link_bounds``.  A
-    family join k unit steps long gets k times the family's unit-step bounds, with
-    no rows gathered.  That is exact because both metrics are linear along
-    a lattice line.  On squares k diagonal steps have bound 2k both ways:
+    family join k unit steps long gets k times the family's unit-step
+    bounds, with no rows gathered.  That is exact because both metrics are
+    linear along a lattice line.  On squares k diagonal steps have bound 2k both ways:
     ``alpha`` is twice the Chebyshev distance when the two parts of the
     displacement have one parity.  On the triangular lattice ``tri_alpha``
     is the coordinate sum of the displacement in canonical form.  k steps
@@ -184,17 +184,16 @@ def _decode_xy(site_keys: np.ndarray):
 # The diagonal line families: the first step from (x, y) along (1, 1)
 # cuts cell (x, y), the corner mask's bit 0, and along (1, -1) cell
 # (x, y - 1), its bit 3.  A diagonal unit step has bound 2 both ways.
-# An axis unit step has rise 2 - s and fall 2 + s, where s, the boundary
-# height's step along it, is +1 when tail x + y + dx is even.
 _DIAGONALS = (((1, 1), 0, (2, 2)), ((1, -1), 3, (2, 2)))
 
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
     """The legs of the kept triangles are the p boundary edges, each with
     one end at a crossed square's centre, and the inner legs; both are
-    joined outright, with no triangle built.  Each is a unit axis step, and
-    for an inner leg from the centre c to (lx, ly) the tail's x + y + dx is
-    lx + y[c]."""
+    joined outright, with no triangle built.  Each is a unit axis step,
+    with rise 2 - s and fall 2 + s, where s, the boundary height's step
+    along it, is +1 when tail x + y + dx is even; for an inner leg from the
+    centre c to (lx, ly) that sum is lx + y[c]."""
     bx, by = b.xy
     p = len(bx)
     c, lx, ly = sub.inner_legs()

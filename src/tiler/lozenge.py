@@ -34,9 +34,10 @@ line families and the upward face flanking each unit step
 (``_FAMILIES``), read between two boundary vertices as a bit of the
 first one's corner mask.  Each family also gives the bounds of its unit
 step, which the join scales by each edge's length, and the boundary
-edges joined outright all have bounds 2 and 1 (``_LINK_BOUNDS``).  Degrees are at most
-six (two per family).  An untileable verdict's witness is the violated
-edge whose endpoints come first in sorted site order.
+edges joined outright all have bounds 2 and 1 (``_LINK_BOUNDS``).
+Degrees are at most six (two per family).  An untileable verdict's
+witness is the violated edge whose endpoints come first in sorted site
+order.
 
 Region membership comes from one index, the strip cuts: the boundary
 edges that cross a horizontal strip of faces, held as one sorted array

@@ -189,10 +189,16 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     b = len(tail).bit_length()
     if (n - 1).bit_length() + b > 63:
         raise InternalInconsistency(f"{n} sites and {len(tail)} arcs overflow the arc keys")
-    keys = np.sort(tail[keep] << b | keep)
-    arc = keys & ((1 << b) - 1)
-    head, weight = head[arc], graph.bounds.ravel()[arc]
+    # In place, so that at most three 2E-sized arrays are live at once.
+    keys = tail[keep]
+    keys <<= b
+    keys |= keep
+    del keep
+    keys.sort()
     deg = np.bincount(keys >> b, minlength=n)
+    keys &= (1 << b) - 1  # the arcs, sorted by tail
+    head, weight = head[keys], graph.bounds.ravel()[keys]
+    del keys
     start = np.zeros(n + 1, dtype=np.int64)
     deg.cumsum(out=start[1:])
 

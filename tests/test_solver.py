@@ -277,7 +277,8 @@ def _random_bad_pairs(rng, count):
     """``count`` random bad-pair regions of up to 1,000 cells and as many
     of up to 1,000 triangles, as (decide, boundary)."""
     found = []
-    for decide, draw in ((decide_tileable, random_region), (decide_lozenge, random_lozenge_region)):
+    for decide, draw in ((decide_tileable, random_region),
+                         (decide_lozenge, random_lozenge_region)):
         kept = 0
         while kept < count:
             b = draw(rng, rng.randrange(20, 1001))
@@ -295,7 +296,6 @@ def test_every_violated_arc_ends_at_a_boundary_site():
     regions = [(decide_tileable, _dumbbell(m)) for m in range(1, 98, 2)]
     regions += [(decide_lozenge, _lozenge_dilate(LOZENGE_BAD_PAIR, k)) for k in range(1, 31)]
     regions += _random_bad_pairs(random.Random(23), 60)
-    arcs = 0
     for decide, region in regions:
         graph, bh, _ = _solver_input(decide, region)
         g, bad = compute_gmax(graph, bh)
@@ -306,8 +306,6 @@ def test_every_violated_arc_ends_at_a_boundary_site():
         boundary = np.zeros(len(g), dtype=bool)
         boundary[graph.boundary_ids] = True
         assert len(heads) and boundary[heads].all(), region
-        arcs += len(heads)
-    assert arcs >= len(regions)
 
 
 def test_agreement_with_the_whole_region_sweep_at_scale():
