@@ -31,10 +31,10 @@ Importing this module sets two of glibc's malloc parameters once, through
 trim threshold to 64 MiB, the ceilings that glibc's own dynamic rule
 reaches once a 32 MiB block is freed.  Under the defaults glibc trims the
 heap top when a large decision frees its arrays, and the next decision
-faults the same pages in again: 4-6 thousand minor faults per pass of a
+faults the same pages in again: 2-6 thousand minor faults per pass of a
 large benchmark workload, up to a fifth of its time.  With the
 thresholds fixed, arrays under 32 MiB come from the heap and up to
-64 MiB of freed heap stays mapped between calls; peak RSS is unchanged.
+64 MiB of freed heap stays mapped between calls; peak RSS does not rise.
 Where the C library has no ``mallopt`` (macOS, Windows) nothing is set.
 """
 
@@ -160,7 +160,7 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     with the lattice's metric: no coordinate row is gathered here.
 
     The arcs into non-boundary sites are sorted by tail once, with one
-    ``np.sort`` of the keys ``tail << b | arc``, so site u's out-arcs are
+    in-place sort of the keys ``tail << b | arc``, so site u's out-arcs are
     the slice ``start[u]:start[u + 1]``.  Round k gathers the out-arcs of
     the sites whose label fell in round k - 1 (the boundary sites for
     k = 1), takes ``g(tail) + w`` at the labels of round k - 1 and the
