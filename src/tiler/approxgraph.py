@@ -135,8 +135,9 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
     boundary."""
     site_keys = sorted_unique(keys)
     coords, u, v = decode(site_keys)
-    ids = np.searchsorted(site_keys, keys[:max(p, links.max(initial=-1) + 1)])
-    site_mask = np.full(len(coords), -1, dtype=np.int8)
+    ids = site_keys.searchsorted(keys[:max(p, links.max(initial=-1) + 1)])
+    site_mask = np.empty(len(coords), dtype=np.int8)
+    site_mask.fill(-1)
     site_mask[ids[:p]] = masks
     interior = site_mask < 0
     i, j, steps = [ids[links[0]]], [ids[links[1]]], []
@@ -166,8 +167,7 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
 
     graph = ApproxGraph(coords, ends, bounds, ids[:p])
     deg = graph.degrees()
-    limit = np.full(len(deg), max_degree[0])
-    limit[~interior] = max_degree[1]
+    limit = np.where(interior, *max_degree)
     over = (deg > limit).nonzero()[0]
     if len(over):
         s = over[0]
@@ -178,13 +178,17 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
 
 def _decode_xy(site_keys: np.ndarray):
     xs, ys = unpack(site_keys)
-    return np.stack([xs, ys], axis=1), xs, ys
+    return np.concatenate([xs, ys]).reshape(2, -1).T, xs, ys
 
 
 # The diagonal line families: the first step from (x, y) along (1, 1)
 # cuts cell (x, y), the corner mask's bit 0, and along (1, -1) cell
 # (x, y - 1), its bit 3.  A diagonal unit step has bound 2 both ways.
 _DIAGONALS = (((1, 1), 0, (2, 2)), ((1, -1), 3, (2, 2)))
+# An axis leg's bounds, rise over fall, when tail x + y + dx is even, and
+# what an odd sum adds: 1 and 3, or 3 and 1.
+_LEG_BOUNDS = np.array([[1], [3]], dtype=np.int64)
+_LEG_BOUNDS_ODD = np.array([[2], [-2]], dtype=np.int64)
 
 
 def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
@@ -201,7 +205,6 @@ def build_graph(b: RegionBoundary, sub: Subdivision) -> ApproxGraph:
     cx, cy = sub.inside_corners()
     keys = pack(np.concatenate([bx, lx, cx.ravel()]), np.concatenate([by, ly, cy.ravel()]))
     walk = np.arange(p)
-    links = np.stack([np.concatenate([walk, c]),
-                      np.concatenate([walk[1:], walk[:1], np.arange(p, p + len(c))])])
-    return join_sites(keys, p, links, np.stack([1 + 2 * odd, 3 - 2 * odd]), _decode_xy,
+    links = np.concatenate([walk, c, walk[1:], walk[:1], np.arange(p, p + len(c))]).reshape(2, -1)
+    return join_sites(keys, p, links, _LEG_BOUNDS + _LEG_BOUNDS_ODD * odd, _decode_xy,
                       _DIAGONALS, b.corner_masks, (8, 7))

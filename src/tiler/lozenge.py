@@ -58,7 +58,6 @@ decoded nor searched: the corner masks say which are inside.
 
 from __future__ import annotations
 
-import warnings
 from functools import cached_property
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -86,6 +85,8 @@ _MOVE_OF = {str(k): k for k in STEPS}
 # to _SITE_MASK moves fit.
 _SITE_BITS = 21
 _SITE_MASK = (1 << _SITE_BITS) - 1
+# The shifts that bring a, b and c of a packed key to its low bits.
+_SITE_SHIFTS = np.array([2 * _SITE_BITS, _SITE_BITS, 0], dtype=np.int64)
 
 # Axial steps indexed by move + 3.
 _STEP_Q, _STEP_R = np.array([STEPS.get(m, (0, 0)) for m in range(-3, 4)],
@@ -204,39 +205,51 @@ class LozengeBoundary:
         yield from zip((pos >> 1).tolist(), r.tolist(), (pos & 1 == 1).tolist())
 
 
-def _moves(text: str, commas: int) -> np.ndarray:
-    """The moves of a word with ``commas`` commas.  When every token is 1,
-    2, 3, -1, -2 or -3, the length counts the commas and minus signs, and
-    ``np.fromstring`` decodes the word in C (its unmatched-data warning made
-    an error; a trailing comma reads silently); others go token by token."""
-    if text.isascii() and len(text) == 2 * commas + 1 + text.count("-"):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                tokens = np.fromstring(text, dtype=np.int64, sep=",")
-            if len(tokens) == commas + 1 and ((tokens != 0) & (np.abs(tokens) <= 3)).all():
-                return tokens
-        except (ValueError, DeprecationWarning):
-            pass
+# Byte classes of the move decode, a ``bytes.translate`` table: other,
+# comma, minus and the digits 1, 2 and 3.  _PAIR_MOVE[6 * a + b] reads the
+# classes a, b of two consecutive bytes: the move of the token when b is
+# its digit, 0 when they are a comma and a minus or a digit and a comma,
+# _ILLEGAL otherwise.
+_BYTE_CLASS = bytes(",-123".find(chr(c)) + 1 for c in range(256))
+_ILLEGAL = 4
+_PAIR_MOVE = np.full((6, 6), _ILLEGAL, dtype=np.int8)
+_PAIR_MOVE[1, 2] = _PAIR_MOVE[3:, 1] = 0
+_PAIR_MOVE[1, 3:], _PAIR_MOVE[2, 3:] = (1, 2, 3), (-1, -2, -3)
+_PAIR_MOVE = _PAIR_MOVE.ravel()
+
+
+def _moves(text: str) -> np.ndarray:
+    """The moves of a word, every token stripped of whitespace one of the
+    six spellings, as an int64 array.  Each whitespace run becomes one
+    space and the spaces beside commas go, so that the tokens of a valid
+    word are the words of ``-?[123]``; between sentinel commas, every
+    pair of consecutive bytes is then one that ``_PAIR_MOVE`` accepts,
+    and the pairs that end in a digit give the moves, in one gather.  A
+    bad token raises ``ValueError`` with its index as ``args[1]``."""
+    word = " ".join(text.split())
+    if " " in word:
+        word = word.replace(", ", ",").replace(" ,", ",")
+    # "replace" makes each non-ASCII character an illegal "?".
+    cls = np.frombuffer(f",{word},".encode("ascii", "replace").translate(_BYTE_CLASS),
+                        dtype=np.uint8)
+    moves = _PAIR_MOVE.take(cls[:-1] * 6 + cls[1:])
+    moves = moves.compress(moves != 0)  # not empty: with every pair legal, a digit comes
+    if moves.max() < _ILLEGAL:
+        return moves.astype(np.int64)
     raw = text.split(",")
-    try:
-        return np.array([_MOVE_OF[tok.strip()] for tok in raw], dtype=np.int64)
-    except KeyError:
-        i = next(i for i, tok in enumerate(raw) if tok.strip() not in _MOVE_OF)
-        raise ValueError(f"invalid move {raw[i].strip()!r} at index {i}", i) from None
+    i = next(i for i, tok in enumerate(raw) if tok.strip() not in _MOVE_OF)
+    raise ValueError(f"invalid move {raw[i].strip()!r} at index {i}", i)
 
 
 def parse_lozenge(text: str) -> LozengeBoundary:
     """Parse a comma-separated walk over the six unit directions
     1, 2, 3, -1, -2, -3 (for +-v1, +-v2, +-v3), with whitespace allowed
-    around each token; words without it are decoded in C.  A clockwise
-    walk is reversed; any other token raises ``ValueError`` with the token
-    index as ``args[1]``, and so does a word of more than 2**21 - 1 moves,
-    without an index."""
-    commas = text.count(",")
-    if commas >= _SITE_MASK:
+    around each token.  A clockwise walk is reversed; any other token
+    raises ``ValueError`` with the token index as ``args[1]``, and so does
+    a word of more than 2**21 - 1 moves, without an index."""
+    if text.count(",") >= _SITE_MASK:
         raise ValueError(f"boundary word has more than {_SITE_MASK} moves")
-    tokens = _moves(text, commas)
+    tokens = _moves(text)
     index = tokens + 3
     q, r, count = closed_walk(_STEP_Q[index], _STEP_R[index])
     if count < 0:
@@ -365,7 +378,9 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     # (x - 1, y) and the downward one of (x, y - 1).
     x, y = q - Q0, r - R0
     keys = zorder(np.concatenate([x, x - 1, x - 1, x]), np.concatenate([y, y - 1, y, y - 1]), t)
-    keys = np.sort(keys << 2 | np.repeat(_UNIT_FLAGS, len(x)))
+    keys <<= 2
+    keys |= _UNIT_FLAGS.repeat(len(x))
+    keys.sort()
     keys = np.bitwise_or.reduceat(keys, groups(keys, 2)[1])
     crossed, (level, i, j, up) = climb(keys, t, _PARENT, _CHILD_SLOTS)
     if crossed[0].tolist() != [_UP]:
@@ -378,8 +393,7 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
 
 
 def _decode_tri(site_keys: np.ndarray):
-    coords = np.stack([site_keys >> 2 * _SITE_BITS, (site_keys >> _SITE_BITS) & _SITE_MASK,
-                       site_keys & _SITE_MASK], axis=1)
+    coords = site_keys[:, None] >> _SITE_SHIFTS & _SITE_MASK
     return coords, coords[:, 0] - coords[:, 2], coords[:, 1] - coords[:, 2]
 
 
@@ -413,9 +427,9 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     ar = np.concatenate([r, r[row] + _LEG_R[d], pr, pr + ps, pr + ps * ~pup])
     low = np.minimum(np.minimum(aq, ar), 0)
     keys = ((aq - low) << 2 * _SITE_BITS) | ((ar - low) << _SITE_BITS) | -low
-    tails = np.flatnonzero(b.tokens < 0)
-    links = np.stack([tails, (tails + 1) % len(q)])
-    return join_sites(keys, len(q), links, np.repeat(_LINK_BOUNDS, len(tails), axis=1),
+    tails = (b.tokens < 0).nonzero()[0]
+    links = np.concatenate([tails, (tails + 1) % len(q)]).reshape(2, -1)
+    return join_sites(keys, len(q), links, _LINK_BOUNDS.repeat(len(tails), axis=1),
                       _decode_tri, _FAMILIES, m, (6, 6))
 
 

@@ -59,10 +59,13 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
     ``np.unique`` without ``return_inverse`` imports ``numpy.ma`` on its
     first call (1.7 MB of resident memory), and its hash table is slower
-    than a sort on these mostly ordered keys.  ``np.sort`` is 3-4 times
-    faster than gathering through ``np.argsort`` on 150k keys."""
-    keys = np.sort(keys, axis=None)
-    first = np.ones(len(keys), dtype=bool)
+    than a sort on these mostly ordered keys.  Sorting a flat copy in
+    place is 3-4 times faster than gathering through ``argsort`` on 150k
+    keys."""
+    keys = keys.flatten()
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
     np.greater(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
 
@@ -86,8 +89,8 @@ def odd_at_or_left(keys: np.ndarray, rows: np.ndarray, pos: np.ndarray) -> np.nd
     closed walk crosses every row an even number of times.  So the keys
     of the rows below always number an even count, and the parity of all
     keys at or below ``pack(row, pos)`` is the answer: one
-    ``np.searchsorted`` call and a parity test."""
-    return np.searchsorted(keys, pack(rows, pos), "right") & 1 == 1
+    ``searchsorted`` call and a parity test."""
+    return keys.searchsorted(pack(rows, pos), "right") & 1 == 1
 
 
 def turn_table(n: int) -> np.ndarray:
@@ -124,7 +127,9 @@ def crossing_keys(xy: Tuple[np.ndarray, np.ndarray], steps: Tuple[np.ndarray, np
     x, y = xy
     dx, dy = steps
     cut = dy != 0
-    return np.sort(pack(y[cut] - (dy[cut] < 0), scale * x[cut] + dx[cut]))
+    keys = pack(y[cut] - (dy[cut] < 0), scale * x[cut] + dx[cut])
+    keys.sort()
+    return keys
 
 
 def rows_of(keys: np.ndarray) -> Dict[int, List[int]]:
@@ -263,7 +268,7 @@ def closed_walk(dx: np.ndarray, dy: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
     vertex is visited twice.  Coordinates must lie in [-2**31, 2**31)."""
     if not len(dx):
         raise NotClosed("empty boundary word")
-    xs, ys = np.cumsum(dx), np.cumsum(dy)
+    xs, ys = dx.cumsum(), dy.cumsum()
     end = (int(xs[-1]), int(ys[-1]))
     if end != (0, 0):
         raise NotClosed(f"walk ends at {end}, not at the origin")
@@ -339,7 +344,7 @@ class BoundaryHeight:
     def of_steps(cls, step: np.ndarray) -> "BoundaryHeight":
         """The heights of the walk whose edge i changes the height by
         ``step[i]``."""
-        total = np.cumsum(step)
+        total = step.cumsum()
         return cls(total - step, bool(total[-1] == 0))
 
 

@@ -185,7 +185,7 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     tail, head = graph.ends.ravel(), graph.ends[::-1].ravel()
     fixed = np.zeros(n, dtype=bool)
     fixed[graph.boundary_ids] = True
-    keep = np.flatnonzero(~fixed[head])
+    keep = (~fixed[head]).nonzero()[0]
     b = len(tail).bit_length()
     if (n - 1).bit_length() + b > 63:
         raise InternalInconsistency(f"{n} sites and {len(tail)} arcs overflow the arc keys")
@@ -202,7 +202,8 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     start = np.zeros(n + 1, dtype=np.int64)
     deg.cumsum(out=start[1:])
 
-    g = np.full(n, _UNREACHED, dtype=np.int64)
+    g = np.empty(n, dtype=np.int64)
+    g.fill(_UNREACHED)
     g[graph.boundary_ids] = bh.heights
     fell = graph.boundary_ids
     for _ in range(_round_cap(n)):
@@ -218,16 +219,16 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     if len(fell):
         g = _finish(g, fell, start, head, weight)
 
-    unreached = int(np.count_nonzero(g == _UNREACHED))
-    if unreached:
-        raise InternalInconsistency("site graph left %d sites unreached" % unreached)
+    unreached = (g == _UNREACHED).nonzero()[0]
+    if len(unreached):
+        raise InternalInconsistency("site graph left %d sites unreached" % len(unreached))
 
     gap = g[second] - g[first]
-    bad = np.flatnonzero((gap > rise) | (-gap > fall))
+    bad = ((gap > rise) | (-gap > fall)).nonzero()[0]
     if not len(bad):
         return g, None
     lo, hi = np.minimum(first[bad], second[bad]), np.maximum(first[bad], second[bad])
-    k = np.argmin(lo * n + hi)
+    k = (lo * n + hi).argmin()
     e, x, y = bad[k], int(lo[k]), int(hi[k])
     bounds = (rise[e], fall[e]) if first[e] == x else (fall[e], rise[e])
     return g, ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),

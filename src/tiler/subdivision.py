@@ -56,27 +56,35 @@ from tiler.region import RegionBoundary
 Key = Tuple[int, int]
 
 # Z-order codes: the code of cell (i, j) holds the bits of i on the even
-# places and those of j on the odd ones.  _MASKS[m] keeps the low 2**m
-# bits of every 2**(m + 1).
-_MASKS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-          0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
+# places and those of j on the odd ones.  Both directions take 8 bits of
+# i and of j per pass: _SPREAD[b] puts the bits of the byte b on the even
+# places of 16, and _EVEN[c] gathers the bits on the even places of the
+# 16-bit c, those of its high byte over those of its low one.  _EVEN is
+# built in uint8, so it adds 64 KiB at import and no int64 temporary.
+_SPREAD = sum((np.arange(256) >> k & 1) << 2 * k for k in range(8))
+_EVEN_OF_BYTE = sum((np.arange(256, dtype=np.uint8) >> 2 * k & 1) << k for k in range(4))
+_EVEN = (_EVEN_OF_BYTE[:, None] << 4 | _EVEN_OF_BYTE).ravel()
 
 
 def zorder(i: np.ndarray, j: np.ndarray, t: int) -> np.ndarray:
     """Z-order codes of the cells (i, j), over int64 arrays of values in
-    [0, 2**t), t <= 31."""
-    x = np.concatenate([i, j])
-    for m in range((t - 1).bit_length() - 1, -1, -1):
-        x = (x | x << (1 << m)) & _MASKS[m]
-    return x[:len(i)] | x[len(i):] << 1
+    [0, 2**t), t <= 31: one table pass per byte."""
+    code = _SPREAD[i & 255] | _SPREAD[j & 255] << 1
+    for s in range(8, t, 8):
+        code |= (_SPREAD[i >> s & 255] | _SPREAD[j >> s & 255] << 1) << 2 * s
+    return code
 
 
 def unzorder(code: np.ndarray, t: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of ``zorder``: the arrays i and j."""
-    x = np.concatenate([code, code >> 1]) & _MASKS[0]
-    for m in range((t - 1).bit_length()):
-        x = (x | x >> (1 << m)) & _MASKS[m + 1]
-    return x[:len(code)], x[len(code):]
+    """Inverse of ``zorder``: the arrays i and j, one table pass per byte
+    of each."""
+    low = code & 0xFFFF
+    i, j = _EVEN[low].astype(np.int64), _EVEN[low >> 1].astype(np.int64)
+    for s in range(8, t, 8):
+        low = code >> 2 * s & 0xFFFF
+        i |= np.left_shift(_EVEN[low], s, dtype=np.int64)
+        j |= np.left_shift(_EVEN[low >> 1], s, dtype=np.int64)
+    return i, j
 
 
 def groups(keys: np.ndarray, shift: int):
@@ -111,23 +119,30 @@ def climb(keys: np.ndarray, t: int, parent: np.ndarray, child_slots: np.ndarray)
     to level 1.  The crossed pieces of level t are not among them; each
     caller reads those that are kept off its corner masks.
     """
-    crossed, entries, codes = [keys], [], []
+    crossed, entries = [keys], []
     for _ in range(t):
         code, first = groups(keys, 4)
         entry = np.bitwise_or.reduceat(parent[keys & 15], first)
         keys = code << 2 | entry & 3
         crossed.append(keys)
         entries.append(entry)
-        codes.append(code)
     # The slot bits of each crossed parent's uncrossed children, over the
-    # code of its quadrant-0 child: its own code shifted left by two.
-    entry, base = np.concatenate(entries), np.concatenate(codes) << 2
-    slots = child_slots[entry & 3] ^ entry >> 2
-    where = np.unpackbits(slots.astype(np.uint8), bitorder="little").nonzero()[0]
-    row, slot = where >> 3, where & 7
-    level = np.repeat(np.arange(t, 0, -1), [len(c) for c in codes])[row]
-    i, j = unzorder(base[row] | slot >> 1, t)
-    return crossed[::-1], (level, i, j, slot & 1)
+    # code of its quadrant-0 child: its own key without its flags.  Each
+    # array goes as soon as it is read, which keeps the peak low at large p.
+    entry = np.concatenate(entries)
+    del entries
+    row = np.unpackbits((child_slots[entry & 3] ^ entry >> 2).astype(np.uint8),
+                        bitorder="little").nonzero()[0]
+    del entry
+    slot = row & 7
+    row >>= 3
+    level = np.arange(t, 0, -1).repeat([len(k) for k in crossed[1:]])[row]
+    code = np.concatenate(crossed[1:])[row]
+    del row
+    code &= ~3
+    code |= slot >> 1
+    slot &= 1
+    return crossed[::-1], (level, *unzorder(code, t), slot)
 
 
 # A square cell holds one piece, in slot 0, so every square key has flag

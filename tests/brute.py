@@ -10,14 +10,15 @@ All of them are exponential or area-sized, so they are for small regions
 and radii only.  Around them sit the point-wise lattice rules the
 oracles are written in: cell and vertex colours, edge increments, axial
 coordinates, the scalar ``tri_alpha``, closure tests and the crossed
-squares of a quadtree by level.  The triangle quadtree built in one
-batch over all levels is the reference for the bottom-up build, and the
-relaxation by rounds that scan every arc is the reference for the
-frontier rounds over the tail-sorted arc index, and the array forms of
-both metrics for the bounds that the site graph carries, read off the
-walk and the line families.  The site graphs joined
-in Python tuples, with both flanks of every line step and without the
-boundary edges, are the reference for the one-flank join.
+squares of a quadtree by level, and Z-order codes interleaved bit by
+bit.  The triangle quadtree built in one batch over all levels is the
+reference for the bottom-up build, and the relaxation by rounds that
+scan every arc is the reference for the frontier rounds over the
+tail-sorted arc index, and the array forms of both metrics for the
+bounds that the site graph carries, read off the walk and the line
+families.  The site graphs joined in Python tuples, with both flanks of
+every line step and without the boundary edges, are the reference for
+the one-flank join.
 """
 
 from __future__ import annotations
@@ -278,6 +279,27 @@ def edges(b: RegionBoundary) -> Iterator[Tuple[Point, Point]]:
     for i in range(len(verts) - 1):
         yield verts[i], verts[i + 1]
     yield verts[-1], verts[0]
+
+
+def interleave(i: int, j: int) -> int:
+    """The Z-order code of cell (i, j), bit by bit: bit k of i goes to
+    place 2k and bit k of j to place 2k + 1."""
+    code, k = 0, 0
+    while i >> k or j >> k:
+        code |= (i >> k & 1) << 2 * k | (j >> k & 1) << 2 * k + 1
+        k += 1
+    return code
+
+
+def deinterleave(code: int) -> Tuple[int, int]:
+    """Inverse of ``interleave``: the bits on the even places, and those
+    on the odd ones."""
+    i = j = k = 0
+    while code >> 2 * k:
+        i |= (code >> 2 * k & 1) << k
+        j |= (code >> 2 * k + 1 & 1) << k
+        k += 1
+    return i, j
 
 
 def crossed(sub: Subdivision) -> List[Set[Key]]:

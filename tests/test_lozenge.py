@@ -15,7 +15,7 @@ import pytest
 import digest
 from tiler.errors import EmptyInterior, NotClosed, SelfIntersecting
 from tiler.approxgraph import build_graph
-from tiler.lozenge import (STEPS, _piece_corners, build_tri_graph,
+from tiler.lozenge import (STEPS, _moves, _piece_corners, build_tri_graph,
                            build_tri_subdivision, decide_lozenge,
                            lozenge_boundary_height, lozenge_matching_decide,
                            parse_lozenge, tri_point)
@@ -149,10 +149,10 @@ def test_parse_reports_bad_token_index():
 
 
 def test_parse_matches_the_token_lookup_on_fuzzed_words():
-    # Canonical words (the C decode), the same words with whitespace
-    # around tokens, and words with one corrupted token, half of them
-    # clockwise: each gives the reference's moves, reversed to run
-    # counterclockwise, or its ValueError.
+    # Canonical words, the same words with whitespace around tokens, and
+    # words with one corrupted token, half of them clockwise: each gives
+    # the reference's moves, reversed to run counterclockwise, or its
+    # ValueError.
     rng = random.Random(1213)
     spaces = ("", "", " ", "  ", "\t", "\n")
     corrupt = ("+2", "01", "\u0661", "", "-", "1-", "12", "--1", "0", "4")
@@ -179,35 +179,33 @@ def test_parse_matches_the_token_lookup_on_fuzzed_words():
                 assert parse_lozenge(word).moves == want, word
 
 
-@pytest.mark.parametrize("warns", [False, True])
-def test_parse_rejects_words_np_fromstring_reads_in_part(monkeypatch, warns):
-    # Words of canonical length that np.fromstring reads only in part.  Older
-    # numpy returns the values before unmatched data with a
-    # DeprecationWarning instead of raising; ``warns`` stands in for it.
-    if warns:
-        def fromstring(text, dtype, sep):
-            head = text
-            while head:
-                try:
-                    values = np.array([int(t) for t in head.split(sep)], dtype=dtype)
-                    break
-                except ValueError:
-                    head = head[:-1]
-            else:
-                values = np.zeros(0, dtype=dtype)
-            if head != text:
-                warnings.warn("string or file could not be read to its end due to "
-                              "unmatched data", DeprecationWarning)
-            return values
-        monkeypatch.setattr(np, "fromstring", fromstring)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for word, index in ((HEXAGON + "-", 11), ("1,+1,", 1), ("12,3,", 0),
-                            ("1,1-2,3,", 1)):
-            with pytest.raises(ValueError) as err:
-                parse_lozenge(word)
-            assert err.value.args[1] == index, word
-        assert parse_lozenge(HEXAGON).moves == tuple(map(int, HEXAGON.split(",")))
+def test_move_decode_matches_the_token_decode():
+    # Random words of the six moves (not closed walks) with whitespace
+    # around tokens, some of it what only str.strip counts as whitespace,
+    # the same words with one bad token, with a trailing comma, and words
+    # that a number parser would read in part: each decodes to the
+    # token-by-token moves or raises the same ValueError.
+    rng = random.Random(2417)
+    spaces = ("", "", " ", "  ", "\t", "\r\n", "\u00a0", "\x1c", " \u3000 ")
+    corrupt = ("+1", "01", "4", "--1", "", " ", "-", "1-", "12", "1 2", "- 1", "0",
+               "\u0661", "x")
+    words = ["", ",", " , ", "1,", ",1", "1,,2", HEXAGON + "-", "1,+1,", "12,3,", "1,1-2,3,"]
+    for _ in range(300):
+        toks = [rng.choice(("1", "2", "3", "-1", "-2", "-3")) for _ in range(rng.randrange(1, 60))]
+        bad = toks[:]
+        bad[rng.randrange(len(bad))] = rng.choice(corrupt)
+        words += [",".join(rng.choice(spaces) + t + rng.choice(spaces) for t in toks),
+                  ",".join(bad), ",".join(toks) + ","]
+    for word in words:
+        try:
+            want = lozenge_moves_brute(word)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                _moves(word)
+            assert got.value.args == err.args, repr(word)
+        else:
+            moves = _moves(word)
+            assert moves.dtype == np.int64 and tuple(moves.tolist()) == want, repr(word)
 
 
 def test_parse_rejects_open_empty_and_crossing_walks():

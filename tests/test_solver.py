@@ -369,6 +369,35 @@ def test_decide_path_loads_no_scipy():
     """) == "[]"
 
 
+def test_decide_path_enters_no_numpy_python_wrapper():
+    # np.stack, np.full, np.flatnonzero, np.count_nonzero and the function
+    # forms of array methods (np.sort, np.cumsum, ...) run Python code on
+    # every call, which on small regions is a fair share of a decision.
+    # The first calls load the tables and lazy imports; the watched ones
+    # are a square and a lozenge decision that build a graph.
+    assert _fresh_interpreter("""
+        import os, sys
+        import tiler
+        tiler.decide_tileable("RRUULLDD")
+        tiler.decide_lozenge("1,1,-3,-3,2,2,-1,-1,3,3,-2,-2")
+        watched = tuple(os.path.join("numpy", "_core", name)
+                        for name in ("shape_base.py", "numeric.py", "fromnumeric.py"))
+        entered = set()
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.endswith(watched):
+                entered.add(os.path.basename(code.co_filename) + ":" + code.co_name)
+
+        sys.setprofile(profile)
+        tiler.decide_tileable("RRRRUUUULLLLDDDD")
+        tiler.decide_tileable("RDRURRULULDLLD")
+        tiler.decide_lozenge("1,1,1,-3,-3,-3,2,2,2,-1,-1,-1,3,3,3,-2,-2,-2")
+        sys.setprofile(None)
+        print(sorted(entered))
+    """) == "[]"
+
+
 @pytest.mark.skipif(not solver._HEAP_KEPT, reason="the C library sets no malloc thresholds")
 def test_repeated_decisions_do_not_refault_the_heap():
     # With glibc's default thresholds the heap top is trimmed after each

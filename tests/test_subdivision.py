@@ -11,9 +11,9 @@ from tiler.errors import InternalInconsistency
 from tiler.generators import dilate
 from tiler.reference import enumerate_simply_connected, random_region
 from tiler.region import parse_boundary
-from tiler.subdivision import build_subdivision
+from tiler.subdivision import build_subdivision, unzorder, zorder
 
-from brute import center_xy, crossed, edges
+from brute import center_xy, crossed, deinterleave, edges, interleave
 
 
 def cross2(a, b):
@@ -35,6 +35,23 @@ def test_square_2x2_structure():
     assert sorted({tri.cell for tri in sub.triangles}) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     verts = {v for tri in sub.triangles for v in tri.verts}
     assert verts == {(x, y) for x in range(3) for y in range(3)}
+
+
+@pytest.mark.parametrize("t", [1, 7, 8, 9, 15, 16, 17, 24, 31])
+def test_zorder_matches_bit_interleaving_and_unzorder_inverts_it(t):
+    # The table passes split i and j into bytes; these t put the top
+    # bit below, at and just above a byte boundary.
+    rng = np.random.default_rng(t)
+    top = (1 << t) - 1
+    i = np.concatenate([[0, top, 0, top], rng.integers(0, top + 1, 200)])
+    j = np.concatenate([[0, 0, top, top], rng.integers(0, top + 1, 200)])
+    code = zorder(i, j, t)
+    assert code.dtype == np.int64
+    assert code.tolist() == [interleave(a, b) for a, b in zip(i.tolist(), j.tolist())]
+    ii, jj = unzorder(code, t)
+    assert ii.dtype == jj.dtype == np.int64
+    assert ii.tolist() == i.tolist() and jj.tolist() == j.tolist()
+    assert list(zip(ii.tolist(), jj.tolist())) == [deinterleave(c) for c in code.tolist()]
 
 
 def test_triangles_are_ccw_quarter_cells():
