@@ -208,6 +208,38 @@ def test_move_decode_matches_the_token_decode():
             assert moves.dtype == np.int64 and tuple(moves.tolist()) == want, repr(word)
 
 
+@pytest.mark.parametrize("warns", [False, True])
+def test_parse_rejects_words_np_fromstring_reads_in_part(monkeypatch, warns):
+    # Words of canonical length that np.fromstring reads only in part.  Older
+    # numpy returns the values before unmatched data with a
+    # DeprecationWarning instead of raising; ``warns`` stands in for it, so
+    # the parse must not lean on np.fromstring on any numpy.
+    if warns:
+        def fromstring(text, dtype, sep):
+            head = text
+            while head:
+                try:
+                    values = np.array([int(t) for t in head.split(sep)], dtype=dtype)
+                    break
+                except ValueError:
+                    head = head[:-1]
+            else:
+                values = np.zeros(0, dtype=dtype)
+            if head != text:
+                warnings.warn("string or file could not be read to its end due to "
+                              "unmatched data", DeprecationWarning)
+            return values
+        monkeypatch.setattr(np, "fromstring", fromstring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for word, index in ((HEXAGON + "-", 11), ("1,+1,", 1), ("12,3,", 0),
+                            ("1,1-2,3,", 1)):
+            with pytest.raises(ValueError) as err:
+                parse_lozenge(word)
+            assert err.value.args[1] == index, word
+        assert parse_lozenge(HEXAGON).moves == tuple(map(int, HEXAGON.split(",")))
+
+
 def test_parse_rejects_open_empty_and_crossing_walks():
     with pytest.raises(NotClosed):
         parse_lozenge("1,2")
