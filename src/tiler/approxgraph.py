@@ -34,13 +34,12 @@ four axis legs, with one diagonal always missing at a boundary vertex.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from tiler.errors import InternalInconsistency
-from tiler.region import RegionBoundary, pack, sorted_unique, unpack
+from tiler.region import RegionBoundary, lazy, pack, sorted_unique, unpack
 from tiler.subdivision import Subdivision
 
 Site = Tuple[int, ...]
@@ -81,19 +80,19 @@ class ApproxGraph:
     def degrees(self) -> np.ndarray:
         return np.bincount(self.ends.ravel(), minlength=len(self.coords))
 
-    @cached_property
+    @lazy
     def src(self) -> np.ndarray:
         return np.minimum(*self.ends)
 
-    @cached_property
+    @lazy
     def dst(self) -> np.ndarray:
         return np.maximum(*self.ends)
 
-    @cached_property
+    @lazy
     def sites(self) -> List[Site]:
         return list(zip(*self.coords.T.tolist()))
 
-    @cached_property
+    @lazy
     def adj(self) -> Dict[Site, Tuple[Site, ...]]:
         """Each site's neighbours, in sorted order."""
         nbrs: List[List[int]] = [[] for _ in range(len(self.coords))]

@@ -58,7 +58,6 @@ decoded nor searched: the corner masks say which are inside.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -66,10 +65,10 @@ import numpy as np
 
 from tiler.errors import InternalInconsistency
 from tiler.approxgraph import ApproxGraph, join_sites
-from tiler.region import (BoundaryHeight, closed_walk, corner_masks, crossing_keys,
+from tiler.region import (BoundaryHeight, closed_walk, corner_masks, crossing_keys, lazy,
                           odd_at_or_left, spans, turn_table, walk_back)
 from tiler.solver import TileabilityVerdict, compute_gmax, run_pipeline
-from tiler.subdivision import climb, groups, zorder
+from tiler.subdivision import climb, groups, spread
 
 TriPoint = Tuple[int, int, int]
 Axial = Tuple[int, int]
@@ -162,7 +161,7 @@ class LozengeBoundary:
     def p(self) -> int:
         return len(self.tokens)
 
-    @cached_property
+    @lazy
     def moves(self) -> Tuple[int, ...]:
         return tuple(self.tokens.tolist())
 
@@ -170,16 +169,16 @@ class LozengeBoundary:
     def word(self) -> str:
         return ",".join(str(t) for t in self.moves)
 
-    @cached_property
+    @lazy
     def axial(self) -> List[Axial]:
         q, r = self.qr
         return list(zip(q.tolist(), r.tolist()))
 
-    @cached_property
+    @lazy
     def vertices(self) -> List[TriPoint]:
         return [tri_point(q, r) for q, r in self.axial]
 
-    @cached_property
+    @lazy
     def corner_masks(self) -> np.ndarray:
         """The 6-bit mask of the region's faces around each vertex (q, r),
         in walk order: bits 0 to 5 are the faces (q, r) up, (q, r) down,
@@ -187,7 +186,7 @@ class LozengeBoundary:
         (q, r - 1) down."""
         return corner_masks(_DIRECTION[self.tokens + 3], _TURNS)
 
-    @cached_property
+    @lazy
     def _cut_keys(self) -> np.ndarray:
         """Sorted ``pack(row, pos)`` keys of the strip cuts."""
         index = self.tokens + 3
@@ -296,8 +295,15 @@ def _parent_entry(quadrant: int, flags: int) -> int:
 # Indexed by the low four bits of a cell key, its quadrant and flags.
 _PARENT = np.array([_parent_entry(k >> 2, k & 3) for k in range(16)], dtype=np.int64)
 
-# The crossed faces of the unit cells around a boundary vertex.
-_UNIT_FLAGS = np.array([_UP | _DOWN, _UP | _DOWN, _UP, _DOWN], dtype=np.int64)
+# The crossed faces of the unit cells around a boundary vertex (x, y),
+# indexed by the cell's offsets (x or x - 1, y or y - 1).
+_UNIT_FLAGS = np.array([[[_UP | _DOWN], [_DOWN]], [[_UP], [_UP | _DOWN]]], dtype=np.int64)
+# A cell key spreads x over the even places and y over the odd ones, above
+# its two flag bits; a dilated decrement of either subtracts its lowest
+# place and keeps only its places.
+_FLAG_SHIFTS = np.array([[2], [3]], dtype=np.int64)
+_DECREMENT = np.array([[4], [8]], dtype=np.int64)
+_PLACES = np.array([[0x5555555555555554], [0x2AAAAAAAAAAAAAA8]], dtype=np.int64)
 
 
 class TriSubdivision:
@@ -324,7 +330,7 @@ class TriSubdivision:
         self.piece_side = piece_side
         self.piece_up = piece_up
 
-    @cached_property
+    @lazy
     def pieces(self) -> List[Piece]:
         q, r = self.b.qr
         row, k = _set_bits(self.b.corner_masks)
@@ -373,13 +379,17 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
         N *= 2
     t = N.bit_length() - 1
 
-    # Vertex (x, y) lies strictly inside the root.  Its six unit faces are
-    # both triangles of cells (x, y) and (x - 1, y - 1), the upward one of
-    # (x - 1, y) and the downward one of (x, y - 1).
-    x, y = q - Q0, r - R0
-    keys = zorder(np.concatenate([x, x - 1, x - 1, x]), np.concatenate([y, y - 1, y, y - 1]), t)
-    keys <<= 2
-    keys |= _UNIT_FLAGS.repeat(len(x))
+    # Vertex (x, y) lies strictly inside the root, so x, y >= 1.  Its six
+    # unit faces are both triangles of cells (x, y) and (x - 1, y - 1), the
+    # upward one of (x - 1, y) and the downward one of (x, y - 1).  x and y
+    # are spread once, above the two flag bits; the codes of x - 1 and
+    # y - 1 are dilated decrements of theirs, which borrow no bit past the
+    # top since x, y >= 1.
+    xy = spread(np.concatenate([q - Q0, r - R0]).reshape(2, -1), t) << _FLAG_SHIFTS
+    codes = np.concatenate([xy, (xy - _DECREMENT) & _PLACES]).reshape(2, 2, -1)
+    keys = codes[:, 0, None] | codes[:, 1]
+    keys |= _UNIT_FLAGS
+    keys = keys.ravel()
     keys.sort()
     keys = np.bitwise_or.reduceat(keys, groups(keys, 2)[1])
     crossed, (level, i, j, up) = climb(keys, t, _PARENT, _CHILD_SLOTS)

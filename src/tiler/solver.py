@@ -44,7 +44,6 @@ import ctypes
 import heapq
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -52,7 +51,7 @@ import numpy as np
 from tiler.approxgraph import ApproxGraph, build_graph
 from tiler.errors import InternalInconsistency
 from tiler.lattice import Point
-from tiler.region import RegionBoundary, boundary_height, parse_boundary
+from tiler.region import RegionBoundary, boundary_height, lazy, parse_boundary
 from tiler.subdivision import build_subdivision
 
 # A heap entry packs (height, site id) into one int: height above the
@@ -110,7 +109,7 @@ class TileabilityVerdict:
     site_heights: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False)
 
-    @cached_property
+    @lazy
     def heights(self) -> Optional[Dict[Tuple[int, ...], int]]:
         if self.site_heights is None:
             return None

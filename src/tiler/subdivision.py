@@ -44,14 +44,13 @@ decision and the oracle read the arrays.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from tiler.errors import InternalInconsistency
 from tiler.lattice import Point
-from tiler.region import RegionBoundary
+from tiler.region import RegionBoundary, lazy
 
 Key = Tuple[int, int]
 
@@ -66,13 +65,19 @@ _EVEN_OF_BYTE = sum((np.arange(256, dtype=np.uint8) >> 2 * k & 1) << k for k in 
 _EVEN = (_EVEN_OF_BYTE[:, None] << 4 | _EVEN_OF_BYTE).ravel()
 
 
+def spread(i: np.ndarray, t: int) -> np.ndarray:
+    """The bits of each value of an int64 array in [0, 2**t), t <= 31,
+    moved to the even places: one table pass per byte."""
+    code = _SPREAD[i & 255]
+    for s in range(8, t, 8):
+        code |= _SPREAD[i >> s & 255] << 2 * s
+    return code
+
+
 def zorder(i: np.ndarray, j: np.ndarray, t: int) -> np.ndarray:
     """Z-order codes of the cells (i, j), over int64 arrays of values in
-    [0, 2**t), t <= 31: one table pass per byte."""
-    code = _SPREAD[i & 255] | _SPREAD[j & 255] << 1
-    for s in range(8, t, 8):
-        code |= (_SPREAD[i >> s & 255] | _SPREAD[j >> s & 255] << 1) << 2 * s
-    return code
+    [0, 2**t), t <= 31."""
+    return spread(i, t) | spread(j, t) << 1
 
 
 def unzorder(code: np.ndarray, t: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -224,7 +229,7 @@ class Subdivision:
         level, iu, iv = (a.tolist() for a in self.inside_at)
         return sorted(zip(level, zip(iu, iv)))
 
-    @cached_property
+    @lazy
     def triangles(self) -> List[Triangle]:
         """The kept half-cells, by the Z-order code of their square and
         then counterclockwise: around each centre vertex, one in each cell
