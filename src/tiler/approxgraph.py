@@ -15,21 +15,20 @@ strongly inside the region with no other site in between:
   boundary vertex), and otherwise when the cell that its first unit step
   cuts is a region cell.
 
-``join_sites`` builds the graph of either lattice in arrays and makes
-each edge once, so no sort removes duplicates: site ids are the ranks of
-the sorted distinct packed coordinate keys, and one ``np.searchsorted``
-gives those of the boundary vertices and of the pairs joined outright.
-Each line family comes from one sort of packed (line, position) keys.
-Its gaps between two boundary vertices test one flank of the first step,
-a cell or face around the first end: one bit of that vertex's corner
-mask, which the walk's turn there gives.  So the graph build makes no
-membership search.  Each edge stores its two bounds on the height
-difference, so neither the join nor the solver gathers coordinate rows:
-a pair joined outright gets them from its caller, who reads them off the
-walk, and a line join its length times the family's unit-step bounds,
-since both metrics are linear along a lattice line.  Degrees are bounded
-by construction, on squares by two neighbours per diagonal line plus
-four axis legs, with one diagonal always missing at a boundary vertex.
+``join_sites`` builds the graph of either lattice in arrays, and the
+graph is its lines: per line family the sites sorted by (line,
+position) and each consecutive pair's bounds, and the few pairs joined
+outright, the links.  Site ids are the ranks of the sorted distinct
+packed coordinate keys, and one ``np.searchsorted`` gives those of the
+boundary vertices and of the links.  A gap between two boundary
+vertices tests one flank of the first step, a bit of that vertex's
+corner mask, which the walk's turn there gives, so the build makes no
+membership search.  A line join's bounds are its length times the
+family's unit-step bounds, since both metrics are linear along a lattice
+line, and a link's come from its caller, who reads them off the walk.
+The edge list is a view.  Degrees are bounded by construction, on
+squares by two neighbours per diagonal line plus four axis legs, with
+one diagonal always missing at a boundary vertex.
 """
 
 from __future__ import annotations
@@ -45,40 +44,105 @@ from tiler.subdivision import Subdivision
 Site = Tuple[int, ...]
 
 
+# The bounds of a pair of consecutive sites that no edge joins.
+_NO_BOUND = np.iinfo(np.int64).max
+
+
 class ApproxGraph:
-    """Site graph over integer ids, shared by both lattices.
+    """Site graph over integer ids, shared by both lattices, held as its
+    lines and links.
 
     ``coords`` is the (n, d) int64 array of site coordinates in sorted
-    order; ``ends`` is the (2, E) int64 array whose rows (first, second)
-    list each edge once, oriented as built; ``bounds`` is the (2, E) int64
-    array whose rows (rise, fall) are each edge's bounds on
-    g(second) - g(first) and on g(first) - g(second); ``boundary_ids`` are
-    the ids of the boundary vertices in walk order.
-    ``src`` and ``dst`` (each edge as src < dst), ``sites`` and ``adj`` are
-    views built on first access, for the tests and the benchmark's
-    counters; the decision never builds them.
+    order, ``boundary_ids`` the boundary vertices' ids in walk order.
+    Each of ``lines`` is a family ``(order, steps, unit)``: ``order``
+    lists every site id by line and position, ``steps[i]`` is the length
+    in unit steps of the edge from ``order[i]`` to ``order[i + 1]``, 0
+    where none joins them, and ``unit`` a unit step's bounds, forward and
+    back.  ``links`` is the (2, L) array of the other edges, with bounds
+    ``link_bounds`` on g(second) - g(first) and g(first) - g(second).
+
+    A family is kept as ``(order, ahead, back, rise, drop)``: ``rise``
+    and ``drop`` bound g(order[i + 1]) - g(order[i]) above and below,
+    ``_NO_BOUND`` where no edge joins the pair, and ``ahead`` and
+    ``back`` are the cumulative arc weights along ``order`` and its
+    reverse, in which an arc into a boundary site, or a pair no edge
+    joins, weighs ``jump``, over twice all bounds together.
+    ``link_arcs`` are the link arcs into non-boundary sites, as (tails,
+    heads, weights).  ``ends`` and ``bounds``, the (2, E) arrays of every
+    edge, links first, and the views on them are built on first read.
     """
 
-    def __init__(self, coords: np.ndarray, ends: np.ndarray, bounds: np.ndarray,
-                 boundary_ids: np.ndarray):
-        self.coords = coords
-        self.ends = ends
-        self.bounds = bounds
-        self.boundary_ids = boundary_ids
+    def __init__(self, coords: np.ndarray, boundary_ids: np.ndarray, lines,
+                 links: np.ndarray, link_bounds: np.ndarray):
+        n = len(coords)
+        self.coords, self.boundary_ids = coords, boundary_ids
+        self.links, self.link_bounds = links, link_bounds
+        self.interior = interior = np.empty(n, dtype=bool)
+        interior.fill(True)
+        interior[boundary_ids] = False
+        total = int(np.add.reduce(link_bounds.ravel()))
+        for _, steps, unit in lines:
+            total += int(np.add.reduce(steps)) * sum(unit)
+        self.jump = jump = 2 * total + 1
+        if jump * (n + 1) >= 1 << 61:
+            raise InternalInconsistency(f"{n} sites and bounds {total} overflow the line scans")
+        self.edge_count = links.shape[1]
+        self.lines = []
+        for order, steps, (forward, backward) in lines:
+            joined = steps > 0
+            self.edge_count += int(np.add.reduce(joined))
+            rise, drop = steps * forward, steps * -backward
+            ahead, back = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            np.where(joined & interior[order[1:]], rise, jump).cumsum(out=ahead[1:])
+            np.where(joined & interior[order[:-1]], -drop, jump)[::-1].cumsum(out=back[1:])
+            joined = ~joined
+            rise[joined] = _NO_BOUND
+            drop[joined] = -_NO_BOUND
+            self.lines.append((order, ahead, back, rise, drop))
+        heads = links[::-1].ravel()
+        keep = interior[heads].nonzero()[0]
+        self.link_arcs = links.ravel()[keep], heads[keep], link_bounds.ravel()[keep]
+        self.link_limits = link_bounds[0], -link_bounds[1]
 
     @property
     def site_count(self) -> int:
         return len(self.coords)
 
-    @property
-    def edge_count(self) -> int:
-        return self.ends.shape[1]
-
     def site(self, i: int) -> Site:
         return tuple(self.coords[i].tolist())
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.ends.ravel(), minlength=len(self.coords))
+        """Each site's degree, counted from the lines and the links."""
+        n = len(self.coords)
+        deg = np.bincount(self.links.ravel(), minlength=n)
+        for order, _, _, rise, _ in self.lines:
+            joined = rise != _NO_BOUND
+            per = np.zeros(n, dtype=np.int64)
+            per[1:] = joined
+            per[:-1] += joined
+            deg[order] += per
+        return deg
+
+    @lazy
+    def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        first, second = [self.links[0]], [self.links[1]]
+        rise, fall = [self.link_bounds[0]], [self.link_bounds[1]]
+        for order, _, _, up, down in self.lines:
+            joined = (up != _NO_BOUND).nonzero()[0]
+            first.append(order[joined])
+            second.append(order[joined + 1])
+            rise.append(up[joined])
+            fall.append(-down[joined])
+        return (np.concatenate(first + second).reshape(2, -1),
+                np.concatenate(rise + fall).reshape(2, -1))
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def bounds(self) -> np.ndarray:
+        return self._edges[1]
 
     @lazy
     def src(self) -> np.ndarray:
@@ -117,21 +181,9 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
     the pair of bounds of that step, forward and back.
     Consecutive sites on a line are joined when either is not a boundary
     vertex, or else when that flank of the first step is inside: a bit of
-    the first site's mask, read with no membership search.  Interior sites
-    have every bit set, so the bit test also passes when the first site is
-    interior.
-    Each edge carries its two bounds.  A link's are ``link_bounds``.  A
-    family join k unit steps long gets k times the family's unit-step
-    bounds, with no rows gathered.  That is exact because both metrics are
-    linear along a lattice line.  On squares k diagonal steps have bound 2k both ways:
-    ``alpha`` is twice the Chebyshev distance when the two parts of the
-    displacement have one parity.  On the triangular lattice ``tri_alpha``
-    is the coordinate sum of the displacement in canonical form.  k steps
-    along v1 are (k, 0, 0) forward and (0, k, k) back, so bound k and 2k,
-    and likewise along v2; k steps along -v3 are (k, k, 0) and (0, 0, k),
-    so 2k and k.
-    Degrees are at most ``max_degree[0]``, ``max_degree[1]`` on the
-    boundary."""
+    the first site's mask.  Interior sites have every bit set, so the bit
+    test also passes when the first site is interior.  Degrees are at most
+    ``max_degree[0]``, ``max_degree[1]`` on the boundary."""
     site_keys = sorted_unique(keys)
     coords, u, v = decode(site_keys)
     ids = site_keys.searchsorted(keys[:max(p, links.max(initial=-1) + 1)])
@@ -139,32 +191,20 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
     site_mask.fill(-1)
     site_mask[ids[:p]] = masks
     interior = site_mask < 0
-    i, j, steps = [ids[links[0]]], [ids[links[1]]], []
-    for (du, dv), bit, _ in families:
+    lines = []
+    for (du, dv), bit, unit in families:
         line = dv * u - du * v
         position = u if du else v
         order = pack(line, position).argsort()
         line, position = line[order], position[order]
-        a, c = order[:-1], order[1:]
-        joined = site_mask[a] & 1 << bit != 0
-        joined |= interior[c]
+        joined = site_mask[order[:-1]] & 1 << bit != 0
+        joined |= interior[order[1:]]
         joined &= line[1:] == line[:-1]
-        steps.append((position[1:] - position[:-1])[joined])
-        i.append(a[joined])
-        j.append(c[joined])
-    ends = np.concatenate(i + j).reshape(2, -1)
-    del i, j
-    # The bounds go straight into one (2, E) array, in the edges' order.
-    bounds = np.empty_like(ends)
-    at = links.shape[1]
-    bounds[:, :at] = link_bounds
-    for k, (_, _, unit) in zip(steps, families):
-        end = at + len(k)
-        for row, factor in zip(bounds, unit):
-            np.multiply(k, factor, out=row[at:end])
-        at = end
+        steps = position[1:] - position[:-1]
+        steps *= joined
+        lines.append((order, steps, unit))
 
-    graph = ApproxGraph(coords, ends, bounds, ids[:p])
+    graph = ApproxGraph(coords, ids[:p], lines, ids[links], link_bounds)
     deg = graph.degrees()
     limit = np.where(interior, *max_degree)
     over = (deg > limit).nonzero()[0]

@@ -128,9 +128,11 @@ def _set_bits(masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 # The three line families: the directions v1, v2 and -v3, each with the
 # sector of the upward face flanking the unit edge from (q, r) along it
-# and the bounds of that unit step, forward and back.  Off the boundary
-# the downward face agrees; boundary edges of moves -1, -2 and -3 have
-# the upward one outside and are joined outright.
+# and the bounds of that unit step, forward and back: a step along v1 is
+# (1, 0, 0) forward and (0, 1, 1) back in canonical form, so 1 and 2, and
+# likewise along v2; along -v3, 2 and 1.  Off the boundary the downward
+# face agrees; boundary edges of moves -1, -2 and -3 have the upward one
+# outside and are joined outright.
 _FAMILIES = (((1, 0), 0, (1, 2)), ((0, 1), 2, (1, 2)), ((1, 1), 0, (2, 1)))
 # Those boundary edges' bounds: a unit step along -v1, -v2 or v3 is
 # (0, 1, 1) forward and (1, 0, 0) back in canonical form, so 2 and 1.
@@ -298,12 +300,10 @@ _PARENT = np.array([_parent_entry(k >> 2, k & 3) for k in range(16)], dtype=np.i
 # The crossed faces of the unit cells around a boundary vertex (x, y),
 # indexed by the cell's offsets (x or x - 1, y or y - 1).
 _UNIT_FLAGS = np.array([[[_UP | _DOWN], [_DOWN]], [[_UP], [_UP | _DOWN]]], dtype=np.int64)
-# A cell key spreads x over the even places and y over the odd ones, above
-# its two flag bits; a dilated decrement of either subtracts its lowest
-# place and keeps only its places.
-_FLAG_SHIFTS = np.array([[2], [3]], dtype=np.int64)
-_DECREMENT = np.array([[4], [8]], dtype=np.int64)
+# A cell key spreads x over the even places and y over the odd ones above
+# its two flag bits; a dilated decrement subtracts the lowest place.
 _PLACES = np.array([[0x5555555555555554], [0x2AAAAAAAAAAAAAA8]], dtype=np.int64)
+_LOWEST = _PLACES & -_PLACES
 
 
 class TriSubdivision:
@@ -385,8 +385,8 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
     # are spread once, above the two flag bits; the codes of x - 1 and
     # y - 1 are dilated decrements of theirs, which borrow no bit past the
     # top since x, y >= 1.
-    xy = spread(np.concatenate([q - Q0, r - R0]).reshape(2, -1), t) << _FLAG_SHIFTS
-    codes = np.concatenate([xy, (xy - _DECREMENT) & _PLACES]).reshape(2, 2, -1)
+    xy = spread(np.concatenate([q - Q0, r - R0]).reshape(2, -1), t) * _LOWEST
+    codes = np.concatenate([xy, (xy - _LOWEST) & _PLACES]).reshape(2, 2, -1)
     keys = codes[:, 0, None] | codes[:, 1]
     keys |= _UNIT_FLAGS
     keys = keys.ravel()

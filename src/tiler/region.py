@@ -70,13 +70,11 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 class lazy:
-    """An attribute computed on its first read and then stored on the
-    instance, as ``functools.cached_property`` does, but without the lock
-    that Python 3.11 takes on that first read (about 1 us)."""
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on the first read, about 1 us."""
 
     def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
+        self.fn, self.__doc__ = fn, fn.__doc__
 
     def __get__(self, obj, owner=None):
         if obj is None:

@@ -8,23 +8,28 @@ function.  Its restriction to the sites of the sleeve graph satisfies
 
 with g fixed to the boundary height on boundary sites, because along any
 edge of the graph the height can increase by at most alpha.  So g is the
-multi-source shortest-path length from the boundary sites over integer
-site ids, with arcs into boundary sites dropped.  It is computed in
-vector rounds of label correction, driven by the frontier as in Meyer
-and Sanders' delta-stepping: each round gathers, in a few numpy kernels,
-only the arcs out of the sites whose label fell in the round before.
-The rounds needed grow with the quadtree depth, not with p.  A heap
-loop remains only as a capped finish for a graph that needs more rounds
-than the cap.  Then every edge constraint
+multi-source shortest-path length from the boundary sites, with arcs
+into boundary sites dropped.  Every edge but a few links joins two
+consecutive sites on a lattice line, so g is relaxed in sweeps along the
+lines, as the two-pass distance transform of Rosenfeld and Pfaltz runs
+along rows: per line family one forward and one backward segmented
+min-plus scan (``np.minimum.accumulate`` against the cumulative arc
+weights), and one pass over the links.  After each sweep one check over
+every edge finds the arcs that fail.  If one runs into a non-boundary
+site the labels sweep again; otherwise every such arc holds, so the
+labels, each the length of a real path, are the shortest path lengths
+whatever the sweep count, and the failed arcs are the violated
+constraints
 
-    -alpha(y, x) <= g(y) - g(x) <= alpha(x, y)
+    -alpha(y, x) <= g(y) - g(x) <= alpha(x, y).
 
-is checked in one vector pass, and the region is untileable exactly when
-one fails.  ``run_pipeline`` decides for both lattices and the oracle:
-an unbalanced boundary (closure defect in the height walk) exits before
-any graph is built, and each lattice passes its stages.  The site graph
-carries each edge's two bounds, read off the walk and the line families,
-so no stage evaluates a metric.
+The region is untileable exactly when one fails.  The benchmark's large
+graphs settle in one sweep; a heap loop finishes past a cap on sweeps.
+``run_pipeline`` decides for both lattices and the oracle: an unbalanced
+boundary (closure defect in the height walk) exits before any graph is
+built, and each lattice passes its stages.  The site graph carries each
+edge's two bounds, read off the walk and the line families, so no stage
+evaluates a metric.
 
 Importing this module sets two of glibc's malloc parameters once, through
 ``mallopt``, for the whole process: the mmap threshold to 32 MiB and the
@@ -54,10 +59,6 @@ from tiler.lattice import Point
 from tiler.region import RegionBoundary, boundary_height, lazy, parse_boundary
 from tiler.subdivision import build_subdivision
 
-# A heap entry packs (height, site id) into one int: height above the
-# low 32 bits, so entries order by height first.
-_ID_BITS = 32
-_ID_MASK = (1 << _ID_BITS) - 1
 _UNREACHED = 1 << 62
 
 # glibc's mallopt parameters, set at import (see above).
@@ -141,8 +142,9 @@ class TileabilityVerdict:
 
 
 def _round_cap(n: int) -> int:
-    """Vector rounds before the heap finish takes over, for n sites.  The
-    rounds needed grow with the quadtree depth, about log2 n."""
+    """Sweeps before the heap finish takes over, for n sites.  The
+    benchmark's large graphs settle in one sweep, random regions of up to
+    3,000 cells in one to three."""
     return 2 * (n.bit_length() + 1)
 
 
@@ -152,115 +154,114 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     Returns the int64 array of heights indexed by site id and the
     violated edge constraint whose endpoints come first in sorted site
     order, if any: the least (min id, max id) among the violated edges,
-    with its bounds read from the smaller id.
-    ``bh.heights`` is the int64 array of the boundary heights in walk
-    order, the order of ``graph.boundary_ids``.  The per-edge height
-    bounds are the graph's own, ``graph.bounds``, which the join made
-    with the lattice's metric: no coordinate row is gathered here.
+    with its bounds read from the smaller id.  ``bh.heights`` holds the
+    boundary heights in the order of ``graph.boundary_ids``.
 
-    The arcs into non-boundary sites are sorted by tail once, with one
-    in-place sort of the keys ``tail << b | arc``, so site u's out-arcs are
-    the slice ``start[u]:start[u + 1]``.  Round k gathers the out-arcs of
-    the sites whose label fell in round k - 1 (the boundary sites for
-    k = 1), takes ``g(tail) + w`` at the labels of round k - 1 and the
-    least per head with ``np.minimum.at`` into a copy of the labels; the
-    sites whose label dropped are the next frontier.  No round scans all
-    arcs: on the benchmark regions the arcs gathered over all 7-16 rounds
-    add up to 1.0-1.6 times the kept arcs.  When no label falls every arc
-    holds, so the labels are the shortest path lengths.  After
-    ``_round_cap(n)`` rounds without that fixed point, ``_finish`` runs
-    the heap loop from the labels as they are, seeded with the sites that
-    fell in the last round.  The finish is exact: every label is the
-    length of a real path from the boundary, and every arc out of a
-    reached site not seeded was relaxed at the site's current label and
-    still holds, since labels only fall.  Arcs out of unreached sites are
-    never relaxed, so the ``_UNREACHED`` label stands for infinity.
+    Unreached labels start at ``_UNREACHED``.  A scan carries a label
+    across a pair that no arc joins only with ``graph.jump`` added, which
+    exceeds the spread of the boundary heights plus any path, so such a
+    label never undercuts a real one, and a site is unreached when its
+    label is a jump or more above the least boundary height.
     """
-    (first, second), (rise, fall) = graph.ends, graph.bounds  # on g(second) - g(first), back
     n = len(graph.coords)
-
-    # Arc k < E runs along edge k, arc E + k against it: the rows of
-    # ``ends`` and ``bounds`` read in order.
-    tail, head = graph.ends.ravel(), graph.ends[::-1].ravel()
-    fixed = np.zeros(n, dtype=bool)
-    fixed[graph.boundary_ids] = True
-    keep = (~fixed[head]).nonzero()[0]
-    b = len(tail).bit_length()
-    if (n - 1).bit_length() + b > 63:
-        raise InternalInconsistency(f"{n} sites and {len(tail)} arcs overflow the arc keys")
-    # In place, so that at most three 2E-sized arrays are live at once.
-    keys = tail[keep]
-    keys <<= b
-    keys |= keep
-    del keep
-    keys.sort()
-    deg = np.bincount(keys >> b, minlength=n)
-    keys &= (1 << b) - 1  # the arcs, sorted by tail
-    head, weight = head[keys], graph.bounds.ravel()[keys]
-    del keys
-    start = np.zeros(n + 1, dtype=np.int64)
-    deg.cumsum(out=start[1:])
-
+    heights = bh.heights
+    low = int(np.minimum.reduce(heights))
+    if int(np.maximum.reduce(heights)) - low > graph.jump // 2:
+        raise InternalInconsistency("the boundary heights spread past the site graph's jump")
     g = np.empty(n, dtype=np.int64)
     g.fill(_UNREACHED)
-    g[graph.boundary_ids] = bh.heights
+    g[graph.boundary_ids] = heights
     fell = graph.boundary_ids
     for _ in range(_round_cap(n)):
+        _sweep(graph, g)
+        tails, heads, ahead, back = _violated(graph, g)
+        fell = tails[graph.interior[heads]]
         if not len(fell):
             break
-        out = deg[fell]
-        ends = out.cumsum()
-        arcs = (start[fell] - ends + out).repeat(out) + np.arange(ends[-1])
-        lowered = g.copy()
-        np.minimum.at(lowered, head[arcs], g[fell].repeat(out) + weight[arcs])
-        fell = (lowered < g).nonzero()[0]
-        g = lowered
     if len(fell):
-        g = _finish(g, fell, start, head, weight)
+        g = _finish(graph, g, fell)
+        tails, heads, ahead, back = _violated(graph, g)
 
-    unreached = (g == _UNREACHED).nonzero()[0]
+    unreached = (g >= low + graph.jump).nonzero()[0]
     if len(unreached):
         raise InternalInconsistency("site graph left %d sites unreached" % len(unreached))
-
-    gap = g[second] - g[first]
-    bad = ((gap > rise) | (-gap > fall)).nonzero()[0]
-    if not len(bad):
+    if not len(tails):
         return g, None
-    lo, hi = np.minimum(first[bad], second[bad]), np.maximum(first[bad], second[bad])
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
     k = (lo * n + hi).argmin()
-    e, x, y = bad[k], int(lo[k]), int(hi[k])
-    bounds = (rise[e], fall[e]) if first[e] == x else (fall[e], rise[e])
+    x, y = int(lo[k]), int(hi[k])
+    bounds = (ahead[k], back[k]) if tails[k] == x else (back[k], ahead[k])
     return g, ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),
                            *map(int, bounds))
 
 
-def _finish(g: np.ndarray, fell: np.ndarray, start: np.ndarray, head: np.ndarray,
-            weight: np.ndarray) -> np.ndarray:
-    """Label-correcting heap loop from the labels ``g``, seeded with the
-    sites ``fell`` whose out-arcs may not hold, over the arcs sorted by
-    tail (``start`` as in ``compute_gmax``).  Each pop relaxes the site's
-    out-arcs and pushes the heads that fall, so every arc holds when the
-    heap empties."""
-    heads = head.tolist()
-    weights = weight.tolist()
-    start = start.tolist()
-    labels = g.tolist()
+def _sweep(graph: ApproxGraph, g: np.ndarray) -> None:
+    """Lower the labels ``g`` in place along every arc once: the link arcs,
+    then each line family forward and back.  A scan along the family's
+    order is a segmented min-plus prefix: with W the cumulative arc
+    weights, g[j] becomes min over i <= j of g[i] + W[j] - W[i], and a
+    jump in W stops every path that no arc carries."""
+    tails, heads, weights = graph.link_arcs
+    if len(heads):
+        np.minimum.at(g, heads, g[tails] + weights)
+    for order, ahead, back, _, _ in graph.lines:
+        vals = g[order]
+        vals -= ahead
+        np.minimum.accumulate(vals, out=vals)
+        vals += ahead
+        rev = vals[::-1]
+        rev -= back
+        np.minimum.accumulate(rev, out=rev)
+        rev += back
+        g[order] = vals
 
-    heap = [(labels[i] << _ID_BITS) | i for i in fell.tolist()]
+
+def _violated(graph: ApproxGraph, g: np.ndarray):
+    """The arcs whose bound the labels ``g`` break, as the arrays (tails,
+    heads, bound along, bound back), each violated edge once."""
+    (first, second), (rise, drop) = graph.links, graph.link_limits
+    pairs = [(first, second, g[second] - g[first], rise, drop)]
+    for order, _, _, rise, drop in graph.lines:
+        vals = g[order]
+        pairs.append((order[:-1], order[1:], vals[1:] - vals[:-1], rise, drop))
+    found = [[], [], [], []]
+    for first, second, gap, rise, drop in pairs:
+        up, down = (gap > rise).nonzero()[0], (gap < drop).nonzero()[0]
+        if len(up) or len(down):
+            for part, a, b in zip(found, (first, second, rise, -drop), (second, first, -drop, rise)):
+                part += a[up], b[down]
+    if not found[0]:
+        return _NONE_VIOLATED
+    return [np.concatenate(part) for part in found]
+
+
+_NONE_VIOLATED = (np.empty(0, dtype=np.int64),) * 4
+
+
+def _finish(graph: ApproxGraph, g: np.ndarray, fell: np.ndarray) -> np.ndarray:
+    """Label-correcting heap loop from the labels ``g``, seeded with the
+    sites ``fell`` whose out-arcs may fail, over the only tail-grouped
+    arc index, built from the edge list view.  Each pop relaxes the
+    site's out-arcs and pushes the heads that fall, so every arc holds
+    when the heap empties."""
+    tail, head = graph.ends.ravel(), graph.ends[::-1].ravel()
+    arcs = graph.interior[head].nonzero()[0]
+    arcs = arcs[tail[arcs].argsort(kind="stable")]
+    start = np.zeros(len(g) + 1, dtype=np.int64)
+    np.bincount(tail[arcs], minlength=len(g)).cumsum(out=start[1:])
+    heads, weights = head[arcs].tolist(), graph.bounds.ravel()[arcs].tolist()
+    start, labels = start.tolist(), g.tolist()
+    heap = [(labels[u], u) for u in fell.tolist()]
     heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        entry = pop(heap)
-        h = entry >> _ID_BITS
-        u = entry & _ID_MASK
+        h, u = heapq.heappop(heap)
         if h > labels[u]:
             continue
         for k in range(start[u], start[u + 1]):
-            v = heads[k]
-            hv = h + weights[k]
+            v, hv = heads[k], h + weights[k]
             if hv < labels[v]:
                 labels[v] = hv
-                push(heap, (hv << _ID_BITS) | v)
+                heapq.heappush(heap, (hv, v))
     return np.array(labels, dtype=np.int64)
 
 

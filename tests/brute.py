@@ -37,7 +37,7 @@ from tiler.lozenge import (STEPS, Axial, Face, LozengeBoundary, TriPoint, TriSub
                            tri_point)
 from tiler.reference import Tiling, domino
 from tiler.region import INVERSE, MOVES, RegionBoundary, boundary_height, sorted_unique
-from tiler.solver import _UNREACHED, ViolatedPair, _round_cap
+from tiler.solver import _UNREACHED, ViolatedPair
 from tiler.subdivision import Key, Subdivision, unzorder
 
 _AXIS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -406,13 +406,12 @@ def batch_tri_subdivision(b: LozengeBoundary) -> SimpleNamespace:
 # for those out of the frontier.
 
 
-def masked_round_gmax(graph: ApproxGraph, bh, metric=alpha_array, cap=None):
-    """``compute_gmax`` as it was before the tail-sorted arc index: the
-    same rounds, each found by masking every arc with the frontier and
-    reducing per head, and the same heap finish after ``cap`` rounds
-    (default ``solver._round_cap``).  Returns the heights, the witness
-    (the violated edge with the least (src, dst)) and what the finish was
-    handed, ``(labels, fell)``, or None."""
+def masked_round_gmax(graph: ApproxGraph, bh, metric=alpha_array):
+    """The maximal heights by label-correcting rounds over the edge list
+    view, the reference for ``compute_gmax``: each round masks every arc
+    with the frontier and reduces per head, until no label falls.
+    Returns the heights and the witness, the violated edge with the least
+    (src, dst)."""
     coords, src, dst = graph.coords, graph.src, graph.dst
     n = len(coords)
     x, y = coords[src], coords[dst]
@@ -431,9 +430,7 @@ def masked_round_gmax(graph: ApproxGraph, bh, metric=alpha_array, cap=None):
     g[graph.boundary_ids] = bh.heights
     fell = graph.boundary_ids
     active = np.zeros(n, dtype=bool)
-    for _ in range(_round_cap(n) if cap is None else cap):
-        if not len(fell):
-            break
+    while len(fell):
         active[:] = False
         active[fell] = True
         arcs = np.flatnonzero(active[tail])  # still sorted by head
@@ -444,41 +441,15 @@ def masked_round_gmax(graph: ApproxGraph, bh, metric=alpha_array, cap=None):
         lower = best < g[to]
         fell = to[lower]
         g[fell] = best[lower]
-    handoff = None
-    if len(fell):
-        handoff = (g.copy(), fell)
-        g = _heap_finish(g, fell, tail, head, weight)
 
     gap = g[dst] - g[src]
     bad = np.flatnonzero((gap > rise) | (-gap > fall))
     if not len(bad):
-        return g, None, handoff
+        return g, None
     e = min(bad.tolist(), key=lambda e: (src[e], dst[e]))
     x, y = int(src[e]), int(dst[e])
     return g, ViolatedPair(graph.site(x), graph.site(y), int(g[x]), int(g[y]),
-                           int(rise[e]), int(fall[e])), handoff
-
-
-def _heap_finish(g, fell, tail, head, weight):
-    """Label-correcting heap loop from the labels ``g``, seeded with
-    ``fell``, over arcs in any order."""
-    order = np.argsort(tail, kind="stable")
-    start = np.zeros(len(g) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=len(g)), out=start[1:])
-    heads, weights, start = head[order].tolist(), weight[order].tolist(), start.tolist()
-    labels = g.tolist()
-    heap = [(labels[u], u) for u in fell.tolist()]
-    heapq.heapify(heap)
-    while heap:
-        h, u = heapq.heappop(heap)
-        if h > labels[u]:
-            continue
-        for k in range(start[u], start[u + 1]):
-            v, hv = heads[k], h + weights[k]
-            if hv < labels[v]:
-                labels[v] = hv
-                heapq.heappush(heap, (hv, v))
-    return np.array(labels, dtype=np.int64)
+                           int(rise[e]), int(fall[e]))
 
 
 # ---------------------------------------------------------------------------

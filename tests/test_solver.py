@@ -113,18 +113,27 @@ def test_heights_satisfy_every_edge():
 
 
 def test_unreached_site_is_an_internal_inconsistency():
-    # Two boundary sites joined by an edge and a third site with none.
+    # Two boundary sites joined along one line and a third site after a
+    # pair that no edge joins.
     coords = np.array([(0, 0), (0, 1), (5, 5)], dtype=np.int64)
-    graph = ApproxGraph(coords, np.array([[0], [1]]),
-                        np.array(alpha_array(coords[:1], coords[1:2])), np.array([0, 1]))
+    no_links = np.empty((2, 0), dtype=np.int64)
+    line = (np.arange(3), np.array([1, 0]), (1, 3))
+    graph = ApproxGraph(coords, np.array([0, 1]), [line], no_links, no_links)
     bh = BoundaryHeight(np.array([0, 1]), True)
     with pytest.raises(InternalInconsistency, match="1 sites unreached"):
         compute_gmax(graph, bh)
-    # Two more sites joined only to each other: the rounds must not lower
-    # the unreached label through the arcs between them, and must stop.
+    # Two more sites joined only to each other: a scan carries a label
+    # across the unjoined pair only with the jump in it, so they stay
+    # unreached, and the sweeps must stop.
     coords = np.array([(0, 0), (0, 1), (5, 5), (5, 6)], dtype=np.int64)
-    graph = ApproxGraph(coords, np.array([[0, 2], [1, 3]]),
-                        np.array(alpha_array(coords[[0, 2]], coords[[1, 3]])), np.array([0, 1]))
+    line = (np.arange(4), np.array([1, 0, 1]), (1, 3))
+    graph = ApproxGraph(coords, np.array([0, 1]), [line], no_links, no_links)
+    with pytest.raises(InternalInconsistency, match="2 sites unreached"):
+        compute_gmax(graph, bh)
+    # The same two sites joined by a link, which no sweep relaxes from an
+    # unreached tail.
+    graph = ApproxGraph(coords, np.array([0, 1]), [(np.arange(4), np.array([1, 0, 0]), (1, 3))],
+                        np.array([[2], [3]]), np.array([[1], [3]]))
     with pytest.raises(InternalInconsistency, match="2 sites unreached"):
         compute_gmax(graph, bh)
 
@@ -152,22 +161,46 @@ HEAP_FINISH_IDS = ["spiral", "dumbbell", "hexagon", "lozenge-bad-pair"]
 
 @pytest.mark.parametrize("decide, word, reason", HEAP_FINISH_WORDS, ids=HEAP_FINISH_IDS)
 def test_heap_finish_gives_the_round_result(monkeypatch, decide, word, reason):
+    # With no sweep allowed the finish runs from the boundary heights, on
+    # every word; one sweep may already settle the labels.
     seeds = []
     finish = solver._finish
 
-    def counted(g, fell, *arcs):
+    def counted(graph, g, fell):
         seeds.append(len(fell))
-        return finish(g, fell, *arcs)
+        return finish(graph, g, fell)
 
     monkeypatch.setattr(solver, "_finish", counted)
     want = decide(word)
     assert want.reason == reason and not seeds  # the default cap needs no finish
-    for cap in (0, 1):
-        monkeypatch.setattr(solver, "_round_cap", lambda n: cap)
-        got = decide(word)
-        assert (got.reason, got.witness, got.heights) == (want.reason, want.witness, want.heights)
-        assert (got.sites, got.edges) == (want.sites, want.edges)
-    assert len(seeds) == 2 and all(seeds)
+    monkeypatch.setattr(solver, "_round_cap", lambda n: 0)
+    got = decide(word)
+    assert (got.reason, got.witness, got.heights) == (want.reason, want.witness, want.heights)
+    assert (got.sites, got.edges) == (want.sites, want.edges)
+    assert len(seeds) == 1 and all(seeds)
+
+
+def test_decision_relaxes_with_no_sort_and_no_edge_list(monkeypatch):
+    # The relaxation reads the lines: it calls no sort, and the graph's
+    # (2, E) edge list views are never built on the decision path.
+    graphs, calls = [], set()
+    relax = solver.compute_gmax
+
+    def watched(graph, bh):
+        graphs.append(graph)
+        sys.setprofile(lambda frame, event, arg: event == "c_call" and calls.add(arg.__name__))
+        try:
+            return relax(graph, bh)
+        finally:
+            sys.setprofile(None)
+
+    for module in (solver, tiler.lozenge):
+        monkeypatch.setattr(module, "compute_gmax", watched)
+    for decide, word, reason in HEAP_FINISH_WORDS:
+        assert decide(word).reason == reason
+    assert len(graphs) == 4 and "accumulate" in calls
+    assert not calls & {"sort", "argsort", "lexsort"}, calls
+    assert not any("_edges" in graph.__dict__ for graph in graphs)
 
 
 def _solver_input(decide, region):
@@ -182,51 +215,52 @@ def _solver_input(decide, region):
 
 
 @pytest.fixture
-def handed(monkeypatch):
-    """The (labels, frontier) pairs handed to the heap finish."""
-    handed = []
-    finish = solver._finish
+def sweeps(monkeypatch):
+    """The sweeps of each ``compute_gmax`` call, appended as it returns."""
+    counts = []
+    sweep, relax = solver._sweep, solver.compute_gmax
 
-    def recorded(g, fell, *arcs):
-        handed.append((g.copy(), fell.copy()))
-        return finish(g, fell, *arcs)
+    def counted_sweep(graph, g):
+        counts[-1] += 1
+        sweep(graph, g)
 
-    monkeypatch.setattr(solver, "_finish", recorded)
-    return handed
+    def counted_relax(graph, bh):
+        counts.append(0)
+        return relax(graph, bh)
+
+    monkeypatch.setattr(solver, "_sweep", counted_sweep)
+    monkeypatch.setattr(solver, "compute_gmax", counted_relax)
+    return counts
 
 
-def _assert_same_relaxation(handed, graph, bh, metric, cap=None):
+def _assert_same_relaxation(graph, bh, metric):
     """``compute_gmax`` and the masked rounds give equal heights and
-    witnesses, and hand the heap finish the same labels and frontier, if
-    either runs it."""
-    handed.clear()
-    g, bad = compute_gmax(graph, bh)
-    want_g, want_bad, want_handoff = masked_round_gmax(graph, bh, metric, cap)
+    witnesses."""
+    g, bad = solver.compute_gmax(graph, bh)
+    want_g, want_bad = masked_round_gmax(graph, bh, metric)
     assert np.array_equal(g, want_g) and g.dtype == want_g.dtype
     assert bad == want_bad
-    assert len(handed) == (want_handoff is not None)
-    if handed:
-        (labels, fell), (want_labels, want_fell) = handed[0], want_handoff
-        assert np.array_equal(labels, want_labels) and np.array_equal(fell, want_fell)
 
 
 @pytest.mark.parametrize("decide, word, reason", HEAP_FINISH_WORDS, ids=HEAP_FINISH_IDS)
-def test_frontier_rounds_match_the_masked_rounds_at_every_cap(monkeypatch, handed, decide,
+def test_frontier_rounds_match_the_masked_rounds_at_every_cap(monkeypatch, sweeps, decide,
                                                               word, reason):
+    # At the default cap one sweep settles these graphs; at cap 0 the heap
+    # finish does all the work.
     graph, bh, metric = _solver_input(decide, word)
-    _assert_same_relaxation(handed, graph, bh, metric)
-    assert not handed
-    for cap in (0, 1, 2):
-        monkeypatch.setattr(solver, "_round_cap", lambda n: cap)
-        _assert_same_relaxation(handed, graph, bh, metric, cap)
-        assert len(handed) == 1
+    _assert_same_relaxation(graph, bh, metric)
+    assert sweeps == [1]
+    monkeypatch.setattr(solver, "_round_cap", lambda n: 0)
+    _assert_same_relaxation(graph, bh, metric)
+    assert sweeps == [1, 0]
 
 
 @pytest.mark.parametrize("decide", [decide_tileable, decide_lozenge], ids=["square", "lozenge"])
-def test_frontier_rounds_match_the_masked_rounds_on_random_regions(handed, decide):
+def test_frontier_rounds_match_the_masked_rounds_on_random_regions(sweeps, decide):
     # Half the draws are dilated by 2, so tileable regions come up; the
     # rest are mostly unbalanced, whose boundary heights still seed the
-    # same relaxation.  Up to 3,000 cells or triangles.
+    # same relaxation.  Up to 3,000 cells or triangles.  Some graphs take
+    # more than one sweep, so the "sweep again" path runs too.
     rng = random.Random(20261019)
     verdicts = set()
     for k in range(100):
@@ -236,9 +270,10 @@ def test_frontier_rounds_match_the_masked_rounds_on_random_regions(handed, decid
         else:
             b = random_lozenge_region(rng, rng.randrange(5, 2900) >> 2 * (k & 1))
             region = _lozenge_dilate(b.word, 2) if k & 1 else b
-        _assert_same_relaxation(handed, *_solver_input(decide, region))
+        _assert_same_relaxation(*_solver_input(decide, region))
         verdicts.add(decide(region).reason)
     assert verdicts == {"ok", "bad-pair", "unbalanced-boundary"}
+    assert max(sweeps) >= 2
 
 
 def _bad_pair_words():
