@@ -15,20 +15,17 @@ strongly inside the region with no other site in between:
   boundary vertex), and otherwise when the cell that its first unit step
   cuts is a region cell.
 
-``join_sites`` builds the graph of either lattice in arrays, and the
-graph is its lines: per line family the sites sorted by (line,
-position) and each consecutive pair's bounds, and the few pairs joined
-outright, the links.  Site ids are the ranks of the sorted distinct
-packed coordinate keys, and one ``np.searchsorted`` gives those of the
-boundary vertices and of the links.  A gap between two boundary
-vertices tests one flank of the first step, a bit of that vertex's
-corner mask, which the walk's turn there gives, so the build makes no
-membership search.  A line join's bounds are its length times the
-family's unit-step bounds, since both metrics are linear along a lattice
-line, and a link's come from its caller, who reads them off the walk.
-The edge list is a view.  Degrees are bounded by construction, on
-squares by two neighbours per diagonal line plus four axis legs, with
-one diagonal always missing at a boundary vertex.
+``join_sites`` builds the graph of either lattice as its lines: per
+line family the sites sorted by (line, position) with each consecutive
+pair's bounds, plus the pairs joined outright, the links; the edge list
+is a view.  Site ids are the ranks of the sorted distinct packed keys.
+A gap between two boundary vertices tests one flank of the first step,
+a bit of that vertex's corner mask, so the build makes no membership
+search.  A line join's bounds are its length times the family's
+unit-step bounds, both metrics being linear along a lattice line; a
+link's are read off the walk by the caller.  Degrees are bounded by
+construction, on squares by two neighbours per diagonal line plus four
+axis legs, with one diagonal always missing at a boundary vertex.
 """
 
 from __future__ import annotations
@@ -54,22 +51,18 @@ class ApproxGraph:
 
     ``coords`` is the (n, d) int64 array of site coordinates in sorted
     order, ``boundary_ids`` the boundary vertices' ids in walk order.
-    Each of ``lines`` is a family ``(order, steps, unit)``: ``order``
-    lists every site id by line and position, ``steps[i]`` is the length
-    in unit steps of the edge from ``order[i]`` to ``order[i + 1]``, 0
-    where none joins them, and ``unit`` a unit step's bounds, forward and
-    back.  ``links`` is the (2, L) array of the other edges, with bounds
-    ``link_bounds`` on g(second) - g(first) and g(first) - g(second).
-
-    A family is kept as ``(order, ahead, back, rise, drop)``: ``rise``
-    and ``drop`` bound g(order[i + 1]) - g(order[i]) above and below,
-    ``_NO_BOUND`` where no edge joins the pair, and ``ahead`` and
-    ``back`` are the cumulative arc weights along ``order`` and its
-    reverse, in which an arc into a boundary site, or a pair no edge
-    joins, weighs ``jump``, over twice all bounds together.
-    ``link_arcs`` are the link arcs into non-boundary sites, as (tails,
-    heads, weights).  ``ends`` and ``bounds``, the (2, E) arrays of every
-    edge, links first, and the views on them are built on first read.
+    Each of ``lines`` is a family ``(order, steps, unit)``: every site id
+    by line and position, the length in unit steps of the edge from
+    ``order[i]`` to ``order[i + 1]`` (0 for none) and a unit step's bounds,
+    forward and back.  ``links`` is the (2, L) array of the other edges,
+    with bounds ``link_bounds`` on g(second) - g(first) and back.
+    A family is kept as ``(order, ahead, back, rise, drop)``: ``rise`` and
+    ``drop`` bound g(order[i + 1]) - g(order[i]) above and below
+    (``_NO_BOUND`` for no edge), and ``ahead`` and ``back`` add up the arc
+    weights along ``order`` and its reverse, where an arc into a boundary
+    site or a pair with no edge weighs ``jump``, over twice all bounds.
+    The edge list (``ends``, ``bounds``; links first) and the views on it
+    are built on first read.
     """
 
     def __init__(self, coords: np.ndarray, boundary_ids: np.ndarray, lines,
@@ -86,8 +79,7 @@ class ApproxGraph:
         self.jump = jump = 2 * total + 1
         if jump * (n + 1) >= 1 << 61:
             raise InternalInconsistency(f"{n} sites and bounds {total} overflow the line scans")
-        self.edge_count = links.shape[1]
-        self.lines = []
+        self.edge_count, self.lines = links.shape[1], []
         for order, steps, (forward, backward) in lines:
             joined = steps > 0
             self.edge_count += int(np.add.reduce(joined))
@@ -96,32 +88,18 @@ class ApproxGraph:
             np.where(joined & interior[order[1:]], rise, jump).cumsum(out=ahead[1:])
             np.where(joined & interior[order[:-1]], -drop, jump)[::-1].cumsum(out=back[1:])
             joined = ~joined
-            rise[joined] = _NO_BOUND
-            drop[joined] = -_NO_BOUND
+            rise[joined], drop[joined] = _NO_BOUND, -_NO_BOUND
             self.lines.append((order, ahead, back, rise, drop))
         heads = links[::-1].ravel()
         keep = interior[heads].nonzero()[0]
         self.link_arcs = links.ravel()[keep], heads[keep], link_bounds.ravel()[keep]
         self.link_limits = link_bounds[0], -link_bounds[1]
 
-    @property
-    def site_count(self) -> int:
-        return len(self.coords)
-
     def site(self, i: int) -> Site:
         return tuple(self.coords[i].tolist())
 
     def degrees(self) -> np.ndarray:
-        """Each site's degree, counted from the lines and the links."""
-        n = len(self.coords)
-        deg = np.bincount(self.links.ravel(), minlength=n)
-        for order, _, _, rise, _ in self.lines:
-            joined = rise != _NO_BOUND
-            per = np.zeros(n, dtype=np.int64)
-            per[1:] = joined
-            per[:-1] += joined
-            deg[order] += per
-        return deg
+        return np.bincount(self.ends.ravel(), minlength=len(self.coords))
 
     @lazy
     def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -182,15 +160,18 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
     Consecutive sites on a line are joined when either is not a boundary
     vertex, or else when that flank of the first step is inside: a bit of
     the first site's mask.  Interior sites have every bit set, so the bit
-    test also passes when the first site is interior.  Degrees are at most
-    ``max_degree[0]``, ``max_degree[1]`` on the boundary."""
+    test also passes when the first site is interior.  Degrees, counted
+    from the lines and links, are at most ``max_degree[0]``,
+    ``max_degree[1]`` on the boundary."""
     site_keys = sorted_unique(keys)
     coords, u, v = decode(site_keys)
     ids = site_keys.searchsorted(keys[:max(p, links.max(initial=-1) + 1)])
+    links = ids[links]
     site_mask = np.empty(len(coords), dtype=np.int8)
     site_mask.fill(-1)
     site_mask[ids[:p]] = masks
     interior = site_mask < 0
+    deg = np.bincount(links.ravel(), minlength=len(coords))
     lines = []
     for (du, dv), bit, unit in families:
         line = dv * u - du * v
@@ -200,19 +181,19 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
         joined = site_mask[order[:-1]] & 1 << bit != 0
         joined |= interior[order[1:]]
         joined &= line[1:] == line[:-1]
+        deg[order[:-1]] += joined
+        deg[order[1:]] += joined
         steps = position[1:] - position[:-1]
         steps *= joined
         lines.append((order, steps, unit))
 
-    graph = ApproxGraph(coords, ids[:p], lines, ids[links], link_bounds)
-    deg = graph.degrees()
     limit = np.where(interior, *max_degree)
     over = (deg > limit).nonzero()[0]
     if len(over):
         s = over[0]
-        raise InternalInconsistency(f"site {graph.site(s)} has degree {deg[s]}, "
+        raise InternalInconsistency(f"site {tuple(coords[s].tolist())} has degree {deg[s]}, "
                                     f"bound is {limit[s]}")
-    return graph
+    return ApproxGraph(coords, ids[:p], lines, links, link_bounds)
 
 
 def _decode_xy(site_keys: np.ndarray):

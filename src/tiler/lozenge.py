@@ -27,17 +27,9 @@ clears the boundary.  Which of the six faces around a boundary vertex
 are in the region follows from the walk's turn there, with no search:
 its corner mask.  Those faces are the kept crossed unit faces of the
 quadtree, and the decision builds none of them.  The site graph is
-``approxgraph.join_sites`` over the boundary vertices, their neighbours
-along the directions between two region faces (the other corners of
-those unit faces) and the corners of the other pieces, with the three
-line families and the upward face flanking each unit step
-(``_FAMILIES``), read between two boundary vertices as a bit of the
-first one's corner mask.  Each family also gives the bounds of its unit
-step, which the join scales by each edge's length, and the boundary
-edges joined outright all have bounds 2 and 1 (``_LINK_BOUNDS``).
-Degrees are at most six (two per family).  An untileable verdict's
-witness is the violated edge whose endpoints come first in sorted site
-order.
+``approxgraph.join_sites`` over the boundary vertices, the other corners
+of those unit faces and the corners of the other pieces, along the three
+line families of ``_FAMILIES``; degrees are at most six (two per family).
 
 Region membership comes from one index, the strip cuts: the boundary
 edges that cross a horizontal strip of faces, held as one sorted array
@@ -381,10 +373,8 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
 
     # Vertex (x, y) lies strictly inside the root, so x, y >= 1.  Its six
     # unit faces are both triangles of cells (x, y) and (x - 1, y - 1), the
-    # upward one of (x - 1, y) and the downward one of (x, y - 1).  x and y
-    # are spread once, above the two flag bits; the codes of x - 1 and
-    # y - 1 are dilated decrements of theirs, which borrow no bit past the
-    # top since x, y >= 1.
+    # upward one of (x - 1, y) and the downward one of (x, y - 1).  The
+    # codes of x - 1 and y - 1 are dilated decrements, exact as x, y >= 1.
     xy = spread(np.concatenate([q - Q0, r - R0]).reshape(2, -1), t) * _LOWEST
     codes = np.concatenate([xy, (xy - _LOWEST) & _PLACES]).reshape(2, 2, -1)
     keys = codes[:, 0, None] | codes[:, 1]

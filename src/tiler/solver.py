@@ -9,27 +9,23 @@ function.  Its restriction to the sites of the sleeve graph satisfies
 with g fixed to the boundary height on boundary sites, because along any
 edge of the graph the height can increase by at most alpha.  So g is the
 multi-source shortest-path length from the boundary sites, with arcs
-into boundary sites dropped.  Every edge but a few links joins two
+into boundary sites dropped.  Every edge but the links joins two
 consecutive sites on a lattice line, so g is relaxed in sweeps along the
-lines, as the two-pass distance transform of Rosenfeld and Pfaltz runs
-along rows: per line family one forward and one backward segmented
-min-plus scan (``np.minimum.accumulate`` against the cumulative arc
-weights), and one pass over the links.  After each sweep one check over
-every edge finds the arcs that fail.  If one runs into a non-boundary
-site the labels sweep again; otherwise every such arc holds, so the
-labels, each the length of a real path, are the shortest path lengths
-whatever the sweep count, and the failed arcs are the violated
-constraints
+lines, as Rosenfeld and Pfaltz's two-pass distance transform runs along
+rows: per family a forward and a backward segmented min-plus scan, and
+one pass over the links.  A check of every edge follows each sweep.  If
+an arc into a non-boundary site fails the labels sweep again; otherwise
+all such arcs hold, so the labels, each a real path length, are the
+shortest path lengths whatever the sweep count, and the failing arcs
+are the violated constraints
 
     -alpha(y, x) <= g(y) - g(x) <= alpha(x, y).
 
-The region is untileable exactly when one fails.  The benchmark's large
-graphs settle in one sweep; a heap loop finishes past a cap on sweeps.
-``run_pipeline`` decides for both lattices and the oracle: an unbalanced
-boundary (closure defect in the height walk) exits before any graph is
-built, and each lattice passes its stages.  The site graph carries each
-edge's two bounds, read off the walk and the line families, so no stage
-evaluates a metric.
+The region is untileable exactly when one fails.  A heap loop finishes
+past a cap on sweeps.  ``run_pipeline`` decides for both lattices and
+the oracle: an unbalanced boundary (closure defect in the height walk)
+exits before any graph is built.  The site graph carries each edge's
+two bounds, so no stage evaluates a metric.
 
 Importing this module sets two of glibc's malloc parameters once, through
 ``mallopt``, for the whole process: the mmap threshold to 32 MiB and the
@@ -151,17 +147,14 @@ def _round_cap(n: int) -> int:
 def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedPair]]:
     """Relax the maximal height over the site graph.
 
-    Returns the int64 array of heights indexed by site id and the
-    violated edge constraint whose endpoints come first in sorted site
-    order, if any: the least (min id, max id) among the violated edges,
-    with its bounds read from the smaller id.  ``bh.heights`` holds the
-    boundary heights in the order of ``graph.boundary_ids``.
-
-    Unreached labels start at ``_UNREACHED``.  A scan carries a label
-    across a pair that no arc joins only with ``graph.jump`` added, which
-    exceeds the spread of the boundary heights plus any path, so such a
-    label never undercuts a real one, and a site is unreached when its
-    label is a jump or more above the least boundary height.
+    Returns the int64 array of heights by site id and the violated edge
+    whose endpoints come first in sorted site order, if any, with its
+    bounds read from the smaller id.  ``bh.heights`` is in the order of
+    ``graph.boundary_ids``.  A scan carries a label across a pair with no
+    arc only with ``graph.jump`` added, more than the spread of the
+    boundary heights plus any path, so such a label never undercuts a
+    real one, and a site is unreached when its label is a jump or more
+    above the least boundary height.
     """
     n = len(graph.coords)
     heights = bh.heights
@@ -276,7 +269,7 @@ def run_pipeline(b, area: int, bh, subdivide, build, relax):
     sub = subdivide(b)
     graph = build(b, sub)
     g, bad = relax(graph, bh)
-    size = (b.p, area, graph.site_count, graph.edge_count)
+    size = (b.p, area, len(graph.coords), graph.edge_count)
     if bad is not None:
         return TileabilityVerdict(False, "bad-pair", bad, *size), sub
     return TileabilityVerdict(True, "ok", None, *size, site_heights=(graph.coords, g)), sub
