@@ -41,8 +41,10 @@ from tiler.subdivision import Subdivision
 Site = Tuple[int, ...]
 
 
-# The bounds of a pair of consecutive sites that no edge joins.
+# The limits on the height step of a pair of consecutive sites that no
+# edge joins: none.
 _NO_BOUND = np.iinfo(np.int64).max
+_NO_BOUNDS = np.array([[_NO_BOUND], [-_NO_BOUND]], dtype=np.int64)
 
 
 class ApproxGraph:
@@ -56,11 +58,12 @@ class ApproxGraph:
     ``order[i]`` to ``order[i + 1]`` (0 for none) and a unit step's bounds,
     forward and back.  ``links`` is the (2, L) array of the other edges,
     with bounds ``link_bounds`` on g(second) - g(first) and back.
-    A family is kept as ``(order, ahead, back, rise, drop)``: ``rise`` and
-    ``drop`` bound g(order[i + 1]) - g(order[i]) above and below
-    (``_NO_BOUND`` for no edge), and ``ahead`` and ``back`` add up the arc
-    weights along ``order`` and its reverse, where an arc into a boundary
-    site or a pair with no edge weighs ``jump``, over twice all bounds.
+    A family is kept as ``(order, sums, limits)``.  The rows of
+    ``limits`` bound g(order[i + 1]) - g(order[i]) above and below
+    (``_NO_BOUNDS`` for no edge).  The rows of ``sums`` add up the weights
+    of the arcs along ``order`` and against it, from its start, where an
+    arc into a boundary site or a pair with no edge weighs ``jump``, over
+    twice all bounds together.
     The edge list (``ends``, ``bounds``; links first) and the views on it
     are built on first read.
     """
@@ -83,13 +86,14 @@ class ApproxGraph:
         for order, steps, (forward, backward) in lines:
             joined = steps > 0
             self.edge_count += int(np.add.reduce(joined))
-            rise, drop = steps * forward, steps * -backward
-            ahead, back = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-            np.where(joined & interior[order[1:]], rise, jump).cumsum(out=ahead[1:])
-            np.where(joined & interior[order[:-1]], -drop, jump)[::-1].cumsum(out=back[1:])
-            joined = ~joined
-            rise[joined], drop[joined] = _NO_BOUND, -_NO_BOUND
-            self.lines.append((order, ahead, back, rise, drop))
+            inner = interior[order]
+            heads = np.concatenate([inner[1:], inner[:-1]]).reshape(2, -1)
+            heads &= joined
+            sums = np.zeros((2, n), dtype=np.int64)
+            np.where(heads, np.multiply.outer((forward, backward), steps), jump).cumsum(
+                axis=1, out=sums[:, 1:])
+            limits = np.where(joined, np.multiply.outer((forward, -backward), steps), _NO_BOUNDS)
+            self.lines.append((order, sums, limits))
         heads = links[::-1].ravel()
         keep = interior[heads].nonzero()[0]
         self.link_arcs = links.ravel()[keep], heads[keep], link_bounds.ravel()[keep]
@@ -105,7 +109,7 @@ class ApproxGraph:
     def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
         first, second = [self.links[0]], [self.links[1]]
         rise, fall = [self.link_bounds[0]], [self.link_bounds[1]]
-        for order, _, _, up, down in self.lines:
+        for order, _, (up, down) in self.lines:
             joined = (up != _NO_BOUND).nonzero()[0]
             first.append(order[joined])
             second.append(order[joined + 1])
@@ -171,8 +175,7 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
     site_mask.fill(-1)
     site_mask[ids[:p]] = masks
     interior = site_mask < 0
-    deg = np.bincount(links.ravel(), minlength=len(coords))
-    lines = []
+    ends, lines = [links.ravel()], []
     for (du, dv), bit, unit in families:
         line = dv * u - du * v
         position = u if du else v
@@ -181,12 +184,12 @@ def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndar
         joined = site_mask[order[:-1]] & 1 << bit != 0
         joined |= interior[order[1:]]
         joined &= line[1:] == line[:-1]
-        deg[order[:-1]] += joined
-        deg[order[1:]] += joined
+        ends += order[:-1][joined], order[1:][joined]
         steps = position[1:] - position[:-1]
         steps *= joined
         lines.append((order, steps, unit))
 
+    deg = np.bincount(np.concatenate(ends), minlength=len(coords))
     limit = np.where(interior, *max_degree)
     over = (deg > limit).nonzero()[0]
     if len(over):

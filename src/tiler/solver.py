@@ -190,22 +190,23 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
 
 def _sweep(graph: ApproxGraph, g: np.ndarray) -> None:
     """Lower the labels ``g`` in place along every arc once: the link arcs,
-    then each line family forward and back.  A scan along the family's
-    order is a segmented min-plus prefix: with W the cumulative arc
-    weights, g[j] becomes min over i <= j of g[i] + W[j] - W[i], and a
-    jump in W stops every path that no arc carries."""
+    then each line family forward and back, as segmented min-plus scans.
+    With A and B the sums of the arc weights along the family's order and
+    against it, g[j] becomes the least g[i] + A[j] - A[i] over i <= j, and
+    then the least g[i] + B[i] - B[j] over i >= j; a jump in A or B stops
+    every path that no arc carries."""
     tails, heads, weights = graph.link_arcs
     if len(heads):
         np.minimum.at(g, heads, g[tails] + weights)
-    for order, ahead, back, _, _ in graph.lines:
+    for order, (ahead, back), _ in graph.lines:
         vals = g[order]
         vals -= ahead
         np.minimum.accumulate(vals, out=vals)
         vals += ahead
+        vals += back
         rev = vals[::-1]
-        rev -= back
         np.minimum.accumulate(rev, out=rev)
-        rev += back
+        vals -= back
         g[order] = vals
 
 
@@ -214,7 +215,7 @@ def _violated(graph: ApproxGraph, g: np.ndarray):
     heads, bound along, bound back), each violated edge once."""
     (first, second), (rise, drop) = graph.links, graph.link_limits
     pairs = [(first, second, g[second] - g[first], rise, drop)]
-    for order, _, _, rise, drop in graph.lines:
+    for order, _, (rise, drop) in graph.lines:
         vals = g[order]
         pairs.append((order[:-1], order[1:], vals[1:] - vals[:-1], rise, drop))
     found = [[], [], [], []]
