@@ -15,9 +15,10 @@ strongly inside the region with no other site in between:
   boundary vertex), and otherwise when the cell that its first unit step
   cuts is a region cell.
 
-``join_sites`` builds the graph of either lattice as its lines: per
-line family the sites sorted by (line, position) with each consecutive
-pair's bounds, plus the pairs joined outright, the links; the edge list
+``join_sites`` builds the graph of either lattice as its lines: the F
+line families' site orders by (line, position), end to end in one flat
+array, with each consecutive pair's bounds (a seam between two families
+joins nothing), plus the pairs joined outright, the links; the edge list
 is a view.  Site ids are the ranks of the sorted distinct packed keys.
 A gap between two boundary vertices tests one flank of the first step,
 a bit of that vertex's corner mask, so the build makes no membership
@@ -42,9 +43,8 @@ Site = Tuple[int, ...]
 
 
 # The limits on the height step of a pair of consecutive sites that no
-# edge joins: none.
-_NO_BOUND = np.iinfo(np.int64).max
-_NO_BOUNDS = np.array([[_NO_BOUND], [-_NO_BOUND]], dtype=np.int64)
+# edge joins: none; a line join's are under 2^31.
+_NO_BOUND = np.iinfo(np.int32).max
 
 
 class ApproxGraph:
@@ -53,18 +53,17 @@ class ApproxGraph:
 
     ``coords`` is the (n, d) int64 array of site coordinates in sorted
     order, ``boundary_ids`` the boundary vertices' ids in walk order.
-    Each of ``lines`` is a family ``(order, steps, unit)``: every site id
-    by line and position, the length in unit steps of the edge from
-    ``order[i]`` to ``order[i + 1]`` (0 for none) and a unit step's bounds,
-    forward and back.  ``links`` is the (2, L) array of the other edges,
-    with bounds ``link_bounds`` on g(second) - g(first) and back.
-    A family is kept as ``(order, sums, limits)``.  The rows of
-    ``limits`` bound g(order[i + 1]) - g(order[i]) above and below
-    (``_NO_BOUNDS`` for no edge).  The rows of ``sums`` add up the weights
-    of the arcs along ``order`` and against it, from its start, where an
-    arc into a boundary site or a pair with no edge weighs ``jump``, over
-    twice all bounds together.
-    The edge list (``ends``, ``bounds``; links first) and the views on it
+    ``lines`` is ``(order, joined, steps, units)``: F families of n site
+    ids end to end, each by line and position; whether an edge joins
+    ``order[i]`` to ``order[i + 1]`` and its length in unit steps; and the
+    (2, F, 1) unit-step bounds, forward and back.  ``links`` is the (2, L)
+    array of the other edges, with bounds ``link_bounds`` on
+    g(second) - g(first) and back.  The int32 rows of ``limits`` bound
+    g(order[i + 1]) - g(order[i]) above and below (+-``_NO_BOUND`` for no
+    edge).  The rows of ``sums`` add up the arc weights along ``order``
+    and against it, ``jump`` (over twice all bounds) where no arc runs:
+    into a boundary site, or at a pair with no edge, every seam among
+    them.  The edge list (``ends``, ``bounds``; links first) and its views
     are built on first read.
     """
 
@@ -76,24 +75,21 @@ class ApproxGraph:
         self.interior = interior = np.empty(n, dtype=bool)
         interior.fill(True)
         interior[boundary_ids] = False
-        total = int(np.add.reduce(link_bounds.ravel()))
-        for _, steps, unit in lines:
-            total += int(np.add.reduce(steps)) * sum(unit)
+        self.order, joined, steps, units = lines
+        bounds = units * steps.reshape(units.shape[1], -1)
+        total = int(np.add.reduce(link_bounds.ravel())) + int(np.add.reduce(bounds, axis=None))
         self.jump = jump = 2 * total + 1
-        if jump * (n + 1) >= 1 << 61:
+        if jump * (len(steps) + 1) >= 1 << 61:
             raise InternalInconsistency(f"{n} sites and bounds {total} overflow the line scans")
-        self.edge_count, self.lines = links.shape[1], []
-        for order, steps, (forward, backward) in lines:
-            joined = steps > 0
-            self.edge_count += int(np.add.reduce(joined))
-            inner = interior[order]
-            heads = np.concatenate([inner[1:], inner[:-1]]).reshape(2, -1)
-            heads &= joined
-            sums = np.zeros((2, n), dtype=np.int64)
-            np.where(heads, np.multiply.outer((forward, backward), steps), jump).cumsum(
-                axis=1, out=sums[:, 1:])
-            limits = np.where(joined, np.multiply.outer((forward, -backward), steps), _NO_BOUNDS)
-            self.lines.append((order, sums, limits))
+        self.edge_count = links.shape[1] + int(np.add.reduce(joined))
+        joined, bounds = joined[:-1], bounds.reshape(2, -1)[:, :-1]
+        inner = interior[self.order]
+        heads = np.concatenate([inner[1:], inner[:-1]]).reshape(2, -1)
+        heads &= joined
+        self.sums = np.zeros((2, len(steps)), dtype=np.int64)
+        np.where(heads, bounds, np.int64(jump)).cumsum(axis=1, out=self.sums[:, 1:])
+        self.limits = np.where(joined, bounds, _NO_BOUND)
+        np.negative(self.limits[1], out=self.limits[1])
         heads = links[::-1].ravel()
         keep = interior[heads].nonzero()[0]
         self.link_arcs = links.ravel()[keep], heads[keep], link_bounds.ravel()[keep]
@@ -107,16 +103,11 @@ class ApproxGraph:
 
     @lazy
     def _edges(self) -> Tuple[np.ndarray, np.ndarray]:
-        first, second = [self.links[0]], [self.links[1]]
-        rise, fall = [self.link_bounds[0]], [self.link_bounds[1]]
-        for order, _, (up, down) in self.lines:
-            joined = (up != _NO_BOUND).nonzero()[0]
-            first.append(order[joined])
-            second.append(order[joined + 1])
-            rise.append(up[joined])
-            fall.append(-down[joined])
-        return (np.concatenate(first + second).reshape(2, -1),
-                np.concatenate(rise + fall).reshape(2, -1))
+        (first, second), (up, down) = self.links, self.link_bounds
+        (rise, drop), order = self.limits, self.order
+        joined = (rise != _NO_BOUND).nonzero()[0]
+        return (np.concatenate([first, order[joined], second, order[joined + 1]]).reshape(2, -1),
+                np.concatenate([up, rise[joined], down, -drop[joined]]).reshape(2, -1))
 
     @property
     def ends(self) -> np.ndarray:
@@ -150,64 +141,80 @@ class ApproxGraph:
                 for i, nb in enumerate(nbrs)}
 
 
+def line_families(families):
+    """The stacked form of F line families, built once per lattice.  Each
+    is a direction (du, dv) along which u grows, or v when du = 0, the bit
+    of the corner mask that holds one flank of its unit step, and the pair
+    of bounds of that step, forward and back.  Returns (F, 2) rows and
+    (F, 1) offsets taking (u, v) to the key (f, line dv * u - du * v,
+    position), the flank bits and the unit bounds."""
+    directions, bits, units = zip(*families)
+    du, dv = np.array(directions).T
+    return (np.array([dv << 32 | (du != 0), (du == 0) - (du << 32)]).T,
+            pack(np.arange(len(bits))[:, None] << 28, 0), (1 << np.array(bits, np.int8))[:, None],
+            np.array(units, dtype=np.int32).T[:, :, None])
+
+
 def join_sites(keys: np.ndarray, p: int, links: np.ndarray, link_bounds: np.ndarray, decode,
                families, masks: np.ndarray, max_degree: Tuple[int, int]) -> ApproxGraph:
     """The site graph of either lattice over the packed candidate keys,
     the p boundary vertices in walk order first, with their corner masks
     ``masks``.  ``decode`` maps the sorted distinct keys to the site
-    coordinates and their plane coordinates (u, v).  ``links`` is a (2, L)
-    array of the positions in ``keys`` of the pairs joined outright, and
-    ``link_bounds`` the (2, L) array of their bounds, forward and back.  Each
-    family is a direction (du, dv) along which u grows, or v when du = 0,
-    the bit of the corner mask that holds one flank of its unit step, and
-    the pair of bounds of that step, forward and back.
-    Consecutive sites on a line are joined when either is not a boundary
-    vertex, or else when that flank of the first step is inside: a bit of
-    the first site's mask.  Interior sites have every bit set, so the bit
-    test also passes when the first site is interior.  Degrees, counted
-    from the lines and links, are at most ``max_degree[0]``,
-    ``max_degree[1]`` on the boundary."""
+    coordinates and their (2, n) plane coordinates (u, v).  ``links`` is a
+    (2, L) array of the positions in ``keys`` of the pairs joined outright,
+    and ``link_bounds`` the (2, L) array of their bounds, forward and back.
+    ``families`` is from ``line_families``.  Consecutive sites on a line
+    are joined when either is not a boundary vertex, or else when that
+    flank of the first step is inside: a bit of the first site's mask.
+    Interior sites have every bit set, so the bit test also passes when
+    the first site is interior; the keys of a seam differ in the family.
+    Degrees, counted from the lines and links, are at most
+    ``max_degree[0]``, ``max_degree[1]`` on the boundary."""
     site_keys = sorted_unique(keys)
-    coords, u, v = decode(site_keys)
+    coords, uv = decode(site_keys)
+    n = len(coords)
     ids = site_keys.searchsorted(keys[:max(p, links.max(initial=-1) + 1)])
     links = ids[links]
-    site_mask = np.empty(len(coords), dtype=np.int8)
+    site_mask = np.empty(n, dtype=np.int8)
     site_mask.fill(-1)
     site_mask[ids[:p]] = masks
     interior = site_mask < 0
-    ends, lines = [links.ravel()], []
-    for (du, dv), bit, unit in families:
-        line = dv * u - du * v
-        position = u if du else v
-        order = pack(line, position).argsort()
-        line, position = line[order], position[order]
-        joined = site_mask[order[:-1]] & 1 << bit != 0
-        joined |= interior[order[1:]]
-        joined &= line[1:] == line[:-1]
-        ends += order[:-1][joined], order[1:][joined]
-        steps = position[1:] - position[:-1]
-        steps *= joined
-        lines.append((order, steps, unit))
+    forms, offsets, bits, units = families
+    line_keys = np.matmul(forms, uv)
+    line_keys += offsets
+    order = line_keys.argsort(axis=1)
+    line_keys = line_keys.ravel()[(order + np.arange(0, order.size, n)[:, None]).ravel()]
+    joined = (site_mask[order] & bits).ravel() != 0
+    order = order.ravel()
+    joined[-1] = False
+    pairs = joined[:-1]
+    pairs |= interior[order[1:]]
+    pairs &= line_keys[1:] >> 32 == line_keys[:-1] >> 32
+    steps = np.empty(len(order), dtype=np.int32)
+    np.subtract(line_keys[1:], line_keys[:-1], out=steps[:-1])
+    del line_keys
+    steps *= joined
 
-    deg = np.bincount(np.concatenate(ends), minlength=len(coords))
+    deg = np.bincount(np.concatenate([links.ravel(), order[joined], order[1:][pairs]]),
+                      minlength=n)
     limit = np.where(interior, *max_degree)
     over = (deg > limit).nonzero()[0]
     if len(over):
         s = over[0]
         raise InternalInconsistency(f"site {tuple(coords[s].tolist())} has degree {deg[s]}, "
                                     f"bound is {limit[s]}")
-    return ApproxGraph(coords, ids[:p], lines, links, link_bounds)
+    return ApproxGraph(coords, ids[:p], (order, joined, steps, units), links, link_bounds)
 
 
 def _decode_xy(site_keys: np.ndarray):
-    xs, ys = unpack(site_keys)
-    return np.concatenate([xs, ys]).reshape(2, -1).T, xs, ys
+    xy = np.concatenate(unpack(site_keys)).reshape(2, -1)
+    return xy.T, xy
 
 
 # The diagonal line families: the first step from (x, y) along (1, 1)
 # cuts cell (x, y), the corner mask's bit 0, and along (1, -1) cell
 # (x, y - 1), its bit 3.  A diagonal unit step has bound 2 both ways.
-_DIAGONALS = (((1, 1), 0, (2, 2)), ((1, -1), 3, (2, 2)))
+_DIAGONALS = line_families((((1, 1), 0, (2, 2)), ((1, -1), 3, (2, 2))))
 # An axis leg's bounds, rise over fall, when tail x + y + dx is even, and
 # what an odd sum adds: 1 and 3, or 3 and 1.
 _LEG_BOUNDS = np.array([[1], [3]], dtype=np.int64)

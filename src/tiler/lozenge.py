@@ -56,7 +56,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from tiler.errors import InternalInconsistency
-from tiler.approxgraph import ApproxGraph, join_sites
+from tiler.approxgraph import ApproxGraph, join_sites, line_families
 from tiler.region import (BoundaryHeight, closed_walk, corner_masks, crossing_keys, lazy,
                           odd_at_or_left, spans, turn_table, walk_back)
 from tiler.solver import TileabilityVerdict, compute_gmax, run_pipeline
@@ -126,6 +126,7 @@ def _set_bits(masks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 # face agrees; boundary edges of moves -1, -2 and -3 have the upward one
 # outside and are joined outright.
 _FAMILIES = (((1, 0), 0, (1, 2)), ((0, 1), 2, (1, 2)), ((1, 1), 0, (2, 1)))
+_LINES = line_families(_FAMILIES)
 # Those boundary edges' bounds: a unit step along -v1, -v2 or v3 is
 # (0, 1, 1) forward and (1, 0, 0) back in canonical form, so 2 and 1.
 _LINK_BOUNDS = np.array([[2], [1]], dtype=np.int64)
@@ -394,7 +395,7 @@ def build_tri_subdivision(b: LozengeBoundary) -> TriSubdivision:
 
 def _decode_tri(site_keys: np.ndarray):
     coords = site_keys[:, None] >> _SITE_SHIFTS & _SITE_MASK
-    return coords, coords[:, 0] - coords[:, 2], coords[:, 1] - coords[:, 2]
+    return coords, coords[:, :2].T - coords[:, 2]
 
 
 def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
@@ -430,7 +431,7 @@ def build_tri_graph(b: LozengeBoundary, sub: TriSubdivision) -> ApproxGraph:
     tails = (b.tokens < 0).nonzero()[0]
     links = np.concatenate([tails, (tails + 1) % len(q)]).reshape(2, -1)
     return join_sites(keys, len(q), links, _LINK_BOUNDS.repeat(len(tails), axis=1),
-                      _decode_tri, _FAMILIES, m, (6, 6))
+                      _decode_tri, _LINES, m, (6, 6))
 
 
 def decide_lozenge(source) -> TileabilityVerdict:

@@ -49,7 +49,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from tiler.approxgraph import ApproxGraph, build_graph
+from tiler.approxgraph import _NO_BOUND, ApproxGraph, build_graph
 from tiler.errors import InternalInconsistency
 from tiler.lattice import Point
 from tiler.region import RegionBoundary, boundary_height, lazy, parse_boundary
@@ -154,7 +154,8 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     arc only with ``graph.jump`` added, more than the spread of the
     boundary heights plus any path, so such a label never undercuts a
     real one, and a site is unreached when its label is a jump or more
-    above the least boundary height.
+    above the least boundary height.  Heights spread past the int32
+    ``_NO_BOUND`` would make pairs with no edge fail, so they raise.
     """
     n = len(graph.coords)
     heights = bh.heights
@@ -178,6 +179,8 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
     unreached = (g >= low + graph.jump).nonzero()[0]
     if len(unreached):
         raise InternalInconsistency("site graph left %d sites unreached" % len(unreached))
+    if int(np.maximum.reduce(g)) - low >= _NO_BOUND:
+        raise InternalInconsistency("the heights spread past the int32 line limits")
     if not len(tails):
         return g, None
     lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
@@ -190,15 +193,16 @@ def compute_gmax(graph: ApproxGraph, bh) -> Tuple[np.ndarray, Optional[ViolatedP
 
 def _sweep(graph: ApproxGraph, g: np.ndarray) -> None:
     """Lower the labels ``g`` in place along every arc once: the link arcs,
-    then each line family forward and back, as segmented min-plus scans.
-    With A and B the sums of the arc weights along the family's order and
-    against it, g[j] becomes the least g[i] + A[j] - A[i] over i <= j, and
-    then the least g[i] + B[i] - B[j] over i >= j; a jump in A or B stops
-    every path that no arc carries."""
+    then each line family in turn, on its rows of the stacked arrays, by
+    segmented min-plus scans forward and back.  With A and B the sums of
+    the arc weights along the order and against it, g[j] becomes the least
+    g[i] + A[j] - A[i] over i <= j, then the least g[i] + B[i] - B[j] over
+    i >= j; a jump in A or B stops every path that no arc carries."""
     tails, heads, weights = graph.link_arcs
     if len(heads):
         np.minimum.at(g, heads, g[tails] + weights)
-    for order, (ahead, back), _ in graph.lines:
+    n = len(g)
+    for order, ahead, back in zip(graph.order.reshape(-1, n), *graph.sums.reshape(2, -1, n)):
         vals = g[order]
         vals -= ahead
         np.minimum.accumulate(vals, out=vals)
@@ -212,12 +216,11 @@ def _sweep(graph: ApproxGraph, g: np.ndarray) -> None:
 
 def _violated(graph: ApproxGraph, g: np.ndarray):
     """The arcs whose bound the labels ``g`` break, as the arrays (tails,
-    heads, bound along, bound back), each violated edge once."""
-    (first, second), (rise, drop) = graph.links, graph.link_limits
-    pairs = [(first, second, g[second] - g[first], rise, drop)]
-    for order, _, (rise, drop) in graph.lines:
-        vals = g[order]
-        pairs.append((order[:-1], order[1:], vals[1:] - vals[:-1], rise, drop))
+    heads, bound along, bound back), each violated edge once; no seam fails."""
+    (first, second), (rise, drop), order = graph.links, graph.link_limits, graph.order
+    vals = g[order]
+    pairs = ((first, second, g[second] - g[first], rise, drop),
+             (order[:-1], order[1:], vals[1:] - vals[:-1], *graph.limits))
     found = [[], [], [], []]
     for first, second, gap, rise, drop in pairs:
         up, down = (gap > rise).nonzero()[0], (gap < drop).nonzero()[0]

@@ -162,6 +162,7 @@ _CHILD_SLOTS = np.array([0, 0b01010101], dtype=np.int64)
 # _BITS[mask] is the row of a 4-bit mask's bits.
 _BITS = np.arange(16)[:, None] >> np.arange(4) & 1 == 1
 _LEG = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)], dtype=np.int64)
+_CORNER_U, _CORNER_V = np.array([[0, 1, 1, 0], [0, 0, 1, 1]])  # a square's corners, (u, v)
 
 
 class Triangle(NamedTuple):
@@ -216,8 +217,8 @@ class Subdivision:
     def inside_corners(self) -> Tuple[np.ndarray, np.ndarray]:
         """(I, 4) arrays x and y of the corners of the inside squares."""
         s, umin, vmin = self._uv_corner(*self.inside_at)
-        u = umin[:, None] + s[:, None] * np.array([0, 1, 1, 0])
-        v = vmin[:, None] + s[:, None] * np.array([0, 0, 1, 1])
+        u = umin[:, None] + s[:, None] * _CORNER_U
+        v = vmin[:, None] + s[:, None] * _CORNER_V
         return (u + v) // 2, (u - v) // 2
 
     # -- tuple-keyed views --------------------------------------------------

@@ -112,30 +112,81 @@ def test_heights_satisfy_every_edge():
     assert (gap <= rise).all() and (-gap <= fall).all()
 
 
+def _lines(orders, steps, unit=(1, 3)):
+    """``ApproxGraph``'s stacked lines from per-family site orders and
+    pair lengths (0 for no edge), every family with the unit bounds
+    ``unit``: the orders end to end, with each seam unjoined."""
+    steps = np.concatenate([np.append(s, 0) for s in steps]).astype(np.int32)
+    units = np.array(unit, dtype=np.int32).reshape(2, 1, 1).repeat(len(orders), axis=1)
+    return np.concatenate(orders), steps > 0, steps, units
+
+
+NO_LINKS = np.empty((2, 0), dtype=np.int64)
+
+
 def test_unreached_site_is_an_internal_inconsistency():
     # Two boundary sites joined along one line and a third site after a
     # pair that no edge joins.
     coords = np.array([(0, 0), (0, 1), (5, 5)], dtype=np.int64)
-    no_links = np.empty((2, 0), dtype=np.int64)
-    line = (np.arange(3), np.array([1, 0]), (1, 3))
-    graph = ApproxGraph(coords, np.array([0, 1]), [line], no_links, no_links)
+    graph = ApproxGraph(coords, np.array([0, 1]), _lines([np.arange(3)], [[1, 0]]),
+                        NO_LINKS, NO_LINKS)
     bh = BoundaryHeight(np.array([0, 1]), True)
     with pytest.raises(InternalInconsistency, match="1 sites unreached"):
         compute_gmax(graph, bh)
+    # Two families, each with the third site at one end: next to a seam,
+    # after the reached last site of the first family or before the
+    # reached first site of the second.  The seam is no edge, and a scan
+    # that crossed it would carry a label over only with the jump in it.
+    for order, steps in (([2, 0, 1], [0, 1]), ([0, 1, 2], [1, 0])):
+        graph = ApproxGraph(coords, np.array([0, 1]), _lines([np.array(order)] * 2, [steps] * 2),
+                            NO_LINKS, NO_LINKS)
+        with pytest.raises(InternalInconsistency, match="1 sites unreached"):
+            compute_gmax(graph, bh)
     # Two more sites joined only to each other: a scan carries a label
     # across the unjoined pair only with the jump in it, so they stay
     # unreached, and the sweeps must stop.
     coords = np.array([(0, 0), (0, 1), (5, 5), (5, 6)], dtype=np.int64)
-    line = (np.arange(4), np.array([1, 0, 1]), (1, 3))
-    graph = ApproxGraph(coords, np.array([0, 1]), [line], no_links, no_links)
+    graph = ApproxGraph(coords, np.array([0, 1]), _lines([np.arange(4)], [[1, 0, 1]]),
+                        NO_LINKS, NO_LINKS)
     with pytest.raises(InternalInconsistency, match="2 sites unreached"):
         compute_gmax(graph, bh)
     # The same two sites joined by a link, which no sweep relaxes from an
     # unreached tail.
-    graph = ApproxGraph(coords, np.array([0, 1]), [(np.arange(4), np.array([1, 0, 0]), (1, 3))],
+    graph = ApproxGraph(coords, np.array([0, 1]), _lines([np.arange(4)], [[1, 0, 0]]),
                         np.array([[2], [3]]), np.array([[1], [3]]))
     with pytest.raises(InternalInconsistency, match="2 sites unreached"):
         compute_gmax(graph, bh)
+
+
+def test_graphs_whose_sums_or_heights_overflow_raise():
+    # Two boundary sites joined along two families and by a link with
+    # bounds (big, big).  The sums run over all F·n = 4 pairs, so the
+    # scans stay in range while jump · 5 < 2^61, where the jump is twice
+    # all bounds plus one: 2 · (2 · 4 + 2 · big) + 1.
+    coords = np.array([(0, 0), (0, 1)], dtype=np.int64)
+    bh = BoundaryHeight(np.array([0, 1]), True)
+    lines = _lines([np.arange(2)] * 2, [[1]] * 2)
+    big = ((1 << 61) // 5 - 17) // 4
+    graph = ApproxGraph(coords, np.arange(2), lines, np.array([[0], [1]]), np.array([[big], [big]]))
+    assert graph.jump * 5 < 1 << 61 <= (graph.jump + 4) * 5
+    g, bad = compute_gmax(graph, bh)
+    assert g.tolist() == [0, 1] and bad is None
+    with pytest.raises(InternalInconsistency, match="overflow the line scans"):
+        ApproxGraph(coords, np.arange(2), lines, np.array([[0], [1]]),
+                    np.array([[big + 1], [big + 1]]))
+    # A third site reached over a link: the pair before it, which no edge
+    # joins, has limits of +-(2^31 - 1), so heights that spread that far
+    # apart raise rather than break that pair.
+    coords = np.array([(0, 0), (0, 1), (5, 5)], dtype=np.int64)
+    for bound, spread in (((1 << 31) - 3, None), (1 << 31, "spread past the int32")):
+        graph = ApproxGraph(coords, np.arange(2), _lines([np.arange(3)], [[1, 0]]),
+                            np.array([[1], [2]]), np.array([[bound], [bound]]))
+        if spread is None:
+            g, bad = compute_gmax(graph, bh)
+            assert g.tolist() == [0, 1, bound + 1] and bad is None
+        else:
+            with pytest.raises(InternalInconsistency, match=spread):
+                compute_gmax(graph, bh)
 
 
 def _dumbbell(m):
@@ -431,6 +482,43 @@ def test_decide_path_enters_no_numpy_python_wrapper():
         sys.setprofile(None)
         print(sorted(entered))
     """) == "[]"
+
+
+def test_graph_build_and_check_call_as_often_on_two_families_as_on_three():
+    # The line families are stacked, so building the graph and checking
+    # it make the same C calls for the square lattice's two families as
+    # for the triangular lattice's three; a per-family loop would not.
+    # The sweep scans the families in turn and is not counted.  Both
+    # words settle in one sweep, so the check runs once.
+    counts = _fresh_interpreter("""
+        import sys
+        import tiler
+        from tiler import approxgraph, solver
+        watched = {f.__code__: f.__name__ for f in (approxgraph.join_sites, solver._violated,
+                                                     approxgraph.ApproxGraph.__init__)}
+        tiler.decide_tileable("RRUULLDD")
+        tiler.decide_lozenge("1,1,-3,-3,2,2,-1,-1,3,3,-2,-2")
+
+        def counted(decide, word):
+            calls = dict.fromkeys(watched.values(), 0)
+
+            def profile(frame, event, arg):
+                name = watched.get(frame.f_code)
+                if name and event == "c_call":
+                    calls[name] += 1
+                elif name == "_violated" and event == "call":
+                    calls["checks"] = calls.get("checks", 0) + 1
+
+            sys.setprofile(profile)
+            decide(word)
+            sys.setprofile(None)
+            return calls
+
+        print([counted(tiler.decide_tileable, "RRRRUUUULLLLDDDD"),
+               counted(tiler.decide_lozenge, "1,1,1,-3,-3,-3,2,2,2,-1,-1,-1,3,3,3,-2,-2,-2")])
+    """)
+    square, lozenge = eval(counts)
+    assert square == lozenge and square.pop("checks") == 1 and all(square.values()), counts
 
 
 @pytest.mark.skipif(not solver._HEAP_KEPT, reason="the C library sets no malloc thresholds")
